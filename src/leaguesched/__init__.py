@@ -43,7 +43,6 @@ from .model import (
     Task,
     VirtualMachine,
     makespan,
-    validate_instance,
     vm_loads,
 )
 from .oracle import brute_force_optimum, lower_bound
@@ -104,7 +103,6 @@ __all__ = [
     "run_experiment",
     "season_fixtures",
     "update_formation",
-    "validate_instance",
     "vm_loads",
     "win_probability",
 ]

@@ -43,10 +43,6 @@ def greedy_earliest_vm(
     return Assignment(tuple(out))
 
 
-def _arrival_order(instance: ProblemInstance) -> list[int]:
-    return sorted(range(len(instance.tasks)), key=lambda i: instance.tasks[i].arrival_index)
-
-
 def _schedule_in_order(instance: ProblemInstance, order: list[int]) -> Assignment:
     """Run the greedy core over tasks in `order`, then realign to task positions."""
     core = greedy_earliest_vm([instance.tasks[i] for i in order], instance.vms)
@@ -58,16 +54,16 @@ def _schedule_in_order(instance: ProblemInstance, order: list[int]) -> Assignmen
 
 def fcfs(instance: ProblemInstance) -> Assignment:
     """First come, first served: tasks in submission order."""
-    return _schedule_in_order(instance, _arrival_order(instance))
+    return _schedule_in_order(instance, instance.arrival.tolist())
 
 
 def ljf(instance: ProblemInstance) -> Assignment:
     """Longest job first; equal lengths keep submission order (stable sort)."""
-    order = sorted(_arrival_order(instance), key=lambda i: -instance.tasks[i].length_mi)
+    order = sorted(instance.arrival.tolist(), key=lambda i: -instance.tasks[i].length_mi)
     return _schedule_in_order(instance, order)
 
 
 def bef(instance: ProblemInstance) -> Assignment:
     """Best effort first, read as shortest job first; stable on ties."""
-    order = sorted(_arrival_order(instance), key=lambda i: instance.tasks[i].length_mi)
+    order = sorted(instance.arrival.tolist(), key=lambda i: instance.tasks[i].length_mi)
     return _schedule_in_order(instance, order)

@@ -90,8 +90,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_schedule(args: argparse.Namespace) -> int:
     with open(args.trace, "r", encoding="utf-8") as f:
         tasks = load_trace(f)
-    if args.vms < 1:
-        raise ValueError(f"--vms must be >= 1, got {args.vms}")
     vms = tuple(VirtualMachine(id=v, speed_mips=args.vm_mips) for v in range(args.vms))
     instance = ProblemInstance(tuple(tasks), vms)
     if args.algo == "lca":
@@ -168,3 +166,7 @@ def dispatch(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

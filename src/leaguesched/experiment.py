@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 from typing import IO, Callable, Iterable
 
 from .baselines import SchedulerKind, bef, fcfs, ljf
-from .lca import LcaParams, run
-from .model import ProblemInstance, VirtualMachine, makespan
+from .lca import LcaParams, run, validate_params
+from .model import ProblemInstance, VirtualMachine, is_finite, is_integer, makespan
 from .rng import MASK64, mix64
 from .workload import WorkloadSpec, generate_synthetic
 
@@ -48,13 +48,11 @@ class ExperimentConfig:
     master_seed: int = 42
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "task_counts", tuple(int(n) for n in self.task_counts))
-        object.__setattr__(self, "schedulers", tuple(self.schedulers))
-        object.__setattr__(self, "length_range_mi", tuple(self.length_range_mi))
-        if not isinstance(self.vm_speed_mips, (int, float)):
-            object.__setattr__(
-                self, "vm_speed_mips", tuple(float(s) for s in self.vm_speed_mips)
-            )
+        # Sequences become tuples; anything else is left for _validate_config to name.
+        for name in ("task_counts", "schedulers", "length_range_mi", "vm_speed_mips"):
+            value = getattr(self, name)
+            if isinstance(value, Iterable) and not isinstance(value, str):
+                object.__setattr__(self, name, tuple(value))
 
 
 @dataclass(frozen=True)
@@ -90,43 +88,36 @@ def derive_search_seed(cell_seed: int, scheduler_code: int) -> int:
 
 
 def _validate_config(config: ExperimentConfig) -> None:
-    problems = []
-    if not config.task_counts:
-        problems.append("task_counts is empty")
-    if any(n < 1 for n in config.task_counts):
-        problems.append(f"task_counts must be positive, got {list(config.task_counts)}")
-    if config.n_vms < 1:
-        problems.append(f"n_vms must be >= 1, got {config.n_vms}")
-    if config.repetitions < 1:
-        problems.append(f"repetitions must be >= 1, got {config.repetitions}")
-    if not config.schedulers:
-        problems.append("schedulers is empty")
-    lo, hi = config.length_range_mi
-    if not 0 < lo <= hi:
-        problems.append(f"invalid length range [{lo}, {hi}]")
-    speeds = config.vm_speed_mips
-    if isinstance(speeds, tuple):
-        if len(speeds) != config.n_vms:
-            problems.append(
-                f"vm_speed_mips lists {len(speeds)} speeds for {config.n_vms} VMs"
-            )
-        if any(not s > 0 for s in speeds):
-            problems.append("vm_speed_mips entries must be positive")
-    elif not speeds > 0:
-        problems.append(f"vm_speed_mips must be positive, got {speeds}")
-    if config.master_seed < 0:
-        problems.append("master_seed must be a 64-bit unsigned integer")
+    """Raise ValueError naming every mistyped, non-finite or out-of-range field."""
+    c = config
+    speeds = c.vm_speed_mips if isinstance(c.vm_speed_mips, tuple) else (c.vm_speed_mips,)
+    lo_hi = c.length_range_mi
+    checks = [
+        ("task_counts", isinstance(c.task_counts, tuple) and c.task_counts
+         and all(is_integer(n) and n >= 1 for n in c.task_counts), "a non-empty list of integers >= 1"),
+        ("n_vms", is_integer(c.n_vms) and c.n_vms >= 1, "an integer >= 1"),
+        ("vm_speed_mips", all(is_finite(s) and s > 0 for s in speeds)
+         and (not isinstance(c.vm_speed_mips, tuple) or len(speeds) == c.n_vms),
+         "a finite positive speed, or a list of one per VM"),
+        ("length_range_mi", isinstance(lo_hi, tuple) and len(lo_hi) == 2 and all(map(is_finite, lo_hi))
+         and 0 < lo_hi[0] <= lo_hi[1], "[min, max] with 0 < min <= max, both finite"),
+        ("repetitions", is_integer(c.repetitions) and c.repetitions >= 1, "an integer >= 1"),
+        ("schedulers", isinstance(c.schedulers, tuple) and c.schedulers
+         and all(isinstance(k, SchedulerKind) for k in c.schedulers), "a non-empty list of schedulers"),
+        ("master_seed", is_integer(c.master_seed) and 0 <= c.master_seed < 2**64,
+         "a 64-bit unsigned integer"),
+    ]
+    problems = [f"{name} must be {want}, got {getattr(c, name)!r}" for name, ok, want in checks if not ok]
     if problems:
         raise ValueError("; ".join(problems))
+    validate_params(c.lca_params)
 
 
 def _build_vms(config: ExperimentConfig) -> tuple[VirtualMachine, ...]:
     speeds = config.vm_speed_mips
-    if isinstance(speeds, tuple):
-        return tuple(VirtualMachine(id=v, speed_mips=s) for v, s in enumerate(speeds))
-    return tuple(
-        VirtualMachine(id=v, speed_mips=float(speeds)) for v in range(config.n_vms)
-    )
+    if not isinstance(speeds, tuple):
+        speeds = (speeds,) * config.n_vms
+    return tuple(VirtualMachine(id=v, speed_mips=float(s)) for v, s in enumerate(speeds))
 
 
 def run_experiment(
@@ -336,20 +327,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     """
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
-    known = {
-        "task_counts",
-        "n_vms",
-        "vm_speed_mips",
-        "length_range_mi",
-        "repetitions",
-        "schedulers",
-        "lca_params",
-        "master_seed",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - set(ExperimentConfig.__dataclass_fields__)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    kwargs: dict = {k: v for k, v in data.items() if k in known}
+    kwargs = dict(data)
     if "schedulers" in kwargs:
         try:
             kwargs["schedulers"] = tuple(

@@ -26,13 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import bef, fcfs, ljf
-from .model import (
-    Assignment,
-    InvalidInstanceError,
-    ProblemInstance,
-    makespan,
-    validate_instance,
-)
+from .model import Assignment, ProblemInstance, is_finite, is_integer, makespan
 from .rng import SplitMix64
 
 OUTCOME_WIN = "win"
@@ -77,6 +71,7 @@ class League:
     global_best: np.ndarray
     global_best_fitness: float
     rng: SplitMix64
+    evaluate: _FitnessEvaluator  # fitness of a formation
     evaluations: int = 0
 
 
@@ -89,24 +84,21 @@ class RunResult:
 
 
 def validate_params(params: LcaParams) -> None:
-    """Raise ValueError listing every invalid field."""
-    problems = []
-    if params.league_size < 4:
-        problems.append(f"league_size must be >= 4, got {params.league_size}")
-    if params.seasons < 1:
-        problems.append(f"seasons must be >= 1, got {params.seasons}")
-    if not 0.0 < params.change_probability <= 1.0:
-        problems.append(
-            f"change_probability must be in (0, 1], got {params.change_probability}"
-        )
-    if not 0.0 <= params.swap_probability <= 1.0:
-        problems.append(
-            f"swap_probability must be in [0, 1], got {params.swap_probability}"
-        )
-    if not params.w1 > 0 or not params.w2 > 0:
-        problems.append(f"step weights must be positive, got {params.w1}, {params.w2}")
-    if params.seed < 0:
-        problems.append(f"seed must be a 64-bit unsigned integer, got {params.seed}")
+    """Raise ValueError naming every mistyped, non-finite or out-of-range field."""
+    p = params
+    checks = [
+        ("league_size", is_integer(p.league_size) and p.league_size >= 4, "an integer >= 4"),
+        ("seasons", is_integer(p.seasons) and p.seasons >= 1, "an integer >= 1"),
+        ("change_probability", is_finite(p.change_probability)
+         and 0.0 < p.change_probability <= 1.0, "a number in (0, 1]"),
+        ("swap_probability", is_finite(p.swap_probability)
+         and 0.0 <= p.swap_probability <= 1.0, "a number in [0, 1]"),
+        ("w1", is_finite(p.w1) and p.w1 > 0, "a finite positive number"),
+        ("w2", is_finite(p.w2) and p.w2 > 0, "a finite positive number"),
+        ("seed", is_integer(p.seed) and 0 <= p.seed < 2**64, "a 64-bit unsigned integer"),
+        ("seed_with_baselines", isinstance(p.seed_with_baselines, bool), "true or false"),
+    ]
+    problems = [f"{name} must be {want}, got {getattr(p, name)!r}" for name, ok, want in checks if not ok]
     if problems:
         raise ValueError("; ".join(problems))
 
@@ -116,12 +108,16 @@ def encode(assignment: Assignment) -> np.ndarray:
     return np.asarray(assignment.vm_of, dtype=np.float64) + 0.5
 
 
-def decode(formation: np.ndarray, n_vms: int) -> Assignment:
+def _vm_index(formation: np.ndarray, n_vms: int) -> np.ndarray:
     """Truncate each coordinate to a VM index, clamping strays into [0, n_vms)."""
+    return np.clip(np.floor(formation).astype(np.int64), 0, n_vms - 1)
+
+
+def decode(formation: np.ndarray, n_vms: int) -> Assignment:
+    """The schedule a formation stands for: each coordinate truncated to a VM index."""
     if n_vms < 1:
         raise ValueError(f"n_vms must be >= 1, got {n_vms}")
-    idx = np.floor(np.asarray(formation, dtype=np.float64)).astype(np.int64)
-    return Assignment(tuple(int(v) for v in np.clip(idx, 0, n_vms - 1)))
+    return Assignment(tuple(_vm_index(np.asarray(formation, dtype=np.float64), n_vms).tolist()))
 
 
 def round_robin(league_size: int) -> list[list[tuple[int, int]]]:
@@ -245,27 +241,17 @@ def update_formation(
 
 
 class _FitnessEvaluator:
-    """Vectorized makespan of a decoded formation.
+    """Makespan of a formation: the instance's loads kernel on its decoded VM indices.
 
-    Accumulates per-VM busy time in arrival order, bit-identical to
-    model.makespan for the same assignment.
+    Bit-identical to model.makespan for the decoded assignment.
     """
 
     def __init__(self, instance: ProblemInstance) -> None:
-        n = len(instance.tasks)
-        self._lengths = np.array([t.length_mi for t in instance.tasks])
-        self._speeds = np.array([vm.speed_mips for vm in instance.vms])
+        self._loads = instance.loads
         self._m = len(instance.vms)
-        order = sorted(range(n), key=lambda k: instance.tasks[k].arrival_index)
-        self._order = None if order == list(range(n)) else np.array(order)
 
     def __call__(self, formation: np.ndarray) -> float:
-        idx = np.clip(np.floor(formation).astype(np.int64), 0, self._m - 1)
-        durations = self._lengths / self._speeds[idx]
-        if self._order is not None:
-            idx, durations = idx[self._order], durations[self._order]
-        loads = np.bincount(idx, weights=durations, minlength=self._m)
-        return float(loads.max())
+        return float(self._loads(_vm_index(formation, self._m)).max())
 
 
 def init_league(params: LcaParams, instance: ProblemInstance) -> League:
@@ -275,9 +261,6 @@ def init_league(params: LcaParams, instance: ProblemInstance) -> League:
     schedules, so the league never regresses below the strongest baseline.
     """
     validate_params(params)
-    problems = validate_instance(instance)
-    if problems:
-        raise InvalidInstanceError("; ".join(problems))
     rng = SplitMix64(params.seed)
     evaluator = _FitnessEvaluator(instance)
     n, m = len(instance.tasks), len(instance.vms)
@@ -302,6 +285,7 @@ def init_league(params: LcaParams, instance: ProblemInstance) -> League:
         global_best=champion.best.copy(),
         global_best_fitness=champion.best_fitness,
         rng=rng,
+        evaluate=evaluator,
         evaluations=len(teams),
     )
 
@@ -317,7 +301,6 @@ def run(params: LcaParams, instance: ProblemInstance) -> RunResult:
     improves, so the history is nonincreasing.
     """
     league = init_league(params, instance)
-    evaluator = _FitnessEvaluator(instance)
     teams = league.teams
     m = len(instance.vms)
     history: list[float] = []
@@ -345,7 +328,7 @@ def run(params: LcaParams, instance: ProblemInstance) -> RunResult:
                         (team, update_formation(team, prev_x, opp, params, league.rng, m))
                     )
                 for team, new_x in proposals:
-                    fit = evaluator(new_x)
+                    fit = league.evaluate(new_x)
                     league.evaluations += 1
                     team.current = new_x
                     team.current_fitness = fit

@@ -10,7 +10,11 @@ of its VM up to and including that task.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, field
+
+import numpy as np
 
 
 class InvalidAssignmentError(ValueError):
@@ -19,6 +23,16 @@ class InvalidAssignmentError(ValueError):
 
 class InvalidInstanceError(ValueError):
     """Instance violates a structural invariant (e.g. no VMs at all)."""
+
+
+def is_integer(value: object) -> bool:
+    """True for an integer; a bool is a flag, not a count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite(value: object) -> bool:
+    """True for a finite real number; a bool is a flag, not a quantity."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -36,12 +50,76 @@ class VirtualMachine:
 
 @dataclass(frozen=True)
 class ProblemInstance:
+    """A validated instance, compiled once to the arrays every evaluation reads.
+
+    Construction raises InvalidInstanceError naming every bad task and VM, so
+    an instance that exists is well formed and ready to score.
+    """
+
     tasks: tuple[Task, ...]
     vms: tuple[VirtualMachine, ...]
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)  # MI, by task position
+    speeds: np.ndarray = field(init=False, repr=False, compare=False)  # MIPS, by VM index
+    arrival: np.ndarray = field(init=False, repr=False, compare=False)  # positions, arrival order
+    _reordered: bool = field(init=False, repr=False, compare=False)  # arrival != position order
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tasks", tuple(self.tasks))
-        object.__setattr__(self, "vms", tuple(self.vms))
+        tasks, vms = tuple(self.tasks), tuple(self.vms)
+        problems = [] if tasks else ["empty task list"]
+        if not vms:
+            problems.append("empty VM list")
+        seen_ids: set[int] = set()
+        for t in tasks:
+            if not is_integer(t.id) or t.id < 0:
+                problems.append(f"task {t.id!r}: id must be a nonnegative integer")
+            elif t.id in seen_ids:
+                problems.append(f"task {t.id}: duplicate id")
+            else:
+                seen_ids.add(t.id)
+            if not (is_finite(t.length_mi) and t.length_mi > 0):
+                problems.append(f"task {t.id!r}: length must be finite and positive, got {t.length_mi!r}")
+        arrivals = [t.arrival_index for t in tasks]
+        if not all(map(is_integer, arrivals)) or sorted(arrivals) != list(range(len(tasks))):
+            problems.append("arrival_index values do not form 0..n-1")
+        for pos, vm in enumerate(vms):
+            if vm.id != pos:
+                problems.append(f"VM at position {pos} has id {vm.id!r}")
+            if not (is_finite(vm.speed_mips) and vm.speed_mips > 0):
+                problems.append(f"VM {vm.id!r}: speed must be finite and positive, got {vm.speed_mips!r}")
+        if problems:
+            raise InvalidInstanceError("; ".join(problems))
+        arrival = np.array(sorted(range(len(tasks)), key=arrivals.__getitem__), dtype=np.int64)
+        for name, value in [
+            ("tasks", tasks),
+            ("vms", vms),
+            ("lengths", np.array([t.length_mi for t in tasks], dtype=np.float64)),
+            ("speeds", np.array([vm.speed_mips for vm in vms], dtype=np.float64)),
+            ("arrival", arrival),
+            ("_reordered", bool(np.any(arrival != np.arange(len(tasks))))),
+        ]:
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def loads(self, vm_index: np.ndarray) -> np.ndarray:
+        """Per-VM busy seconds: the one evaluation kernel behind every objective.
+
+        vm_index is one VM-index vector of shape (n,), giving shape (m,), or a
+        block of shape (rows, n), giving (rows, m). Indices must lie in [0, m).
+        np.bincount adds each VM's durations one by one in arrival order, so
+        every load is bit-identical to a sequential sum over the tasks.
+        """
+        m = self.speeds.shape[0]
+        durations = self.lengths / self.speeds[vm_index]
+        if self._reordered:
+            vm_index, durations = vm_index[..., self.arrival], durations[..., self.arrival]
+        if vm_index.ndim == 1:
+            return np.bincount(vm_index, weights=durations, minlength=m)
+        rows = vm_index.shape[0]
+        keys = vm_index + m * np.arange(rows)[:, None]  # row r counts into bins [r*m, (r+1)*m)
+        return np.bincount(
+            keys.ravel(), weights=durations.ravel(), minlength=rows * m
+        ).reshape(rows, m)
 
 
 @dataclass(frozen=True)
@@ -65,69 +143,37 @@ class ScheduleResult:
     completion_s: tuple[float, ...]  # per-task completion time, seconds
 
 
-def _simulate(instance: ProblemInstance, assignment: Assignment) -> tuple[list[float], list[float]]:
-    """Run the back-to-back execution model; returns (vm loads, completions)."""
-    tasks, vms = instance.tasks, instance.vms
-    n, m = len(tasks), len(vms)
+def _checked_index(instance: ProblemInstance, assignment: Assignment) -> np.ndarray:
+    """The assignment as a VM-index vector, checked against the instance."""
+    n, m = len(instance.tasks), len(instance.vms)
     vm_of = assignment.vm_of
     if len(vm_of) != n:
-        raise InvalidAssignmentError(
-            f"assignment length {len(vm_of)} does not match task count {n}"
-        )
-    loads = [0.0] * m
-    completion = [0.0] * n
-    # Accumulate in arrival order so per-task completions are well defined.
-    for k in sorted(range(n), key=lambda k: tasks[k].arrival_index):
-        v = vm_of[k]
+        raise InvalidAssignmentError(f"assignment length {len(vm_of)} does not match task count {n}")
+    for k, v in enumerate(vm_of):
         if not 0 <= v < m:
-            raise InvalidAssignmentError(
-                f"task {tasks[k].id}: VM index {v} outside [0, {m})"
-            )
-        loads[v] += tasks[k].length_mi / vms[v].speed_mips
-        completion[k] = loads[v]
-    return loads, completion
+            raise InvalidAssignmentError(f"task {instance.tasks[k].id}: VM index {v} outside [0, {m})")
+    return np.array(vm_of, dtype=np.int64)
 
 
 def makespan(instance: ProblemInstance, assignment: Assignment) -> ScheduleResult:
     """Evaluate an assignment; the makespan is the largest completion time."""
-    loads, completion = _simulate(instance, assignment)
+    vm_index = _checked_index(instance, assignment)
+    loads = instance.loads(vm_index)
+    durations = instance.lengths / instance.speeds[vm_index]
+    completion = np.empty_like(durations)
+    vm_in_arrival_order = vm_index[instance.arrival]
+    for v in range(len(instance.vms)):
+        # cumsum adds sequentially, so each VM's last completion equals its load bit for bit.
+        on_v = instance.arrival[vm_in_arrival_order == v]
+        completion[on_v] = np.cumsum(durations[on_v])
     return ScheduleResult(
         assignment=assignment,
-        vm_load_s=tuple(loads),
-        makespan_s=max(completion),
-        completion_s=tuple(completion),
+        vm_load_s=tuple(loads.tolist()),
+        makespan_s=float(loads.max()),
+        completion_s=tuple(completion.tolist()),
     )
 
 
 def vm_loads(instance: ProblemInstance, assignment: Assignment) -> list[float]:
     """Per-VM busy time in seconds; zero for VMs with no tasks."""
-    loads, _ = _simulate(instance, assignment)
-    return loads
-
-
-def validate_instance(instance: ProblemInstance) -> list[str]:
-    """Collect every violated invariant; an empty list means the instance is well formed."""
-    problems: list[str] = []
-    tasks, vms = instance.tasks, instance.vms
-    if not tasks:
-        problems.append("empty task list")
-    if not vms:
-        problems.append("empty VM list")
-    seen_ids: set[int] = set()
-    for t in tasks:
-        if t.id < 0:
-            problems.append(f"task {t.id}: negative id")
-        if t.id in seen_ids:
-            problems.append(f"task {t.id}: duplicate id")
-        seen_ids.add(t.id)
-        if not t.length_mi > 0:
-            problems.append(f"task {t.id}: nonpositive length {t.length_mi}")
-    arrivals = sorted(t.arrival_index for t in tasks)
-    if tasks and arrivals != list(range(len(tasks))):
-        problems.append("arrival_index values do not form 0..n-1")
-    for pos, vm in enumerate(vms):
-        if vm.id != pos:
-            problems.append(f"VM at position {pos} has id {vm.id}")
-        if not vm.speed_mips > 0:
-            problems.append(f"VM {vm.id}: nonpositive speed {vm.speed_mips}")
-    return problems
+    return instance.loads(_checked_index(instance, assignment)).tolist()

@@ -11,7 +11,7 @@ import io
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .model import Task
+from .model import Task, is_finite
 from .rng import SplitMix64
 
 TRACE_HEADER = "task_id,length_mi"
@@ -47,12 +47,10 @@ def generate_synthetic(spec: WorkloadSpec) -> list[Task]:
     problems = []
     if spec.n_tasks < 1:
         problems.append(f"n_tasks must be >= 1, got {spec.n_tasks}")
-    if not spec.length_min_mi > 0:
-        problems.append(f"length_min_mi must be positive, got {spec.length_min_mi}")
-    if spec.length_max_mi < spec.length_min_mi:
-        problems.append(
-            f"length range is inverted: [{spec.length_min_mi}, {spec.length_max_mi}]"
-        )
+    if not (is_finite(spec.length_min_mi) and spec.length_min_mi > 0):
+        problems.append(f"length_min_mi must be finite and positive, got {spec.length_min_mi}")
+    if not (is_finite(spec.length_max_mi) and spec.length_max_mi >= spec.length_min_mi):
+        problems.append(f"length_max_mi must be finite and >= length_min_mi, got {spec.length_max_mi}")
     if problems:
         raise ValueError("; ".join(problems))
     rng = SplitMix64(spec.seed)
@@ -95,6 +93,8 @@ def load_trace(source: str | IO[str] | Iterable[str]) -> list[Task]:
             length = float(parts[1])
         except ValueError:
             raise TraceParseError(line_no, f"length {parts[1]!r} is not a number") from None
+        if not is_finite(length):
+            raise TraceParseError(line_no, f"non-finite length {parts[1]}")
         if not length > 0:
             raise TraceParseError(line_no, f"nonpositive length {parts[1]}")
         if task_id in seen:

@@ -1,5 +1,13 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import leaguesched
 from leaguesched import load_trace, parse_csv
 from leaguesched.cli import dispatch
 
@@ -102,6 +110,28 @@ def test_schedule_malformed_trace(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize(
+    "rows, extra, fragment",
+    [
+        ([(0, 200), (1, "inf")], [], "line 3: non-finite length inf"),
+        ([(0, 200), (1, 300)], ["--vm-mips", "-5"], "VM 0: speed must be finite and positive"),
+        ([(0, 200), (1, 300)], ["--vm-mips", "nan"], "VM 0: speed must be finite and positive"),
+        ([], [], "empty task list"),
+        ([(0, 200)], ["--vms", "0"], "empty VM list"),
+    ],
+    ids=["inf_trace", "negative_mips", "nan_mips", "empty_trace", "no_vms"],
+)
+def test_schedule_rejects_bad_input_without_traceback(tmp_path, capsys, rows, extra, fragment):
+    trace = tmp_path / "t.csv"
+    write_trace(trace, rows)
+    argv = ["schedule", "--trace", str(trace), "--vms", "2", "--algo", "fcfs"] + extra
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and fragment in captured.err
+    assert "Traceback" not in captured.err
+
+
 # ---------------------------------------------------------------- usage
 
 
@@ -180,6 +210,44 @@ def test_bench_rejects_malformed_json(tmp_path):
     config = tmp_path / "config.json"
     config.write_text("{not json")
     assert dispatch(["bench", "--config", str(config)]) == 2
+
+
+@pytest.mark.parametrize(
+    "bad, field",
+    [
+        ({"n_vms": 2.5}, "n_vms"),
+        ({"lca_params": {"league_size": "x"}}, "league_size"),
+        ({"length_range_mi": [200, math.inf]}, "length_range_mi"),
+        ({"vm_speed_mips": math.inf}, "vm_speed_mips"),
+    ],
+    ids=["fractional_n_vms", "string_league_size", "infinite_length", "infinite_speed"],
+)
+def test_bench_rejects_mistyped_or_non_finite_config(tmp_path, capsys, bad, field):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_BENCH, **bad}))  # json writes math.inf as Infinity
+    out = tmp_path / "results.csv"
+    assert dispatch(["bench", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field} must be" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("module", ["leaguesched", "leaguesched.cli"])
+def test_module_entry_points_run_the_cli(tmp_path, module):
+    src = str(Path(leaguesched.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def python_m(*args):
+        argv = [sys.executable, "-m", module, *args]
+        return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+
+    out = tmp_path / "trace.csv"
+    done = python_m("generate", "--n", "4", "--seed", "2", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert len(load_trace(out.read_text())) == 4
+    refused = python_m("generate", "--n", "0", "--seed", "2")
+    assert refused.returncode == 2 and refused.stderr.startswith("error: ")
 
 
 def test_plot_from_csv(tmp_path):

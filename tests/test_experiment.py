@@ -1,4 +1,5 @@
 import io
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -127,6 +128,15 @@ def test_lca_histories_reported_via_callback():
         dict(schedulers=()),
         dict(length_range_mi=(500.0, 200.0)),
         dict(vm_speed_mips=(100.0, 100.0)),  # wrong number of speeds
+        dict(n_vms=2.5),
+        dict(task_counts=(4.5,)),
+        dict(length_range_mi=(200.0, math.inf)),
+        dict(length_range_mi=(200.0,)),
+        dict(vm_speed_mips=math.nan),
+        dict(vm_speed_mips=(100.0, math.inf, 100.0)),
+        dict(repetitions=True),
+        dict(master_seed=2**64),
+        dict(lca_params=LcaParams(league_size="x")),
     ],
 )
 def test_invalid_configs_rejected(overrides):

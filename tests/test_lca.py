@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -334,6 +335,12 @@ def test_init_league_random_formations_in_range():
         dict(swap_probability=-0.1),
         dict(w1=0.0),
         dict(seed=-1),
+        dict(league_size="x"),
+        dict(seasons=2.5),
+        dict(change_probability=math.nan),
+        dict(w2=math.inf),
+        dict(seed=2**64),
+        dict(seed_with_baselines="yes"),
     ],
 )
 def test_invalid_params_rejected(bad):

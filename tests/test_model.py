@@ -5,12 +5,12 @@ import pytest
 from leaguesched import (
     Assignment,
     InvalidAssignmentError,
+    InvalidInstanceError,
     ProblemInstance,
     SplitMix64,
     Task,
     VirtualMachine,
     makespan,
-    validate_instance,
     vm_loads,
 )
 
@@ -63,38 +63,66 @@ def test_vm_index_out_of_range_rejected(make_instance, bad_vm):
 
 
 def test_validate_well_formed(make_instance):
-    assert validate_instance(make_instance([200.0, 300.0, 500.0])) == []
+    inst = make_instance([200.0, 300.0, 500.0])
+    assert inst.lengths.tolist() == [200.0, 300.0, 500.0]
+    assert inst.speeds.tolist() == [100.0, 100.0]
+    assert inst.arrival.tolist() == [0, 1, 2]
 
 
 def test_validate_reports_nonpositive_length():
-    inst = ProblemInstance(
-        (Task(0, 0.0, 0),), (VirtualMachine(0, 100.0),)
-    )
-    assert any("nonpositive length" in p for p in validate_instance(inst))
+    with pytest.raises(InvalidInstanceError, match="task 0: length must be finite and positive, got 0.0"):
+        ProblemInstance((Task(0, 0.0, 0),), (VirtualMachine(0, 100.0),))
 
 
 def test_validate_reports_empty_vm_list():
-    inst = ProblemInstance((Task(0, 100.0, 0),), ())
-    assert any("empty VM list" in p for p in validate_instance(inst))
+    with pytest.raises(InvalidInstanceError, match="empty VM list"):
+        ProblemInstance((Task(0, 100.0, 0),), ())
 
 
 def test_validate_reports_duplicate_task_ids():
-    inst = ProblemInstance(
-        (Task(3, 100.0, 0), Task(3, 100.0, 1)), (VirtualMachine(0, 100.0),)
-    )
-    assert any("duplicate id" in p for p in validate_instance(inst))
+    with pytest.raises(InvalidInstanceError, match="task 3: duplicate id"):
+        ProblemInstance((Task(3, 100.0, 0), Task(3, 100.0, 1)), (VirtualMachine(0, 100.0),))
 
 
 def test_validate_reports_bad_arrival_indexes():
-    inst = ProblemInstance(
-        (Task(0, 100.0, 0), Task(1, 100.0, 2)), (VirtualMachine(0, 100.0),)
-    )
-    assert any("arrival_index" in p for p in validate_instance(inst))
+    with pytest.raises(InvalidInstanceError, match="arrival_index"):
+        ProblemInstance((Task(0, 100.0, 0), Task(1, 100.0, 2)), (VirtualMachine(0, 100.0),))
 
 
 def test_validate_reports_vm_id_position_mismatch():
-    inst = ProblemInstance((Task(0, 100.0, 0),), (VirtualMachine(1, 100.0),))
-    assert any("position" in p for p in validate_instance(inst))
+    with pytest.raises(InvalidInstanceError, match="VM at position 0 has id 1"):
+        ProblemInstance((Task(0, 100.0, 0),), (VirtualMachine(1, 100.0),))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -5.0, "300", True])
+def test_validate_rejects_non_finite_or_mistyped_numbers(bad):
+    with pytest.raises(InvalidInstanceError, match="task 1: length"):
+        ProblemInstance((Task(0, 1.0, 0), Task(1, bad, 1)), (VirtualMachine(0, 100.0),))
+    with pytest.raises(InvalidInstanceError, match="VM 1: speed"):
+        ProblemInstance((Task(0, 1.0, 0),), (VirtualMachine(0, 100.0), VirtualMachine(1, bad)))
+
+
+def test_validate_names_every_bad_task_and_vm():
+    with pytest.raises(InvalidInstanceError) as err:
+        ProblemInstance(
+            (Task(0, -1.0, 0), Task(1, 5.0, 1), Task(2, math.inf, 2)),
+            (VirtualMachine(0, math.nan), VirtualMachine(1, 100.0), VirtualMachine(2, 0.0)),
+        )
+    message = str(err.value)
+    for name in ("task 0:", "task 2:", "VM 0:", "VM 2:"):
+        assert name in message
+    assert "task 1:" not in message and "VM 1:" not in message
+
+
+def test_validate_reports_empty_task_list():
+    with pytest.raises(InvalidInstanceError, match="empty task list"):
+        ProblemInstance((), (VirtualMachine(0, 100.0),))
+
+
+def test_compiled_arrays_are_read_only(make_instance):
+    inst = make_instance([200.0, 300.0])
+    with pytest.raises(ValueError):
+        inst.lengths[0] = 1.0
 
 
 def _random_case(rng, max_vms=5):

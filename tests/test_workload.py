@@ -1,4 +1,5 @@
 import io
+import math
 
 import pytest
 
@@ -47,6 +48,8 @@ def test_ids_and_arrival_follow_generation_order():
         WorkloadSpec(5, 0.0, 100.0, seed=1),
         WorkloadSpec(5, -3.0, 100.0, seed=1),
         WorkloadSpec(5, 400.0, 200.0, seed=1),
+        WorkloadSpec(5, 200.0, math.inf, seed=1),
+        WorkloadSpec(5, math.nan, 500.0, seed=1),
     ],
 )
 def test_invalid_specs_rejected(spec):
@@ -92,6 +95,14 @@ def test_load_trace_nonpositive_length():
         load_trace("0,-5\n")
     assert err.value.line_no == 1
     assert "nonpositive" in str(err.value)
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e999"])
+def test_load_trace_non_finite_length(text):
+    with pytest.raises(TraceParseError) as err:
+        load_trace(f"task_id,length_mi\n0,100\n1,{text}\n")
+    assert err.value.line_no == 3
+    assert f"non-finite length {text}" in str(err.value)
 
 
 def test_load_trace_wrong_field_count():
