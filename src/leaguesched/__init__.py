@@ -23,7 +23,6 @@ from .lca import (
     LcaParams,
     League,
     RunResult,
-    Team,
     decode,
     encode,
     init_league,
@@ -72,7 +71,6 @@ __all__ = [
     "SchedulerKind",
     "SplitMix64",
     "Task",
-    "Team",
     "TraceParseError",
     "VirtualMachine",
     "WorkloadSpec",

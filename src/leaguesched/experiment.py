@@ -207,8 +207,34 @@ def emit_csv(records: Iterable[ExperimentRecord], sink: IO[str]) -> int:
     return len(text.encode("utf-8"))
 
 
+# The CSV columns after the scheduler, in ExperimentRecord field order:
+# (column, parse, accept, what a valid value is).
+_CSV_COLUMNS = [
+    ("n_tasks", int, lambda v: v >= 1, "an integer >= 1"),
+    ("rep", int, lambda v: v >= 0, "an integer >= 0"),
+    ("seed", int, lambda v: 0 <= v <= MASK64, "a 64-bit unsigned integer"),
+    ("makespan_s", float, lambda v: is_finite(v) and v > 0, "a finite positive number"),
+    ("evals", int, lambda v: v >= 0, "an integer >= 0"),
+    ("wall_ms", int, lambda v: v >= 0, "an integer >= 0"),
+]
+
+
+def _csv_value(line_no: int, text: str, column: tuple) -> int | float:
+    name, parse, accept, wanted = column
+    try:
+        value = parse(text)
+    except ValueError:
+        value = None
+    if value is None or not accept(value):
+        raise ValueError(f"line {line_no}: {name} must be {wanted}, got {text!r}")
+    return value
+
+
 def parse_csv(source: str | IO[str] | Iterable[str]) -> list[ExperimentRecord]:
-    """Inverse of emit_csv (modulo the six-decimal makespan formatting)."""
+    """Inverse of emit_csv (modulo the six-decimal makespan formatting).
+
+    Raises ValueError naming the line and the field of the first bad value.
+    """
     if isinstance(source, str):
         source = source.splitlines()
     lines = [line.rstrip("\r\n") for line in source]
@@ -220,20 +246,10 @@ def parse_csv(source: str | IO[str] | Iterable[str]) -> list[ExperimentRecord]:
         parts = line.split(",")
         if len(parts) != 7:
             raise ValueError(f"line {line_no}: expected 7 fields, got {len(parts)}")
-        try:
-            records.append(
-                ExperimentRecord(
-                    scheduler=SchedulerKind[parts[0]],
-                    n_tasks=int(parts[1]),
-                    rep=int(parts[2]),
-                    seed=int(parts[3]),
-                    makespan_s=float(parts[4]),
-                    evaluations=int(parts[5]),
-                    wall_time_ms=int(parts[6]),
-                )
-            )
-        except KeyError:
-            raise ValueError(f"line {line_no}: unknown scheduler {parts[0]!r}") from None
+        if parts[0] not in SchedulerKind.__members__:
+            raise ValueError(f"line {line_no}: unknown scheduler {parts[0]!r}")
+        values = [_csv_value(line_no, text, col) for text, col in zip(parts[1:], _CSV_COLUMNS)]
+        records.append(ExperimentRecord(SchedulerKind[parts[0]], *values))
     return records
 
 

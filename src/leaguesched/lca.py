@@ -8,7 +8,8 @@ of its previous match and by the current form of its upcoming opponent; the
 week's fixtures are then resolved stochastically, with win probability driven
 by the two sides' fitness relative to the best value found anywhere in the
 league. Fitness is makespan, so lower means stronger, and a season is one
-full round robin.
+full round robin. The league is held as arrays, one row per team, so a
+week's proposals are scored together by one call of the loads kernel.
 
 Win probability for the side with fitness f_i against f_j, given the
 league-wide best f̂ (a lower bound on both):
@@ -29,12 +30,10 @@ from .baselines import bef, fcfs, ljf
 from .model import Assignment, ProblemInstance, is_finite, is_integer, makespan
 from .rng import SplitMix64
 
-OUTCOME_WIN = "win"
-OUTCOME_LOSS = "loss"
-
 # Formations are clamped to [0, m - _CLAMP_EPS] so floor() never reaches m.
 _CLAMP_EPS = 1e-9
 
+# No team: a bye slot in the fixtures, or no opponent yet for a team that has not played.
 _BYE = -1
 
 
@@ -51,35 +50,31 @@ class LcaParams:
 
 
 @dataclass
-class Team:
-    index: int
-    current: np.ndarray  # formation fielded this week
-    current_fitness: float
-    best: np.ndarray  # best formation this team has ever held
-    best_fitness: float
-    last_opponent: int | None = None
-    last_outcome: str | None = None  # OUTCOME_WIN / OUTCOME_LOSS, None before first match
-
-
-@dataclass
 class League:
-    teams: list[Team]
-    fixtures: list[list[tuple[int, int]]]  # current season: one pair list per week
-    week: int
-    season: int
-    f_hat: float  # best fitness found so far (ideal value)
-    global_best: np.ndarray
-    global_best_fitness: float
+    """The whole league as arrays: row or entry i belongs to team i."""
+
+    current: np.ndarray  # (L, n) formation each team fielded this week
+    current_fitness: np.ndarray  # (L,)
+    best: np.ndarray  # (L, n) best formation each team has ever held
+    best_fitness: np.ndarray  # (L,)
+    last_opponent: np.ndarray  # (L,) team index, _BYE before a team's first match
+    won: np.ndarray  # (L,) bool, outcome of each team's last match
+    champion: int  # first team to reach the best fitness found so far
     rng: SplitMix64
-    evaluate: _FitnessEvaluator  # fitness of a formation
+    evaluate: _FitnessEvaluator  # fitness of each row of a formation block
     evaluations: int = 0
+
+    @property
+    def f_hat(self) -> float:
+        """Best fitness found so far (the ideal value); every team best is >= it."""
+        return float(self.best_fitness[self.champion])
 
 
 @dataclass
 class RunResult:
     best_assignment: Assignment
     best_makespan_s: float
-    history: list[float]  # global best fitness after each week, nonincreasing
+    history: list[float]  # f̂ after each week, nonincreasing
     evaluations: int
 
 
@@ -172,33 +167,25 @@ def win_probability(f_i: float, f_j: float, f_hat: float) -> float:
     return (f_j - f_hat) / denom
 
 
-def play_match(team_i: Team, team_j: Team, f_hat: float, rng: SplitMix64) -> tuple[int, int]:
-    """Resolve one fixture with a single uniform draw; returns (winner, loser) indices.
+def play_match(league: League, i: int, j: int) -> tuple[int, int]:
+    """Resolve fixture (i, j) with a single uniform draw; returns (winner, loser).
 
-    Records last_opponent and last_outcome on both teams. There are no ties:
-    team_i wins iff the draw u satisfies u <= p_i (and p_i > 0, so a hopeless
-    side cannot win on the measure-zero draw u = 0).
+    Records last_opponent and won for both teams. There are no ties: team i
+    wins iff the draw u satisfies u <= p_i (and p_i > 0, so a hopeless side
+    cannot win on the measure-zero draw u = 0).
     """
-    p_i = win_probability(team_i.current_fitness, team_j.current_fitness, f_hat)
-    u = rng.uniform()
-    i_wins = p_i > 0.0 and u <= p_i
-    winner, loser = (team_i, team_j) if i_wins else (team_j, team_i)
-    team_i.last_opponent = team_j.index
-    team_j.last_opponent = team_i.index
-    winner.last_outcome = OUTCOME_WIN
-    loser.last_outcome = OUTCOME_LOSS
-    return winner.index, loser.index
+    p_i = win_probability(league.current_fitness[i], league.current_fitness[j], league.f_hat)
+    u = league.rng.uniform()
+    winner, loser = (i, j) if p_i > 0.0 and u <= p_i else (j, i)
+    league.last_opponent[i], league.last_opponent[j] = j, i
+    league.won[winner], league.won[loser] = True, False
+    return winner, loser
 
 
 def update_formation(
-    team: Team,
-    prev_opp_formation: np.ndarray,
-    upcoming_opp: Team | None,
-    params: LcaParams,
-    rng: SplitMix64,
-    n_vms: int,
+    league: League, team: int, upcoming: int, params: LcaParams, n_vms: int
 ) -> np.ndarray:
-    """Propose next week's formation for `team`.
+    """Propose next week's formation for `team`, whose upcoming opponent is `upcoming`.
 
     Both move classes anchor at the team's best formation B. With probability
     swap_probability the proposal is a fine rearrangement: two uniformly
@@ -212,12 +199,15 @@ def update_formation(
     depending on that opponent's last result. The caller evaluates the
     returned formation and commits it.
 
-    A team with a bye this week has no upcoming opponent; the second step is
-    dropped (the draw pattern stays identical so streams remain aligned).
+    A team with a bye this week (upcoming == _BYE), or whose upcoming opponent
+    has not played yet, drops the second step; the draw pattern stays
+    identical so streams remain aligned.
     """
-    if team.last_outcome is None:
-        raise RuntimeError(f"team {team.index} has no match history to update from")
-    best = team.best
+    previous = league.last_opponent[team]
+    if previous == _BYE:
+        raise RuntimeError(f"team {team} has no match history to update from")
+    rng = league.rng
+    best = league.best[team]
     n = best.shape[0]
     if rng.uniform() < params.swap_probability:
         new_x = best.copy()
@@ -232,26 +222,27 @@ def update_formation(
         if mask.any():
             break
     r = rng.uniforms(2 * n)
-    s_own = 1.0 if team.last_outcome == OUTCOME_WIN else -1.0
-    step = params.w1 * s_own * r[:n] * (best - prev_opp_formation)
-    if upcoming_opp is not None and upcoming_opp.last_outcome is not None:
-        s_next = 1.0 if upcoming_opp.last_outcome == OUTCOME_WIN else -1.0
-        step = step + params.w2 * s_next * r[n:] * (best - upcoming_opp.current)
+    s_own = 1.0 if league.won[team] else -1.0
+    step = params.w1 * s_own * r[:n] * (best - league.current[previous])
+    if upcoming != _BYE and league.last_opponent[upcoming] != _BYE:
+        s_next = 1.0 if league.won[upcoming] else -1.0
+        step = step + params.w2 * s_next * r[n:] * (best - league.current[upcoming])
     return np.clip(best + mask * step, 0.0, n_vms - _CLAMP_EPS)
 
 
 class _FitnessEvaluator:
-    """Makespan of a formation: the instance's loads kernel on its decoded VM indices.
+    """Makespan of each formation: the instance's loads kernel on its decoded VM indices.
 
-    Bit-identical to model.makespan for the decoded assignment.
+    Takes one (n,) formation or an (rows, n) block, one makespan per row, each
+    bit-identical to model.makespan for the decoded assignment.
     """
 
     def __init__(self, instance: ProblemInstance) -> None:
         self._loads = instance.loads
         self._m = len(instance.vms)
 
-    def __call__(self, formation: np.ndarray) -> float:
-        return float(self._loads(_vm_index(formation, self._m)).max())
+    def __call__(self, formations: np.ndarray) -> np.ndarray:
+        return self._loads(_vm_index(formations, self._m)).max(axis=-1)
 
 
 def init_league(params: LcaParams, instance: ProblemInstance) -> League:
@@ -262,31 +253,24 @@ def init_league(params: LcaParams, instance: ProblemInstance) -> League:
     """
     validate_params(params)
     rng = SplitMix64(params.seed)
-    evaluator = _FitnessEvaluator(instance)
-    n, m = len(instance.tasks), len(instance.vms)
-
-    formations: list[np.ndarray] = []
-    if params.seed_with_baselines:
-        formations += [encode(fcfs(instance)), encode(ljf(instance)), encode(bef(instance))]
-    while len(formations) < params.league_size:
-        formations.append(rng.uniforms(n) * m)
-
-    teams = []
-    for i, x in enumerate(formations):
-        fit = evaluator(x)
-        teams.append(Team(index=i, current=x, current_fitness=fit, best=x, best_fitness=fit))
-    champion = min(teams, key=lambda t: t.best_fitness)
+    evaluate = _FitnessEvaluator(instance)
+    size, n, m = params.league_size, len(instance.tasks), len(instance.vms)
+    seeds = [fcfs(instance), ljf(instance), bef(instance)] if params.seed_with_baselines else []
+    current = np.empty((size, n))
+    for i in range(size):
+        current[i] = encode(seeds[i]) if i < len(seeds) else rng.uniforms(n) * m
+    fitness = evaluate(current)
     return League(
-        teams=teams,
-        fixtures=season_fixtures(params.league_size, season=1),
-        week=1,
-        season=1,
-        f_hat=champion.best_fitness,
-        global_best=champion.best.copy(),
-        global_best_fitness=champion.best_fitness,
+        current=current,
+        current_fitness=fitness,
+        best=current.copy(),
+        best_fitness=fitness.copy(),
+        last_opponent=np.full(size, _BYE),
+        won=np.zeros(size, dtype=bool),
+        champion=int(np.argmin(fitness)),
         rng=rng,
-        evaluate=evaluator,
-        evaluations=len(teams),
+        evaluate=evaluate,
+        evaluations=size,
     )
 
 
@@ -294,55 +278,38 @@ def run(params: LcaParams, instance: ProblemInstance) -> RunResult:
     """Full championship: seasons of weekly update-then-play rounds.
 
     Week 1 is played with the initial formations; from week 2 on, every team
-    with match history proposes a new formation before the fixtures are
-    resolved. All proposals in a week are generated from the previous week's
-    formations (two-phase commit), the ideal value f̂ is refreshed from team
-    bests right before each week's matches, and the global best only ever
-    improves, so the history is nonincreasing.
+    with match history proposes a new formation from last week's league
+    (two-phase commit), and the week's proposals are scored in one block
+    before the fixtures are resolved. A team's best and the champion move
+    only on a strictly lower fitness, the first team in index order winning
+    ties, so the history of f̂ is nonincreasing.
     """
     league = init_league(params, instance)
-    teams = league.teams
-    m = len(instance.vms)
+    n, m = len(instance.tasks), len(instance.vms)
     history: list[float] = []
-    overall_week = 0
     for season in range(1, params.seasons + 1):
-        league.season = season
-        if season > 1:
-            league.fixtures = season_fixtures(params.league_size, season)
-        for week_no, pairs in enumerate(league.fixtures, start=1):
-            league.week = week_no
-            overall_week += 1
-            if overall_week > 1:
-                upcoming: dict[int, int] = {}
-                for i, j in pairs:
-                    upcoming[i] = j
-                    upcoming[j] = i
-                proposals = []
-                for team in teams:
-                    if team.last_outcome is None:
-                        continue  # has not played yet (possible with byes)
-                    prev_x = teams[team.last_opponent].current
-                    opp_idx = upcoming.get(team.index)
-                    opp = teams[opp_idx] if opp_idx is not None else None
-                    proposals.append(
-                        (team, update_formation(team, prev_x, opp, params, league.rng, m))
-                    )
-                for team, new_x in proposals:
-                    fit = league.evaluate(new_x)
-                    league.evaluations += 1
-                    team.current = new_x
-                    team.current_fitness = fit
-                    if fit < team.best_fitness:
-                        team.best = new_x
-                        team.best_fitness = fit
-                        if fit < league.global_best_fitness:
-                            league.global_best = new_x.copy()
-                            league.global_best_fitness = fit
-            league.f_hat = min(t.best_fitness for t in teams)
+        for week, pairs in enumerate(season_fixtures(params.league_size, season)):
+            if season > 1 or week > 0:
+                upcoming = np.full(params.league_size, _BYE)
+                home, away = np.array(pairs).T
+                upcoming[home], upcoming[away] = away, home
+                teams = np.flatnonzero(league.last_opponent != _BYE)  # byes may leave some unplayed
+                proposed = np.empty((teams.size, n))
+                for row, team in enumerate(teams):
+                    proposed[row] = update_formation(league, team, upcoming[team], params, m)
+                fitness = league.evaluate(proposed)
+                league.evaluations += teams.size
+                first = int(np.argmin(fitness))  # the first minimum: the lowest team index wins ties
+                if fitness[first] < league.f_hat:
+                    league.champion = int(teams[first])
+                better = fitness < league.best_fitness[teams]
+                league.current[teams], league.current_fitness[teams] = proposed, fitness
+                league.best[teams[better]] = proposed[better]
+                league.best_fitness[teams[better]] = fitness[better]
             for i, j in pairs:
-                play_match(teams[i], teams[j], league.f_hat, league.rng)
-            history.append(league.global_best_fitness)
-    best_assignment = decode(league.global_best, m)
+                play_match(league, i, j)
+            history.append(league.f_hat)
+    best_assignment = decode(league.best[league.champion], m)
     return RunResult(
         best_assignment=best_assignment,
         best_makespan_s=makespan(instance, best_assignment).makespan_s,

@@ -25,8 +25,8 @@ from leaguesched import (
     ProblemInstance,
     SchedulerKind,
     SplitMix64,
+    League,
     Task,
-    Team,
     VirtualMachine,
     WorkloadSpec,
     aggregate,
@@ -103,13 +103,20 @@ def test_win_probability_spot_values():
 
 
 def test_match_frequency():
-    def team(index, fitness):
-        x = np.array([0.5])
-        return Team(index=index, current=x, current_fitness=fitness, best=x, best_fitness=fitness)
-
-    rng = SplitMix64(777)
-    team_i, team_j = team(0, 6.0), team(1, 10.0)  # p_i = 0.75 with f_hat = 4
-    wins = sum(play_match(team_i, team_j, 4.0, rng)[0] == 0 for _ in range(100_000))
+    x = np.full((3, 1), 0.5)
+    fitness = np.array([6.0, 10.0, 4.0])  # team 2 holds f_hat = 4, so p_0 = 0.75 against team 1
+    league = League(
+        current=x,
+        current_fitness=fitness,
+        best=x,
+        best_fitness=fitness,
+        last_opponent=np.full(3, -1),
+        won=np.zeros(3, dtype=bool),
+        champion=2,
+        rng=SplitMix64(777),
+        evaluate=None,
+    )
+    wins = sum(play_match(league, 0, 1)[0] == 0 for _ in range(100_000))
     freq = wins / 100_000
     ok = abs(freq - 0.75) <= 0.01
     _report("criterion 3", ok, f"empirical win rate {freq:.4f} within 0.01 of 0.75")

@@ -262,3 +262,31 @@ def test_plot_from_csv(tmp_path):
 
 def test_plot_missing_csv(tmp_path):
     assert dispatch(["plot", "--csv", str(tmp_path / "no.csv"), "--out", str(tmp_path / "x.svg")]) == 2
+
+
+@pytest.mark.parametrize(
+    "row, fragment",
+    [
+        ("LCA,20,0,1,nan,10,0", "line 3: makespan_s must be a finite positive number, got 'nan'"),
+        ("LCA,20,0,1,inf,10,0", "line 3: makespan_s must be a finite positive number, got 'inf'"),
+        ("LCA,20,0,1,0.000000,10,0", "line 3: makespan_s must be a finite positive number"),
+        ("LCA,20,0,1,-1.500000,10,0", "line 3: makespan_s must be a finite positive number"),
+        ("LCA,-20,0,1,1.500000,10,0", "line 3: n_tasks must be an integer >= 1, got '-20'"),
+        ("LCA,2.5,0,1,1.500000,10,0", "line 3: n_tasks must be an integer >= 1, got '2.5'"),
+    ],
+    ids=["nan_makespan", "inf_makespan", "zero_makespan", "negative_makespan",
+         "negative_n_tasks", "fractional_n_tasks"],
+)
+def test_plot_rejects_bad_rows_without_traceback(tmp_path, capsys, row, fragment):
+    csv_path = tmp_path / "results.csv"
+    csv_path.write_text(
+        "scheduler,n_tasks,rep,seed,makespan_s,evals,wall_ms\n"
+        "FCFS,20,0,1,2.000000,0,0\n" + row + "\n"
+    )
+    svg_path = tmp_path / "chart.svg"
+    assert dispatch(["plot", "--csv", str(csv_path), "--out", str(svg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and fragment in captured.err
+    assert "Traceback" not in captured.err
+    assert not svg_path.exists()

@@ -265,6 +265,39 @@ def test_parse_csv_rejects_wrong_field_count():
         parse_csv("scheduler,n_tasks,rep,seed,makespan_s,evals,wall_ms\nFCFS,20,0\n")
 
 
+@pytest.mark.parametrize(
+    "row, field",
+    [
+        ("LCA,20,0,1,nan,10,0", "makespan_s"),
+        ("LCA,20,0,1,inf,10,0", "makespan_s"),
+        ("LCA,20,0,1,-inf,10,0", "makespan_s"),
+        ("LCA,20,0,1,0.000000,10,0", "makespan_s"),
+        ("LCA,20,0,1,-1.5,10,0", "makespan_s"),
+        ("LCA,20,0,1,abc,10,0", "makespan_s"),
+        ("LCA,-20,0,1,1.5,10,0", "n_tasks"),
+        ("LCA,0,0,1,1.5,10,0", "n_tasks"),
+        ("LCA,2.5,0,1,1.5,10,0", "n_tasks"),
+        ("LCA,20,-1,1,1.5,10,0", "rep"),
+        ("LCA,20,0,-1,1.5,10,0", "seed"),
+        ("LCA,20,0,18446744073709551616,1.5,10,0", "seed"),
+        ("LCA,20,0,1,1.5,x,0", "evals"),
+        ("LCA,20,0,1,1.5,10,-3", "wall_ms"),
+    ],
+)
+def test_parse_csv_rejects_bad_values_naming_line_and_field(row, field):
+    text = "scheduler,n_tasks,rep,seed,makespan_s,evals,wall_ms\nFCFS,20,0,1,2.0,0,0\n" + row
+    with pytest.raises(ValueError, match=rf"^line 3: {field} must be "):
+        parse_csv(text)
+
+
+def test_parse_csv_accepts_the_largest_seed():
+    (record,) = parse_csv(
+        "scheduler,n_tasks,rep,seed,makespan_s,evals,wall_ms\n"
+        "LCA,20,0,18446744073709551615,1.5,10,0\n"
+    )
+    assert record.seed == 2**64 - 1 and record.makespan_s == 1.5
+
+
 # ---------------------------------------------------------------- SVG
 
 

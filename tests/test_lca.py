@@ -7,10 +7,10 @@ import pytest
 from leaguesched import (
     Assignment,
     LcaParams,
+    League,
     ProblemInstance,
     SplitMix64,
     Task,
-    Team,
     VirtualMachine,
     WorkloadSpec,
     bef,
@@ -48,16 +48,33 @@ class ScriptedRng:
         return block
 
 
-def _team(index, formation, fitness, outcome=None, opponent=None):
-    x = np.asarray(formation, dtype=float)
-    return Team(
-        index=index,
+def _league(formations, fitness, rng, last_opponent=None, won=None):
+    """A league whose teams hold the given formations as both current and best."""
+    x = np.asarray(formations, dtype=float)
+    f = np.asarray(fitness, dtype=float)
+    size = len(f)
+    return League(
         current=x,
-        current_fitness=fitness,
+        current_fitness=f,
         best=x.copy(),
-        best_fitness=fitness,
-        last_opponent=opponent,
-        last_outcome=outcome,
+        best_fitness=f.copy(),
+        last_opponent=np.array(last_opponent if last_opponent is not None else [-1] * size),
+        won=np.array(won if won is not None else [False] * size),
+        champion=int(np.argmin(f)),
+        rng=rng,
+        evaluate=None,
+    )
+
+
+def _proposer(formation, previous, won, rng, upcoming=None, upcoming_won=True):
+    """Team 0, last matched with team 1; team 2, if given, is its upcoming opponent."""
+    rows = [formation, previous] + ([upcoming] if upcoming is not None else [])
+    return _league(
+        rows,
+        [5.0, 6.0, 6.0][: len(rows)],
+        rng,
+        last_opponent=[1, 0, 1][: len(rows)],
+        won=[won, not won, upcoming_won][: len(rows)],
     )
 
 
@@ -177,29 +194,24 @@ def test_win_probability_approaches_one_against_hopeless_opponent():
 
 
 def test_play_match_certain_win():
-    f_hat = 4.0
-    for _ in range(5):
-        i = _team(0, [0.5], 4.0)  # at the ideal value: p_i = 1
-        j = _team(1, [1.5], 10.0)
-        winner, loser = play_match(i, j, f_hat, SplitMix64(3))
+    for seed in range(5):
+        league = _league([[0.5], [1.5]], [4.0, 10.0], SplitMix64(seed))  # team 0 at f_hat: p_i = 1
+        winner, loser = play_match(league, 0, 1)
         assert (winner, loser) == (0, 1)
-        assert i.last_outcome == "win" and j.last_outcome == "loss"
-        assert i.last_opponent == 1 and j.last_opponent == 0
+        assert league.won.tolist() == [True, False]
+        assert league.last_opponent.tolist() == [1, 0]
 
 
 def test_play_match_certain_loss():
-    i = _team(0, [0.5], 10.0)
-    j = _team(1, [1.5], 4.0)  # p_i = 0: j must win even on a zero draw
-    winner, _ = play_match(i, j, 4.0, ScriptedRng(singles=[0.0]))
+    league = _league([[0.5], [1.5]], [10.0, 4.0], ScriptedRng(singles=[0.0]))
+    winner, _ = play_match(league, 0, 1)  # p_i = 0: team 1 must win even on a zero draw
     assert winner == 1
 
 
 def test_play_match_frequency_tracks_probability():
-    # f_i=6, f_j=10, f_hat=4 gives p_i = 0.75
-    rng = SplitMix64(424242)
-    i = _team(0, [0.5], 6.0)
-    j = _team(1, [1.5], 10.0)
-    wins = sum(play_match(i, j, 4.0, rng)[0] == 0 for _ in range(20_000))
+    # f_i=6, f_j=10 and team 2 holding f_hat=4 give p_i = 0.75
+    league = _league([[0.5], [1.5], [2.5]], [6.0, 10.0, 4.0], SplitMix64(424242))
+    wins = sum(play_match(league, 0, 1)[0] == 0 for _ in range(20_000))
     assert abs(wins / 20_000 - 0.75) < 0.02
 
 
@@ -213,10 +225,10 @@ def _params(**kw):
 
 
 def test_update_zero_weights_returns_best_exactly():
-    team = _team(0, [1.2, 0.4, 2.8], 5.0, outcome="win")
     rng = ScriptedRng(singles=[0.99], blocks=[[0.0, 0.0, 0.0], [0.3] * 6])
+    league = _proposer([1.2, 0.4, 2.8], [0.1, 0.1, 0.1], True, rng)
     params = _params(change_probability=1.0, w1=0.0, w2=0.0, swap_probability=0.0)
-    out = update_formation(team, np.array([0.1, 0.1, 0.1]), None, params, rng, 3)
+    out = update_formation(league, 0, -1, params, 3)
     assert list(out) == [1.2, 0.4, 2.8]
 
 
@@ -224,50 +236,45 @@ def test_update_hand_example():
     # B=[1.0], previous opponent at [2.0], upcoming opponent at [0.0], both
     # sides won last week, unit weights, r1=r2=1, mask on, 3 VMs:
     # 1 + (1*(1-2) + 1*(1-0)) = 1.0
-    team = _team(0, [1.0], 5.0, outcome="win")
-    upcoming = _team(1, [0.0], 6.0, outcome="win")
     rng = ScriptedRng(singles=[0.99], blocks=[[0.0], [1.0, 1.0]])
-    out = update_formation(team, np.array([2.0]), upcoming, _params(), rng, 3)
+    league = _proposer([1.0], [2.0], True, rng, upcoming=[0.0], upcoming_won=True)
+    out = update_formation(league, 0, 2, _params(), 3)
     assert list(out) == [1.0]
 
 
 def test_update_loss_flips_step_direction():
     # Same setup but the team lost: 1 + (-1*(1-2) + 1*(1-0)) = 3.0, clamped < 3
-    team = _team(0, [1.0], 5.0, outcome="loss")
-    upcoming = _team(1, [0.0], 6.0, outcome="win")
     rng = ScriptedRng(singles=[0.99], blocks=[[0.0], [1.0, 1.0]])
-    out = update_formation(team, np.array([2.0]), upcoming, _params(), rng, 3)
+    league = _proposer([1.0], [2.0], False, rng, upcoming=[0.0], upcoming_won=True)
+    out = update_formation(league, 0, 2, _params(), 3)
     assert out[0] == pytest.approx(3.0 - 1e-9)
 
 
 def test_update_mask_redrawn_until_nonempty():
-    team = _team(0, [1.0], 5.0, outcome="win")
     rng = ScriptedRng(singles=[0.99], blocks=[[0.9], [0.9], [0.1], [1.0, 1.0]])
-    out = update_formation(
-        team, np.array([2.0]), None, _params(change_probability=0.5), rng, 3
-    )
+    league = _proposer([1.0], [2.0], True, rng)
+    out = update_formation(league, 0, -1, _params(change_probability=0.5), 3)
     assert list(out) == [0.0]  # only the retrospective step: 1 + (1-2) = 0
 
 
 def test_update_swap_branch_exchanges_two_positions():
-    team = _team(0, [0.5, 1.5, 2.5], 5.0, outcome="win")
     rng = ScriptedRng(singles=[0.0, 0.0, 0.9])  # take swap; i=0; j=1 -> bumped to 2
-    out = update_formation(team, np.array([0.0, 0.0, 0.0]), None, _params(), rng, 3)
+    league = _proposer([0.5, 1.5, 2.5], [0.0, 0.0, 0.0], True, rng)
+    out = update_formation(league, 0, -1, _params(), 3)
     assert list(out) == [2.5, 1.5, 0.5]
 
 
 def test_update_swap_preserves_coordinate_multiset():
-    rng = SplitMix64(5)
-    team = _team(0, [0.5, 1.5, 2.5, 0.5], 5.0, outcome="loss")
+    league = _proposer([0.5, 1.5, 2.5, 0.5], np.zeros(4), False, SplitMix64(5))
     params = _params(swap_probability=1.0)
-    out = update_formation(team, np.zeros(4), None, params, rng, 3)
-    assert sorted(out) == sorted(team.best)
+    out = update_formation(league, 0, -1, params, 3)
+    assert sorted(out) == sorted(league.best[0])
 
 
 def test_update_requires_match_history():
-    team = _team(0, [1.0], 5.0, outcome=None)
+    league = _league([[1.0], [2.0]], [5.0, 6.0], SplitMix64(1))  # nobody has played yet
     with pytest.raises(RuntimeError):
-        update_formation(team, np.array([2.0]), None, _params(), SplitMix64(1), 3)
+        update_formation(league, 0, 1, _params(), 3)
 
 
 def test_update_always_stays_in_vm_range():
@@ -276,9 +283,9 @@ def test_update_always_stays_in_vm_range():
     for trial in range(200):
         m = 1 + int(rng.uniform() * 5)
         n = 1 + int(rng.uniform() * 9)
-        team = _team(0, rng.uniforms(n) * m, 5.0, outcome="win" if trial % 2 else "loss")
-        opp = _team(1, rng.uniforms(n) * m, 6.0, outcome="loss")
-        out = update_formation(team, rng.uniforms(n) * m, opp, params, rng, m)
+        rows = [rng.uniforms(n) * m for _ in range(3)]
+        league = _proposer(*rows[:2], trial % 2 == 1, rng, upcoming=rows[2], upcoming_won=False)
+        out = update_formation(league, 0, 2, params, m)
         assert np.all(out >= 0.0) and np.all(out < m)
 
 
@@ -294,16 +301,18 @@ def _instance(n=6, m=2, seed=17, speed=1000.0):
 def test_init_league_seeds_baseline_schedules():
     inst = _instance(n=8, m=3)
     league = init_league(LcaParams(league_size=6, seed=1), inst)
-    assert decode(league.teams[0].current, 3) == fcfs(inst)
-    assert decode(league.teams[1].current, 3) == ljf(inst)
-    assert decode(league.teams[2].current, 3) == bef(inst)
+    assert decode(league.current[0], 3) == fcfs(inst)
+    assert decode(league.current[1], 3) == ljf(inst)
+    assert decode(league.current[2], 3) == bef(inst)
 
 
 def test_init_league_global_best_is_min_fitness():
     inst = _instance(n=8, m=3)
     league = init_league(LcaParams(league_size=6, seed=1), inst)
-    assert league.global_best_fitness == min(t.current_fitness for t in league.teams)
-    assert league.f_hat == league.global_best_fitness
+    assert league.f_hat == league.current_fitness.min() == league.best_fitness.min()
+    assert league.champion == int(np.argmin(league.current_fitness))
+    assert np.array_equal(league.best, league.current)
+    assert league.last_opponent.tolist() == [-1] * 6
     assert league.evaluations == 6
 
 
@@ -311,9 +320,8 @@ def test_init_league_is_deterministic():
     inst = _instance(n=8, m=3)
     a = init_league(LcaParams(league_size=6, seed=9), inst)
     b = init_league(LcaParams(league_size=6, seed=9), inst)
-    for ta, tb in zip(a.teams, b.teams):
-        assert np.array_equal(ta.current, tb.current)
-        assert ta.current_fitness == tb.current_fitness
+    assert np.array_equal(a.current, b.current)
+    assert np.array_equal(a.current_fitness, b.current_fitness)
 
 
 def test_init_league_random_formations_in_range():
@@ -321,8 +329,8 @@ def test_init_league_random_formations_in_range():
     league = init_league(
         LcaParams(league_size=8, seed=3, seed_with_baselines=False), inst
     )
-    for team in league.teams:
-        assert np.all(team.current >= 0.0) and np.all(team.current < 4.0)
+    assert league.current.shape == (8, 10)
+    assert np.all(league.current >= 0.0) and np.all(league.current < 4.0)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
-"""Property tests against plain-Python references.
+"""Property tests against plain-Python references and scheduling theory.
 
 The reference loop below is the execution model written out one task at a
 time in arrival order. Every evaluation path of the package must agree with
 it bit for bit, because they all sum the same durations in the same order.
+The greedy baselines must meet Graham's list-scheduling bounds, and the league
+engine must agree with itself about the schedule it returns.
 """
 
 import itertools
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from leaguesched import (
     Assignment,
+    LcaParams,
     ProblemInstance,
     Task,
     VirtualMachine,
@@ -25,13 +28,14 @@ from leaguesched import (
     ljf,
     lower_bound,
     makespan,
+    run,
     vm_loads,
 )
-from leaguesched import oracle
+from leaguesched import lca, oracle
 from leaguesched.lca import _FitnessEvaluator
 
-# Rounding slack for lower_bound, which sums all lengths and speeds in one
-# expression where the optimum sums per VM: n float64 additions stay far below it.
+# Rounding slack for lower_bound and Graham's bounds, which sum all lengths in
+# one expression where a schedule sums per VM: n float64 additions stay far below it.
 LOWER_BOUND_RTOL = 1e-12
 
 
@@ -62,14 +66,15 @@ speeds = st.one_of(st.sampled_from([100.0, 1000.0]), st.floats(10.0, 5000.0))
 
 
 @st.composite
-def instances(draw, max_tasks=12, max_vms=5, max_assignments=None):
+def instances(draw, max_tasks=12, max_vms=5, max_assignments=None, equal_speeds=False):
     m = draw(st.integers(1, max_vms))
     if max_assignments is not None and m > 1:
         max_tasks = min(max_tasks, int(math.log(max_assignments, m)))
     n = draw(st.integers(1, max_tasks))
     arrival = draw(st.permutations(range(n)))
     tasks = tuple(Task(k, draw(lengths), arrival[k]) for k in range(n))
-    return ProblemInstance(tasks, tuple(VirtualMachine(v, draw(speeds)) for v in range(m)))
+    vm_speeds = [draw(speeds)] * m if equal_speeds else [draw(speeds) for _ in range(m)]
+    return ProblemInstance(tasks, tuple(VirtualMachine(v, s) for v, s in enumerate(vm_speeds)))
 
 
 @st.composite
@@ -134,3 +139,70 @@ def test_lower_bound_optimum_and_greedy_baselines_are_ordered(instance):
     assert lower_bound(instance) <= optimum * (1.0 + LOWER_BOUND_RTOL)
     for scheduler in (fcfs, ljf, bef):
         assert optimum <= makespan(instance, scheduler(instance)).makespan_s
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(max_tasks=30, max_vms=6, equal_speeds=True))
+def test_greedy_baselines_meet_grahams_list_scheduling_bound(instance):
+    # Graham (1966): on m identical machines any list schedule has makespan
+    # <= sum(p) / m + (1 - 1/m) * max(p); here p is a task's duration l / s.
+    m, s = len(instance.vms), instance.vms[0].speed_mips
+    length = [t.length_mi for t in instance.tasks]
+    bound = sum(length) / (m * s) + (1 - 1 / m) * max(length) / s
+    for scheduler in (fcfs, ljf, bef):
+        assert makespan(instance, scheduler(instance)).makespan_s <= bound * (1 + LOWER_BOUND_RTOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(max_tasks=8, max_vms=4, max_assignments=5000, equal_speeds=True))
+def test_ljf_meets_grahams_four_thirds_bound(instance):
+    # Graham (1969): longest job first is within (4/3 - 1/(3m)) of the optimum.
+    m = len(instance.vms)
+    _, optimum = brute_force_optimum(instance)
+    ljf_s = makespan(instance, ljf(instance)).makespan_s
+    assert ljf_s <= (4 / 3 - 1 / (3 * m)) * optimum * (1 + LOWER_BOUND_RTOL)
+
+
+@settings(max_examples=150, deadline=None)
+@given(schedules(), st.data())
+def test_makespan_is_invariant_under_task_relabelling(case, data):
+    # Reorder the task list and draw fresh ids; arrival_index and each task's VM
+    # travel with the task, so every VM sums the same durations in the same order.
+    instance, (vm_of,) = case
+    n = len(instance.tasks)
+    order = data.draw(st.permutations(range(n)))
+    ids = data.draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    relabelled = ProblemInstance(
+        tuple(Task(ids[k], instance.tasks[i].length_mi, instance.tasks[i].arrival_index)
+              for k, i in enumerate(order)),
+        instance.vms,
+    )
+    before = makespan(instance, Assignment(vm_of))
+    after = makespan(relabelled, Assignment([vm_of[i] for i in order]))
+    assert after.makespan_s == before.makespan_s
+    assert after.vm_load_s == before.vm_load_s
+    assert after.completion_s == tuple(before.completion_s[i] for i in order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    instances(max_tasks=10, max_vms=4),
+    st.integers(4, 9),
+    st.integers(1, 3),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.booleans(),
+    st.integers(0, 2**64 - 1),
+)
+def test_engine_reports_the_schedule_it_found(instance, size, seasons, swap, seeded, seed):
+    params = LcaParams(league_size=size, seasons=seasons, swap_probability=swap,
+                       seed_with_baselines=seeded, seed=seed)
+    with mock.patch.object(lca, "update_formation", wraps=lca.update_formation) as propose, \
+            mock.patch.object(lca._FitnessEvaluator, "__call__", autospec=True,
+                              side_effect=lca._FitnessEvaluator.__call__) as evaluate:
+        result = run(params, instance)
+    weeks = seasons * (size - 1 + size % 2)
+    assert len(result.history) == weeks
+    assert result.best_makespan_s == result.history[-1]
+    assert result.best_makespan_s == makespan(instance, result.best_assignment).makespan_s
+    assert result.evaluations == size + propose.call_count
+    assert evaluate.call_count == weeks  # the initial league, then one block per later week
