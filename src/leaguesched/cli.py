@@ -28,13 +28,6 @@ from .model import ProblemInstance, VirtualMachine, makespan
 from .workload import WorkloadSpec, dump_trace, generate_synthetic, load_trace
 
 
-def _u64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"{text} is not a 64-bit unsigned integer")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leaguesched",
@@ -47,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, required=True, help="number of tasks")
     g.add_argument("--min-mi", type=float, default=200.0, help="minimum task length (MI)")
     g.add_argument("--max-mi", type=float, default=500.0, help="maximum task length (MI)")
-    g.add_argument("--seed", type=_u64, required=True)
+    g.add_argument("--seed", type=int, required=True)
     g.add_argument("--out", help="trace file path (default: stdout)")
 
     s = sub.add_parser("schedule", help="schedule one trace and print the makespan")
@@ -55,14 +48,14 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--vms", type=int, required=True, help="number of VMs")
     s.add_argument("--vm-mips", type=float, default=1000.0, help="speed of every VM (MIPS)")
     s.add_argument("--algo", choices=["fcfs", "ljf", "bef", "lca"], required=True)
-    s.add_argument("--seed", type=_u64, default=0, help="search seed (lca only)")
+    s.add_argument("--seed", type=int, default=0, help="search seed (lca only)")
     s.add_argument("--json", action="store_true", help="machine-readable output")
 
     b = sub.add_parser("bench", help="run the scheduler x task-count benchmark grid")
     b.add_argument("--config", help="JSON config file (defaults used for absent keys)")
     b.add_argument("--out", help="CSV output path (default: stdout)")
     b.add_argument("--svg", help="also render the mean-makespan chart to this path")
-    b.add_argument("--seed", type=_u64, default=None, help="override the master seed")
+    b.add_argument("--seed", type=int, default=None, help="override the master seed")
     b.add_argument(
         "--time",
         action="store_true",
@@ -88,12 +81,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
+    params = LcaParams(seed=args.seed)  # built for every algorithm, so a bad --seed is always refused
     with open(args.trace, "r", encoding="utf-8") as f:
         tasks = load_trace(f)
     vms = tuple(VirtualMachine(id=v, speed_mips=args.vm_mips) for v in range(args.vms))
     instance = ProblemInstance(tuple(tasks), vms)
     if args.algo == "lca":
-        assignment = run(LcaParams(seed=args.seed), instance).best_assignment
+        assignment = run(params, instance).best_assignment
     else:
         assignment = {"fcfs": fcfs, "ljf": ljf, "bef": bef}[args.algo](instance)
     result = makespan(instance, assignment)

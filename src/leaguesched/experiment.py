@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 from typing import IO, Callable, Iterable
 
 from .baselines import SchedulerKind, bef, fcfs, ljf
-from .lca import LcaParams, run, validate_params
-from .model import ProblemInstance, VirtualMachine, is_finite, is_integer, makespan
+from .lca import LcaParams, run
+from .model import ProblemInstance, VirtualMachine, check_fields, is_finite, is_integer, makespan
 from .rng import MASK64, mix64
 from .workload import WorkloadSpec, generate_synthetic
 
@@ -33,6 +33,10 @@ _CHART_COLORS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One benchmark grid; construction raises ValueError naming every bad field.
+
+    lca_params.seed is unused: each LCA cell derives its search seed from master_seed."""
+
     task_counts: tuple[int, ...] = tuple(range(20, 181, 20))
     n_vms: int = 20
     vm_speed_mips: float | tuple[float, ...] = 1000.0
@@ -48,11 +52,34 @@ class ExperimentConfig:
     master_seed: int = 42
 
     def __post_init__(self) -> None:
-        # Sequences become tuples; anything else is left for _validate_config to name.
+        # Sequences become tuples; anything else is left for its check to name.
         for name in ("task_counts", "schedulers", "length_range_mi", "vm_speed_mips"):
             value = getattr(self, name)
             if isinstance(value, Iterable) and not isinstance(value, str):
                 object.__setattr__(self, name, tuple(value))
+        c = self
+        speeds = c.vm_speed_mips if isinstance(c.vm_speed_mips, tuple) else (c.vm_speed_mips,)
+        lo_hi = c.length_range_mi
+        check_fields(
+            ("task_counts", isinstance(c.task_counts, tuple) and c.task_counts
+             and all(is_integer(n) and n >= 1 for n in c.task_counts),
+             "a non-empty list of integers >= 1", c.task_counts),
+            ("n_vms", is_integer(c.n_vms) and c.n_vms >= 1, "an integer >= 1", c.n_vms),
+            ("vm_speed_mips", all(is_finite(s) and s > 0 for s in speeds)
+             and (not isinstance(c.vm_speed_mips, tuple) or len(speeds) == c.n_vms),
+             "a finite positive speed, or a list of one per VM", c.vm_speed_mips),
+            ("length_range_mi", isinstance(lo_hi, tuple) and len(lo_hi) == 2
+             and all(map(is_finite, lo_hi)) and 0 < lo_hi[0] <= lo_hi[1],
+             "[min, max] with 0 < min <= max, both finite", lo_hi),
+            ("repetitions", is_integer(c.repetitions) and c.repetitions >= 1, "an integer >= 1",
+             c.repetitions),
+            ("schedulers", isinstance(c.schedulers, tuple) and c.schedulers
+             and all(isinstance(k, SchedulerKind) for k in c.schedulers),
+             "a non-empty list of schedulers", c.schedulers),
+            ("lca_params", isinstance(c.lca_params, LcaParams), "an LcaParams", c.lca_params),
+            ("master_seed", is_integer(c.master_seed) and 0 <= c.master_seed < 2**64,
+             "a 64-bit unsigned integer", c.master_seed),
+        )
 
 
 @dataclass(frozen=True)
@@ -87,32 +114,6 @@ def derive_search_seed(cell_seed: int, scheduler_code: int) -> int:
     return mix64((cell_seed ^ scheduler_code) & MASK64)
 
 
-def _validate_config(config: ExperimentConfig) -> None:
-    """Raise ValueError naming every mistyped, non-finite or out-of-range field."""
-    c = config
-    speeds = c.vm_speed_mips if isinstance(c.vm_speed_mips, tuple) else (c.vm_speed_mips,)
-    lo_hi = c.length_range_mi
-    checks = [
-        ("task_counts", isinstance(c.task_counts, tuple) and c.task_counts
-         and all(is_integer(n) and n >= 1 for n in c.task_counts), "a non-empty list of integers >= 1"),
-        ("n_vms", is_integer(c.n_vms) and c.n_vms >= 1, "an integer >= 1"),
-        ("vm_speed_mips", all(is_finite(s) and s > 0 for s in speeds)
-         and (not isinstance(c.vm_speed_mips, tuple) or len(speeds) == c.n_vms),
-         "a finite positive speed, or a list of one per VM"),
-        ("length_range_mi", isinstance(lo_hi, tuple) and len(lo_hi) == 2 and all(map(is_finite, lo_hi))
-         and 0 < lo_hi[0] <= lo_hi[1], "[min, max] with 0 < min <= max, both finite"),
-        ("repetitions", is_integer(c.repetitions) and c.repetitions >= 1, "an integer >= 1"),
-        ("schedulers", isinstance(c.schedulers, tuple) and c.schedulers
-         and all(isinstance(k, SchedulerKind) for k in c.schedulers), "a non-empty list of schedulers"),
-        ("master_seed", is_integer(c.master_seed) and 0 <= c.master_seed < 2**64,
-         "a 64-bit unsigned integer"),
-    ]
-    problems = [f"{name} must be {want}, got {getattr(c, name)!r}" for name, ok, want in checks if not ok]
-    if problems:
-        raise ValueError("; ".join(problems))
-    validate_params(c.lca_params)
-
-
 def _build_vms(config: ExperimentConfig) -> tuple[VirtualMachine, ...]:
     speeds = config.vm_speed_mips
     if not isinstance(speeds, tuple):
@@ -132,22 +133,18 @@ def run_experiment(
     pure function of the configuration. history_callback, when given, is
     invoked with each LCA record and its week-by-week best-fitness history.
     """
-    _validate_config(config)
     vms = _build_vms(config)
-    lo, hi = config.length_range_mi
     records = []
     for n_tasks in config.task_counts:
         for rep in range(config.repetitions):
             cell_seed = derive_cell_seed(config.master_seed, n_tasks, rep)
-            tasks = generate_synthetic(WorkloadSpec(n_tasks, lo, hi, seed=cell_seed))
+            tasks = generate_synthetic(WorkloadSpec(n_tasks, *config.length_range_mi, seed=cell_seed))
             instance = ProblemInstance(tuple(tasks), vms)
             for kind in config.schedulers:
-                started = time.perf_counter_ns() if measure_wall_time else 0
+                started = time.perf_counter_ns()
                 history = None
                 if kind is SchedulerKind.LCA:
-                    params = replace(
-                        config.lca_params, seed=derive_search_seed(cell_seed, kind.value)
-                    )
+                    params = replace(config.lca_params, seed=derive_search_seed(cell_seed, kind.value))
                     result = run(params, instance)
                     ms, evals = result.best_makespan_s, result.evaluations
                     history = result.history
@@ -158,11 +155,7 @@ def run_experiment(
                         SchedulerKind.BEF: bef,
                     }[kind](instance)
                     ms, evals = makespan(instance, assignment).makespan_s, 0
-                wall = (
-                    (time.perf_counter_ns() - started) // 1_000_000
-                    if measure_wall_time
-                    else 0
-                )
+                wall = (time.perf_counter_ns() - started) // 1_000_000 if measure_wall_time else 0
                 record = ExperimentRecord(kind, n_tasks, rep, cell_seed, ms, evals, wall)
                 records.append(record)
                 if history is not None and history_callback is not None:
@@ -348,19 +341,19 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(data)
     if "schedulers" in kwargs:
+        names = kwargs["schedulers"]
+        check_fields(("schedulers", isinstance(names, list), "a list of scheduler names", names))
         try:
-            kwargs["schedulers"] = tuple(
-                SchedulerKind[str(name).upper()] for name in kwargs["schedulers"]
-            )
+            kwargs["schedulers"] = tuple(SchedulerKind[str(name).upper()] for name in names)
         except KeyError as exc:
             raise ValueError(f"unknown scheduler name: {exc.args[0]!r}") from None
     if "lca_params" in kwargs:
         sub = kwargs["lca_params"]
-        if not isinstance(sub, dict):
-            raise ValueError("lca_params must be a JSON object")
-        lca_known = {f for f in LcaParams.__dataclass_fields__}
-        lca_unknown = set(sub) - lca_known
+        check_fields(("lca_params", isinstance(sub, dict), "a JSON object", sub))
+        lca_unknown = set(sub) - set(LcaParams.__dataclass_fields__)
         if lca_unknown:
             raise ValueError(f"unknown lca_params keys: {sorted(lca_unknown)}")
+        check_fields(("lca_params.seed", "seed" not in sub, "absent: search seeds derive from master_seed",
+                      sub.get("seed")))
         kwargs["lca_params"] = LcaParams(**sub)
     return ExperimentConfig(**kwargs)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import bef, fcfs, ljf
-from .model import Assignment, ProblemInstance, is_finite, is_integer, makespan
+from .model import Assignment, ProblemInstance, check_fields, is_finite, is_integer, makespan
 from .rng import SplitMix64
 
 # Formations are clamped to [0, m - _CLAMP_EPS] so floor() never reaches m.
@@ -37,8 +37,10 @@ _CLAMP_EPS = 1e-9
 _BYE = -1
 
 
-@dataclass
+@dataclass(frozen=True)
 class LcaParams:
+    """League search parameters; construction raises ValueError naming every bad field."""
+
     league_size: int = 20  # L: number of teams
     seasons: int = 50  # S: each season is one full round robin
     change_probability: float = 0.3  # per-coordinate Bernoulli mask rate
@@ -47,6 +49,23 @@ class LcaParams:
     swap_probability: float = 0.5  # chance a week's proposal swaps two positions instead
     seed: int = 0
     seed_with_baselines: bool = True  # start teams 0-2 from FCFS/LJF/BEF
+
+    def __post_init__(self) -> None:
+        p = self
+        check_fields(
+            ("league_size", is_integer(p.league_size) and p.league_size >= 4, "an integer >= 4",
+             p.league_size),
+            ("seasons", is_integer(p.seasons) and p.seasons >= 1, "an integer >= 1", p.seasons),
+            ("change_probability", is_finite(p.change_probability) and 0.0 < p.change_probability <= 1.0,
+             "a number in (0, 1]", p.change_probability),
+            ("swap_probability", is_finite(p.swap_probability) and 0.0 <= p.swap_probability <= 1.0,
+             "a number in [0, 1]", p.swap_probability),
+            ("w1", is_finite(p.w1) and p.w1 > 0, "a finite positive number", p.w1),
+            ("w2", is_finite(p.w2) and p.w2 > 0, "a finite positive number", p.w2),
+            ("seed", is_integer(p.seed) and 0 <= p.seed < 2**64, "a 64-bit unsigned integer", p.seed),
+            ("seed_with_baselines", isinstance(p.seed_with_baselines, bool), "true or false",
+             p.seed_with_baselines),
+        )
 
 
 @dataclass
@@ -76,26 +95,6 @@ class RunResult:
     best_makespan_s: float
     history: list[float]  # f̂ after each week, nonincreasing
     evaluations: int
-
-
-def validate_params(params: LcaParams) -> None:
-    """Raise ValueError naming every mistyped, non-finite or out-of-range field."""
-    p = params
-    checks = [
-        ("league_size", is_integer(p.league_size) and p.league_size >= 4, "an integer >= 4"),
-        ("seasons", is_integer(p.seasons) and p.seasons >= 1, "an integer >= 1"),
-        ("change_probability", is_finite(p.change_probability)
-         and 0.0 < p.change_probability <= 1.0, "a number in (0, 1]"),
-        ("swap_probability", is_finite(p.swap_probability)
-         and 0.0 <= p.swap_probability <= 1.0, "a number in [0, 1]"),
-        ("w1", is_finite(p.w1) and p.w1 > 0, "a finite positive number"),
-        ("w2", is_finite(p.w2) and p.w2 > 0, "a finite positive number"),
-        ("seed", is_integer(p.seed) and 0 <= p.seed < 2**64, "a 64-bit unsigned integer"),
-        ("seed_with_baselines", isinstance(p.seed_with_baselines, bool), "true or false"),
-    ]
-    problems = [f"{name} must be {want}, got {getattr(p, name)!r}" for name, ok, want in checks if not ok]
-    if problems:
-        raise ValueError("; ".join(problems))
 
 
 def encode(assignment: Assignment) -> np.ndarray:
@@ -251,7 +250,6 @@ def init_league(params: LcaParams, instance: ProblemInstance) -> League:
     With seed_with_baselines, teams 0-2 start from the FCFS, LJF and BEF
     schedules, so the league never regresses below the strongest baseline.
     """
-    validate_params(params)
     rng = SplitMix64(params.seed)
     evaluate = _FitnessEvaluator(instance)
     size, n, m = params.league_size, len(instance.tasks), len(instance.vms)

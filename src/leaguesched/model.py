@@ -35,6 +35,13 @@ def is_finite(value: object) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def check_fields(*rows: tuple[str, bool, str, object]) -> None:
+    """Raise one ValueError naming every (name, ok, want, value) row whose ok is false."""
+    problems = [f"{name} must be {want}, got {value!r}" for name, ok, want, value in rows if not ok]
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
 @dataclass(frozen=True)
 class Task:
     id: int
@@ -124,12 +131,17 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class Assignment:
-    """Decoded schedule: vm_of[k] is the VM index executing task k."""
+    """Decoded schedule: vm_of[k] is the VM index executing task k. A float, string,
+    bool or negative entry raises InvalidAssignmentError rather than being coerced."""
 
     vm_of: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vm_of", tuple(int(v) for v in self.vm_of))
+        vm_of = tuple(self.vm_of)
+        for k, v in enumerate(vm_of):
+            if not (is_integer(v) and v >= 0):
+                raise InvalidAssignmentError(f"position {k}: {v!r} is not a nonnegative integer VM index")
+        object.__setattr__(self, "vm_of", tuple(map(int, vm_of)))
 
     def __len__(self) -> int:
         return len(self.vm_of)

@@ -42,11 +42,14 @@ class SplitMix64:
         return mix64(self._state)
 
     def uniform(self) -> float:
-        """Uniform float in [0, 1): next_u64() / 2**64."""
+        """Uniform float in [0, 1]: next_u64() / 2**64, which is 1.0 for outputs >= 2**64 - 2**10.
+
+        Scaled index draws are clamped: min(..., n - 1) in lca's swap move and the clip in lca._vm_index.
+        """
         return self.next_u64() / _TWO64
 
     def uniforms(self, k: int) -> np.ndarray:
-        """k uniforms at once; values identical to k successive uniform() calls.
+        """k uniforms in [0, 1] at once; values identical to k successive uniform() calls.
 
         The state is a counter, so a block of draws is the finalizer applied to
         state + gamma * [1..k], which vectorizes with wrapping uint64 math.

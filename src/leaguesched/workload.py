@@ -11,7 +11,7 @@ import io
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .model import Task, is_finite
+from .model import Task, check_fields, is_finite, is_integer
 from .rng import SplitMix64
 
 TRACE_HEADER = "task_id,length_mi"
@@ -31,12 +31,23 @@ class DuplicateTaskIdError(TraceParseError):
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """Parameters for a synthetic task batch with i.i.d. uniform lengths."""
+    """A synthetic task batch with i.i.d. uniform lengths; construction rejects bad fields."""
 
     n_tasks: int
     length_min_mi: float = 200.0
     length_max_mi: float = 500.0
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        lo, hi = self.length_min_mi, self.length_max_mi
+        check_fields(
+            ("n_tasks", is_integer(self.n_tasks) and self.n_tasks >= 1, "an integer >= 1", self.n_tasks),
+            ("length_min_mi", is_finite(lo) and lo > 0, "finite and positive", lo),
+            ("length_max_mi", is_finite(hi) and not (is_finite(lo) and hi < lo),
+             "finite and >= length_min_mi", hi),
+            ("seed", is_integer(self.seed) and 0 <= self.seed < 2**64,
+             "a 64-bit unsigned integer", self.seed),
+        )
 
 
 def generate_synthetic(spec: WorkloadSpec) -> list[Task]:
@@ -44,15 +55,6 @@ def generate_synthetic(spec: WorkloadSpec) -> list[Task]:
 
     Deterministic per seed: equal specs produce identical task lists.
     """
-    problems = []
-    if spec.n_tasks < 1:
-        problems.append(f"n_tasks must be >= 1, got {spec.n_tasks}")
-    if not (is_finite(spec.length_min_mi) and spec.length_min_mi > 0):
-        problems.append(f"length_min_mi must be finite and positive, got {spec.length_min_mi}")
-    if not (is_finite(spec.length_max_mi) and spec.length_max_mi >= spec.length_min_mi):
-        problems.append(f"length_max_mi must be finite and >= length_min_mi, got {spec.length_max_mi}")
-    if problems:
-        raise ValueError("; ".join(problems))
     rng = SplitMix64(spec.seed)
     span = spec.length_max_mi - spec.length_min_mi
     return [

@@ -54,6 +54,21 @@ def test_generate_rejects_bad_count(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "--n", "3", "--seed", str(2**64)], "seed must be a 64-bit unsigned integer"),
+        (["generate", "--n", "3", "--seed", "1", "--min-mi", "nan"], "length_min_mi must be"),
+        (["bench", "--seed", "-1"], "master_seed must be a 64-bit unsigned integer"),
+    ],
+    ids=["generate_seed", "generate_nan_length", "bench_master_seed"],
+)
+def test_out_of_range_flags_are_refused_by_name(capsys, argv, message):
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 # ---------------------------------------------------------------- schedule
 
 
@@ -118,8 +133,9 @@ def test_schedule_malformed_trace(tmp_path, capsys):
         ([(0, 200), (1, 300)], ["--vm-mips", "nan"], "VM 0: speed must be finite and positive"),
         ([], [], "empty task list"),
         ([(0, 200)], ["--vms", "0"], "empty VM list"),
+        ([(0, 200)], ["--seed", "-1"], "seed must be a 64-bit unsigned integer, got -1"),
     ],
-    ids=["inf_trace", "negative_mips", "nan_mips", "empty_trace", "no_vms"],
+    ids=["inf_trace", "negative_mips", "nan_mips", "empty_trace", "no_vms", "negative_seed"],
 )
 def test_schedule_rejects_bad_input_without_traceback(tmp_path, capsys, rows, extra, fragment):
     trace = tmp_path / "t.csv"
@@ -219,8 +235,11 @@ def test_bench_rejects_malformed_json(tmp_path):
         ({"lca_params": {"league_size": "x"}}, "league_size"),
         ({"length_range_mi": [200, math.inf]}, "length_range_mi"),
         ({"vm_speed_mips": math.inf}, "vm_speed_mips"),
+        ({"schedulers": 5}, "schedulers"),
+        ({"lca_params": {"seed": 999}}, "lca_params.seed"),
     ],
-    ids=["fractional_n_vms", "string_league_size", "infinite_length", "infinite_speed"],
+    ids=["fractional_n_vms", "string_league_size", "infinite_length", "infinite_speed",
+         "scalar_schedulers", "ignored_search_seed"],
 )
 def test_bench_rejects_mistyped_or_non_finite_config(tmp_path, capsys, bad, field):
     config = tmp_path / "config.json"

@@ -121,27 +121,30 @@ def test_lca_histories_reported_via_callback():
 @pytest.mark.parametrize(
     "overrides",
     [
-        dict(task_counts=()),
-        dict(task_counts=(0,)),
-        dict(repetitions=0),
-        dict(n_vms=0),
-        dict(schedulers=()),
-        dict(length_range_mi=(500.0, 200.0)),
-        dict(vm_speed_mips=(100.0, 100.0)),  # wrong number of speeds
-        dict(n_vms=2.5),
-        dict(task_counts=(4.5,)),
-        dict(length_range_mi=(200.0, math.inf)),
-        dict(length_range_mi=(200.0,)),
-        dict(vm_speed_mips=math.nan),
-        dict(vm_speed_mips=(100.0, math.inf, 100.0)),
-        dict(repetitions=True),
-        dict(master_seed=2**64),
-        dict(lca_params=LcaParams(league_size="x")),
+        ("task_counts", dict(task_counts=())),
+        ("task_counts", dict(task_counts=(0,))),
+        ("repetitions", dict(repetitions=0)),
+        ("n_vms", dict(n_vms=0)),
+        ("schedulers", dict(schedulers=())),
+        ("length_range_mi", dict(length_range_mi=(500.0, 200.0))),
+        ("vm_speed_mips", dict(vm_speed_mips=(100.0, 100.0))),  # wrong number of speeds
+        ("n_vms", dict(n_vms=2.5)),
+        ("task_counts", dict(task_counts=(4.5,))),
+        ("length_range_mi", dict(length_range_mi=(200.0, math.inf))),
+        ("length_range_mi", dict(length_range_mi=(200.0,))),
+        ("vm_speed_mips", dict(vm_speed_mips=math.nan)),
+        ("vm_speed_mips", dict(vm_speed_mips=(100.0, math.inf, 100.0))),
+        ("repetitions", dict(repetitions=True)),
+        ("master_seed", dict(master_seed=2**64)),
+        ("league_size", dict(lca_params=dict(league_size="x"))),  # LcaParams kwargs
     ],
 )
 def test_invalid_configs_rejected(overrides):
-    with pytest.raises(ValueError):
-        run_experiment(tiny_config(**overrides))
+    field, kwargs = overrides
+    with pytest.raises(ValueError, match=rf"^{field} must be "):
+        if "lca_params" in kwargs:
+            kwargs = dict(kwargs, lca_params=LcaParams(**kwargs["lca_params"]))
+        tiny_config(**kwargs)
 
 
 def test_per_vm_speed_list_accepted():

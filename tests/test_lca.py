@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -227,7 +228,8 @@ def _params(**kw):
 def test_update_zero_weights_returns_best_exactly():
     rng = ScriptedRng(singles=[0.99], blocks=[[0.0, 0.0, 0.0], [0.3] * 6])
     league = _proposer([1.2, 0.4, 2.8], [0.1, 0.1, 0.1], True, rng)
-    params = _params(change_probability=1.0, w1=0.0, w2=0.0, swap_probability=0.0)
+    # LcaParams refuses zero weights; the update rule reads only these four fields.
+    params = SimpleNamespace(change_probability=1.0, w1=0.0, w2=0.0, swap_probability=0.0)
     out = update_formation(league, 0, -1, params, 3)
     assert list(out) == [1.2, 0.4, 2.8]
 
@@ -259,6 +261,13 @@ def test_update_mask_redrawn_until_nonempty():
 
 def test_update_swap_branch_exchanges_two_positions():
     rng = ScriptedRng(singles=[0.0, 0.0, 0.9])  # take swap; i=0; j=1 -> bumped to 2
+    league = _proposer([0.5, 1.5, 2.5], [0.0, 0.0, 0.0], True, rng)
+    out = update_formation(league, 0, -1, _params(), 3)
+    assert list(out) == [2.5, 1.5, 0.5]
+
+
+def test_update_swap_clamps_a_draw_of_exactly_one():
+    rng = ScriptedRng(singles=[0.0, 1.0, 0.0])  # take swap; i=min(3, 2)=2; j=0
     league = _proposer([0.5, 1.5, 2.5], [0.0, 0.0, 0.0], True, rng)
     out = update_formation(league, 0, -1, _params(), 3)
     assert list(out) == [2.5, 1.5, 0.5]
@@ -352,8 +361,9 @@ def test_init_league_random_formations_in_range():
     ],
 )
 def test_invalid_params_rejected(bad):
-    with pytest.raises(ValueError):
-        init_league(LcaParams(**bad), _instance())
+    (field,) = bad
+    with pytest.raises(ValueError, match=rf"^{field} must be "):
+        LcaParams(**bad)
 
 
 # ---------------------------------------------------------------- full runs

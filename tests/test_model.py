@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from leaguesched import (
@@ -60,6 +61,21 @@ def test_vm_index_out_of_range_rejected(make_instance, bad_vm):
     inst = make_instance([200.0, 300.0])
     with pytest.raises(InvalidAssignmentError):
         vm_loads(inst, Assignment((0, bad_vm)))
+
+
+@pytest.mark.parametrize(
+    "vm_of, position",
+    [((0.7, 1.2), 0), ((0, "1"), 1), ((True, False), 0), ((0, 1, 2.0), 2), ((0, -1), 1)],
+    ids=["floats", "string", "bools", "integral_float", "negative"],
+)
+def test_assignment_rejects_entries_that_are_not_vm_indexes(vm_of, position):
+    with pytest.raises(InvalidAssignmentError, match=rf"^position {position}: "):
+        Assignment(vm_of)
+
+
+def test_assignment_accepts_numpy_integers_as_plain_ints():
+    a = Assignment(np.array([2, 0, 1], dtype=np.int64))
+    assert a.vm_of == (2, 0, 1) and all(type(v) is int for v in a.vm_of)
 
 
 def test_validate_well_formed(make_instance):

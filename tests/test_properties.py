@@ -4,23 +4,29 @@ The reference loop below is the execution model written out one task at a
 time in arrival order. Every evaluation path of the package must agree with
 it bit for bit, because they all sum the same durations in the same order.
 The greedy baselines must meet Graham's list-scheduling bounds, and the league
-engine must agree with itself about the schedule it returns.
+engine must agree with itself about the schedule it returns and land between
+the optimum and the baselines it starts from. Every field of the config types
+must refuse a mistyped value by name.
 """
 
+import dataclasses
 import itertools
 import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leaguesched import (
     Assignment,
+    ExperimentConfig,
     LcaParams,
     ProblemInstance,
     Task,
     VirtualMachine,
+    WorkloadSpec,
     bef,
     brute_force_optimum,
     encode,
@@ -141,6 +147,23 @@ def test_lower_bound_optimum_and_greedy_baselines_are_ordered(instance):
         assert optimum <= makespan(instance, scheduler(instance)).makespan_s
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    instances(max_tasks=7, max_vms=3, max_assignments=2000),
+    st.integers(4, 6),
+    st.integers(1, 3),
+    st.integers(0, 2**64 - 1),
+)
+def test_league_lands_between_the_optimum_and_the_greedy_baselines(instance, size, seasons, seed):
+    # Teams 0-2 start from FCFS/LJF/BEF and only strict improvements are kept, so the
+    # league never ends above the best baseline; no schedule beats the enumerated optimum.
+    _, optimum = brute_force_optimum(instance)
+    league_s = run(LcaParams(league_size=size, seasons=seasons, seed=seed), instance).best_makespan_s
+    greedy_s = min(makespan(instance, scheduler(instance)).makespan_s for scheduler in (fcfs, ljf, bef))
+    assert lower_bound(instance) <= optimum * (1.0 + LOWER_BOUND_RTOL)
+    assert optimum <= league_s <= greedy_s
+
+
 @settings(max_examples=150, deadline=None)
 @given(instances(max_tasks=30, max_vms=6, equal_speeds=True))
 def test_greedy_baselines_meet_grahams_list_scheduling_bound(instance):
@@ -206,3 +229,18 @@ def test_engine_reports_the_schedule_it_found(instance, size, seasons, swap, see
     assert result.best_makespan_s == makespan(instance, result.best_assignment).makespan_s
     assert result.evaluations == size + propose.call_count
     assert evaluate.call_count == weeks  # the initial league, then one block per later week
+
+
+@pytest.mark.parametrize(
+    "config_type, required",
+    [(LcaParams, {}), (WorkloadSpec, {"n_tasks": 5}), (ExperimentConfig, {})],
+    ids=["LcaParams", "WorkloadSpec", "ExperimentConfig"],
+)
+def test_every_config_field_refuses_bools_nans_and_strings_by_name(config_type, required):
+    # A field added without a check fails here.
+    for f in dataclasses.fields(config_type):
+        for bad in (True, math.nan, "x"):
+            if bad is True and f.type == "bool":
+                continue  # a flag takes a bool
+            with pytest.raises(ValueError, match=rf"\b{f.name} must be "):
+                config_type(**{**required, f.name: bad})

@@ -1,6 +1,7 @@
 import numpy as np
 
-from leaguesched import SplitMix64, mix64
+from leaguesched import SplitMix64, decode, mix64
+from leaguesched.rng import _GAMMA, _MULT1, _MULT2, MASK64
 
 # First three SplitMix64 outputs for seed 0, as published for the reference
 # implementation (also used as seeding vectors by the xoshiro family).
@@ -51,3 +52,30 @@ def test_uniforms_advances_state_like_sequential():
         seq.uniform()
     blk.uniforms(10)
     assert seq.uniform() == blk.uniform()
+
+
+def _unshift(y, s):
+    """Inverse of y = x ^ (x >> s) on 64-bit words."""
+    x = y
+    for _ in range(64 // s):
+        x = y ^ (x >> s)
+    return x
+
+
+def _seed_for_next_output(output):
+    """The seed whose first next_u64() is `output`: the finalizer run backwards."""
+    z = _unshift(output, 31)
+    z = _unshift(z * pow(_MULT2, -1, 2**64) & MASK64, 27)
+    z = _unshift(z * pow(_MULT1, -1, 2**64) & MASK64, 30)
+    return (z - _GAMMA) & MASK64
+
+
+def test_top_outputs_round_to_exactly_one_and_decoding_clamps_them():
+    # float64 cannot hold 2**64 - 1; every output >= 2**64 - 2**10 rounds up to 2**64.
+    for output in (2**64 - 1, 2**64 - 2**10):
+        seed = _seed_for_next_output(output)
+        assert SplitMix64(seed).next_u64() == output
+        assert SplitMix64(seed).uniform() == 1.0
+        assert SplitMix64(seed).uniforms(1)[0] == 1.0
+        assert decode(SplitMix64(seed).uniforms(1) * 3, 3).vm_of == (2,)
+    assert SplitMix64(_seed_for_next_output(2**64 - 2**10 - 1)).uniform() < 1.0

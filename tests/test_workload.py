@@ -44,17 +44,24 @@ def test_ids_and_arrival_follow_generation_order():
 @pytest.mark.parametrize(
     "spec",
     [
-        WorkloadSpec(0, seed=1),
-        WorkloadSpec(5, 0.0, 100.0, seed=1),
-        WorkloadSpec(5, -3.0, 100.0, seed=1),
-        WorkloadSpec(5, 400.0, 200.0, seed=1),
-        WorkloadSpec(5, 200.0, math.inf, seed=1),
-        WorkloadSpec(5, math.nan, 500.0, seed=1),
+        ("n_tasks", (0,), dict(seed=1)),
+        ("length_min_mi", (5, 0.0, 100.0), dict(seed=1)),
+        ("length_min_mi", (5, -3.0, 100.0), dict(seed=1)),
+        ("length_max_mi", (5, 400.0, 200.0), dict(seed=1)),
+        ("length_max_mi", (5, 200.0, math.inf), dict(seed=1)),
+        ("length_min_mi", (5, math.nan, 500.0), dict(seed=1)),
+        ("n_tasks", (2.5,), {}),
+        ("n_tasks", (True,), {}),
+        ("seed", (3,), dict(seed=-1)),
+        ("seed", (3,), dict(seed=2.5)),
+        ("seed", (3,), dict(seed=2**64)),
+        ("length_min_mi", (3,), dict(length_min_mi="1")),
     ],
 )
 def test_invalid_specs_rejected(spec):
-    with pytest.raises(ValueError):
-        generate_synthetic(spec)
+    field, args, kwargs = spec
+    with pytest.raises(ValueError, match=rf"^{field} must be "):
+        WorkloadSpec(*args, **kwargs)
 
 
 def test_sample_statistics():
