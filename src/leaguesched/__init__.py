@@ -1,11 +1,13 @@
 """Task scheduling onto VM fleets with a league-championship metaheuristic.
 
 Public surface: the problem model and makespan objective, synthetic/trace
-workloads, the FCFS/LJF/BEF greedy baselines, the league search engine, a
+workloads, the FCFS/LJF/BEF greedy baselines, league search runs, a
 brute-force oracle for small instances, and the benchmark experiment runner.
+The engine's internals (League, fixtures, match play, formation updates) live
+in leaguesched.lca and are not part of it.
 """
 
-from .baselines import SchedulerKind, bef, fcfs, greedy_earliest_vm, ljf
+from .baselines import SchedulerKind, bef, fcfs, ljf
 from .experiment import (
     Aggregate,
     ExperimentConfig,
@@ -19,20 +21,7 @@ from .experiment import (
     parse_csv,
     run_experiment,
 )
-from .lca import (
-    LcaParams,
-    League,
-    RunResult,
-    decode,
-    encode,
-    init_league,
-    play_match,
-    round_robin,
-    run,
-    season_fixtures,
-    update_formation,
-    win_probability,
-)
+from .lca import LcaParams, RunResult, decode, encode, run
 from .model import (
     Assignment,
     InvalidAssignmentError,
@@ -42,7 +31,6 @@ from .model import (
     Task,
     VirtualMachine,
     makespan,
-    vm_loads,
 )
 from .oracle import brute_force_optimum, lower_bound
 from .rng import SplitMix64, mix64
@@ -64,7 +52,6 @@ __all__ = [
     "InvalidAssignmentError",
     "InvalidInstanceError",
     "LcaParams",
-    "League",
     "ProblemInstance",
     "RunResult",
     "ScheduleResult",
@@ -87,20 +74,12 @@ __all__ = [
     "encode",
     "fcfs",
     "generate_synthetic",
-    "greedy_earliest_vm",
-    "init_league",
     "ljf",
     "load_trace",
     "lower_bound",
     "makespan",
     "mix64",
     "parse_csv",
-    "play_match",
-    "round_robin",
     "run",
     "run_experiment",
-    "season_fixtures",
-    "update_formation",
-    "vm_loads",
-    "win_probability",
 ]

@@ -9,9 +9,8 @@ first) sorts ascending by length. No randomness is involved anywhere.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Sequence
 
-from .model import Assignment, InvalidInstanceError, ProblemInstance, Task, VirtualMachine
+from .model import Assignment, ProblemInstance
 
 
 class SchedulerKind(IntEnum):
@@ -23,32 +22,19 @@ class SchedulerKind(IntEnum):
     LCA = 3
 
 
-def greedy_earliest_vm(
-    ordered_tasks: Sequence[Task], vms: Sequence[VirtualMachine]
-) -> Assignment:
-    """List-schedule tasks, in the order given, onto the least-loaded VM.
+def _schedule_in_order(instance: ProblemInstance, order: list[int]) -> Assignment:
+    """List-schedule the tasks at positions `order`, in that order, onto the least-loaded VM.
 
     "Least loaded" means smallest accumulated busy time in seconds; ties go to
-    the lowest VM index. The returned assignment is aligned with
-    ordered_tasks, not with any other ordering of the same tasks.
+    the lowest VM index. The assignment is indexed by task position.
     """
-    if not vms:
-        raise InvalidInstanceError("empty VM list")
-    loads = [0.0] * len(vms)
-    out = []
-    for task in ordered_tasks:
-        v = min(range(len(vms)), key=loads.__getitem__)
-        loads[v] += task.length_mi / vms[v].speed_mips
-        out.append(v)
-    return Assignment(tuple(out))
-
-
-def _schedule_in_order(instance: ProblemInstance, order: list[int]) -> Assignment:
-    """Run the greedy core over tasks in `order`, then realign to task positions."""
-    core = greedy_earliest_vm([instance.tasks[i] for i in order], instance.vms)
-    vm_of = [0] * len(order)
-    for slot, i in enumerate(order):
-        vm_of[i] = core.vm_of[slot]
+    lengths, speeds = instance.lengths.tolist(), instance.speeds.tolist()
+    loads = [0.0] * len(speeds)
+    vm_of = [0] * len(lengths)
+    for i in order:
+        v = min(range(len(speeds)), key=loads.__getitem__)
+        loads[v] += lengths[i] / speeds[v]
+        vm_of[i] = v
     return Assignment(tuple(vm_of))
 
 
@@ -59,11 +45,11 @@ def fcfs(instance: ProblemInstance) -> Assignment:
 
 def ljf(instance: ProblemInstance) -> Assignment:
     """Longest job first; equal lengths keep submission order (stable sort)."""
-    order = sorted(instance.arrival.tolist(), key=lambda i: -instance.tasks[i].length_mi)
-    return _schedule_in_order(instance, order)
+    lengths = instance.lengths.tolist()
+    return _schedule_in_order(instance, sorted(instance.arrival.tolist(), key=lambda i: -lengths[i]))
 
 
 def bef(instance: ProblemInstance) -> Assignment:
     """Best effort first, read as shortest job first; stable on ties."""
-    order = sorted(instance.arrival.tolist(), key=lambda i: instance.tasks[i].length_mi)
-    return _schedule_in_order(instance, order)
+    lengths = instance.lengths.tolist()
+    return _schedule_in_order(instance, sorted(instance.arrival.tolist(), key=lengths.__getitem__))

@@ -128,9 +128,10 @@ def run_experiment(
 ) -> list[ExperimentRecord]:
     """Run the full grid; one record per (scheduler, task count, repetition).
 
-    measure_wall_time fills wall_time_ms from the clock, which makes the
-    output non-reproducible; it stays 0 by default so the canonical CSV is a
-    pure function of the configuration. history_callback, when given, is
+    measure_wall_time fills wall_time_ms from the clock, in whole milliseconds
+    rounded up so a timed cell never reads 0, which makes the output
+    non-reproducible; it stays 0 by default so the canonical CSV is a pure
+    function of the configuration. history_callback, when given, is
     invoked with each LCA record and its week-by-week best-fitness history.
     """
     vms = _build_vms(config)
@@ -155,7 +156,7 @@ def run_experiment(
                         SchedulerKind.BEF: bef,
                     }[kind](instance)
                     ms, evals = makespan(instance, assignment).makespan_s, 0
-                wall = (time.perf_counter_ns() - started) // 1_000_000 if measure_wall_time else 0
+                wall = -((started - time.perf_counter_ns()) // 1_000_000) if measure_wall_time else 0
                 record = ExperimentRecord(kind, n_tasks, rep, cell_seed, ms, evals, wall)
                 records.append(record)
                 if history is not None and history_callback is not None:

@@ -109,43 +109,24 @@ def _vm_index(formation: np.ndarray, n_vms: int) -> np.ndarray:
 
 def decode(formation: np.ndarray, n_vms: int) -> Assignment:
     """The schedule a formation stands for: each coordinate truncated to a VM index."""
-    if n_vms < 1:
-        raise ValueError(f"n_vms must be >= 1, got {n_vms}")
     return Assignment(tuple(_vm_index(np.asarray(formation, dtype=np.float64), n_vms).tolist()))
 
 
-def round_robin(league_size: int) -> list[list[tuple[int, int]]]:
-    """Single round robin by the circle method.
-
-    Week w pairs slot i with slot L-1-i; all slots but the first rotate one
-    step between weeks. L-1 weeks of L/2 matches; every unordered pair of
-    teams meets exactly once.
-    """
-    if league_size < 2 or league_size % 2:
-        raise ValueError(f"round robin needs an even league of >= 2 teams, got {league_size}")
-    arr = list(range(league_size))
-    weeks = []
-    for _ in range(league_size - 1):
-        weeks.append([(arr[i], arr[league_size - 1 - i]) for i in range(league_size // 2)])
-        arr[1:] = [arr[-1]] + arr[1:-1]
-    return weeks
-
-
 def season_fixtures(n_teams: int, season: int) -> list[list[tuple[int, int]]]:
-    """Fixtures for one season, with team order rotated per season.
+    """Fixtures for one season: a single round robin by the circle method.
 
-    Odd leagues are padded with an internal bye slot; a team drawn against the
-    bye simply plays no match that week.
+    The slots start as the team order rotated by season - 1, with a bye slot
+    appended when the league is odd. Week w pairs slot i with slot -1-i, then
+    every slot but the first rotates one step, so every pair of teams meets
+    exactly once. A team drawn against the bye plays no match that week.
     """
     rotation = (season - 1) % n_teams
-    order = [(i + rotation) % n_teams for i in range(n_teams)]
-    if n_teams % 2:
-        order.append(_BYE)
+    slots = [(i + rotation) % n_teams for i in range(n_teams)] + [_BYE] * (n_teams % 2)
     weeks = []
-    for pairs in round_robin(len(order)):
-        weeks.append(
-            [(order[i], order[j]) for i, j in pairs if _BYE not in (order[i], order[j])]
-        )
+    for _ in range(len(slots) - 1):
+        pairs = zip(slots[: len(slots) // 2], reversed(slots))
+        weeks.append([(i, j) for i, j in pairs if _BYE not in (i, j)])
+        slots[1:] = [slots[-1]] + slots[1:-1]
     return weeks
 
 
@@ -198,6 +179,11 @@ def update_formation(
     depending on that opponent's last result. The caller evaluates the
     returned formation and commits it.
 
+    Both draws follow play_match's rule, so a probability of 1 is exact even
+    on a draw of 1.0: the swap is taken iff the first draw u satisfies
+    u <= swap_probability and swap_probability > 0 (the draw is made either
+    way), and a coordinate is masked iff its draw is <= change_probability.
+
     A team with a bye this week (upcoming == _BYE), or whose upcoming opponent
     has not played yet, drops the second step; the draw pattern stays
     identical so streams remain aligned.
@@ -205,10 +191,10 @@ def update_formation(
     previous = league.last_opponent[team]
     if previous == _BYE:
         raise RuntimeError(f"team {team} has no match history to update from")
-    rng = league.rng
+    rng, p = league.rng, params.swap_probability
     best = league.best[team]
     n = best.shape[0]
-    if rng.uniform() < params.swap_probability:
+    if rng.uniform() <= p and p > 0.0:
         new_x = best.copy()
         if n >= 2:
             i = min(int(rng.uniform() * n), n - 1)
@@ -217,7 +203,7 @@ def update_formation(
             new_x[i], new_x[j] = new_x[j], new_x[i]
         return new_x
     while True:
-        mask = rng.uniforms(n) < params.change_probability
+        mask = rng.uniforms(n) <= params.change_probability
         if mask.any():
             break
     r = rng.uniforms(2 * n)

@@ -184,8 +184,3 @@ def makespan(instance: ProblemInstance, assignment: Assignment) -> ScheduleResul
         makespan_s=float(loads.max()),
         completion_s=tuple(completion.tolist()),
     )
-
-
-def vm_loads(instance: ProblemInstance, assignment: Assignment) -> list[float]:
-    """Per-VM busy time in seconds; zero for VMs with no tasks."""
-    return instance.loads(_checked_index(instance, assignment)).tolist()

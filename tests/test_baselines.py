@@ -9,7 +9,6 @@ from leaguesched import (
     bef,
     brute_force_optimum,
     fcfs,
-    greedy_earliest_vm,
     ljf,
     makespan,
 )
@@ -28,35 +27,38 @@ def test_scheduler_kind_codes_are_stable():
     assert [k.value for k in (SchedulerKind.FCFS, SchedulerKind.LJF, SchedulerKind.BEF, SchedulerKind.LCA)] == [0, 1, 2, 3]
 
 
+def _greedy(lengths, vms):
+    """The greedy core over the given order: FCFS on an instance that arrives in it."""
+    return fcfs(ProblemInstance(tuple(_tasks(lengths)), tuple(vms)))
+
+
 def test_greedy_core_hand_example(make_instance):
     # 500 -> VM0; 200 -> VM1 (empty); 300 -> VM1 (2s < 5s)
-    a = greedy_earliest_vm(_tasks([500, 200, 300]), _vms(2))
+    a = _greedy([500, 200, 300], _vms(2))
     assert a.vm_of == (0, 1, 1)
     inst = make_instance([500.0, 200.0, 300.0])
     assert makespan(inst, a).makespan_s == 5.0
 
 
 def test_greedy_core_single_vm():
-    a = greedy_earliest_vm(_tasks([100, 200, 300]), _vms(1))
+    a = _greedy([100, 200, 300], _vms(1))
     assert a.vm_of == (0, 0, 0)
 
 
 def test_greedy_core_ties_go_to_lowest_index():
-    a = greedy_earliest_vm(_tasks([100, 100]), _vms(2))
+    a = _greedy([100, 100], _vms(2))
     assert a.vm_of == (0, 1)
 
 
 def test_greedy_core_rejects_empty_vm_list():
-    with pytest.raises(InvalidInstanceError):
-        greedy_earliest_vm(_tasks([100]), [])
+    with pytest.raises(InvalidInstanceError, match="empty VM list"):
+        ProblemInstance(tuple(_tasks([100])), ())
 
 
 def test_greedy_core_uses_seconds_not_instruction_counts():
     # VM0 is half speed: after one task each, VM0 is busy 2s vs 1s on VM1, so
     # the third task goes to VM1 (equal-MI loads would have sent it to VM0).
-    a = greedy_earliest_vm(
-        _tasks([100, 100, 100]), [VirtualMachine(0, 50.0), VirtualMachine(1, 100.0)]
-    )
+    a = _greedy([100, 100, 100], [VirtualMachine(0, 50.0), VirtualMachine(1, 100.0)])
     assert a.vm_of == (0, 1, 1)
 
 

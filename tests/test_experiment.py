@@ -81,10 +81,11 @@ def test_wall_time_measured_on_request():
     config = tiny_config(
         task_counts=(30,),
         repetitions=1,
-        schedulers=(K.LCA,),
+        schedulers=(K.FCFS, K.LCA),
         lca_params=LcaParams(league_size=8, seasons=40),
     )
     records = run_experiment(config, measure_wall_time=True)
+    # An FCFS cell takes well under 1 ms: rounded up, it still reads as timed.
     assert all(r.wall_time_ms > 0 for r in records)
 
 

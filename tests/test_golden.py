@@ -7,6 +7,9 @@ bytes, while on equal speeds the search never leaves that seed.
 The CSV prints a makespan to six decimals only, so the run() pins hash the
 full history (repr of each float) and the best schedule and count the
 evaluations: a changed tie-break or bookkeeping step shows there first.
+
+The package's public surface is pinned the same way: a change to it must be
+deliberate, like a CSV re-pin.
 """
 
 import hashlib
@@ -14,6 +17,7 @@ import io
 
 import pytest
 
+import leaguesched
 from leaguesched import (
     LcaParams,
     ProblemInstance,
@@ -136,3 +140,19 @@ def test_run_outputs_are_pinned(name):
     assert _digest(result.history) == history_sha
     assert _digest(result.best_assignment.vm_of) == vm_of_sha
     assert result.evaluations == evaluations
+
+
+PUBLIC_SURFACE = [
+    "Aggregate", "Assignment", "DuplicateTaskIdError", "ExperimentConfig", "ExperimentRecord",
+    "InvalidAssignmentError", "InvalidInstanceError", "LcaParams", "ProblemInstance", "RunResult",
+    "ScheduleResult", "SchedulerKind", "SplitMix64", "Task", "TraceParseError", "VirtualMachine",
+    "WorkloadSpec", "aggregate", "bef", "brute_force_optimum", "config_from_dict", "decode",
+    "derive_cell_seed", "derive_search_seed", "dump_trace", "emit_csv", "emit_svg_chart", "encode",
+    "fcfs", "generate_synthetic", "ljf", "load_trace", "lower_bound", "makespan", "mix64",
+    "parse_csv", "run", "run_experiment",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(leaguesched.__all__) == PUBLIC_SURFACE
+    assert all(hasattr(leaguesched, name) for name in PUBLIC_SURFACE)

@@ -12,7 +12,6 @@ from leaguesched import (
     Task,
     VirtualMachine,
     makespan,
-    vm_loads,
 )
 
 
@@ -37,17 +36,17 @@ def test_independent_tasks(make_instance):
 
 def test_vm_loads_unused_vm_is_zero(make_instance):
     inst = make_instance([100.0], n_vms=2)
-    assert vm_loads(inst, Assignment((0,))) == [1.0, 0.0]
+    assert makespan(inst, Assignment((0,))).vm_load_s == (1.0, 0.0)
 
 
 def test_vm_loads_two_vms(make_instance):
     inst = make_instance([200.0, 500.0, 300.0])
-    assert vm_loads(inst, Assignment((0, 0, 1))) == [7.0, 3.0]
+    assert makespan(inst, Assignment((0, 0, 1))).vm_load_s == (7.0, 3.0)
 
 
 def test_vm_loads_single_vm_total(make_instance):
     inst = make_instance([200.0, 300.0, 500.0], n_vms=1)
-    assert vm_loads(inst, Assignment((0, 0, 0))) == [10.0]
+    assert makespan(inst, Assignment((0, 0, 0))).vm_load_s == (10.0,)
 
 
 def test_length_mismatch_rejected(make_instance):
@@ -60,7 +59,7 @@ def test_length_mismatch_rejected(make_instance):
 def test_vm_index_out_of_range_rejected(make_instance, bad_vm):
     inst = make_instance([200.0, 300.0])
     with pytest.raises(InvalidAssignmentError):
-        vm_loads(inst, Assignment((0, bad_vm)))
+        makespan(inst, Assignment((0, bad_vm)))
 
 
 @pytest.mark.parametrize(
