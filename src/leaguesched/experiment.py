@@ -12,16 +12,27 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import IO, Callable, Iterable
 
 from .baselines import SchedulerKind, bef, fcfs, ljf
 from .lca import LcaParams, run
-from .model import ProblemInstance, VirtualMachine, check_fields, is_finite, is_integer, makespan
+from .model import (ProblemInstance, VirtualMachine, check_fields, is_finite, is_integer, makespan,
+                    read_rows, write_rows)
 from .rng import MASK64, mix64
 from .workload import WorkloadSpec, generate_synthetic
 
-CSV_HEADER = "scheduler,n_tasks,rep,seed,makespan_s,evals,wall_ms"
+# The read_rows columns of the CSV, (name, write, parse, ok, want), in ExperimentRecord field order.
+_CSV_COLUMNS = [
+    ("scheduler", lambda k: k.name, SchedulerKind.__members__.get, lambda k: True,
+     "one of " + ", ".join(SchedulerKind.__members__)),
+    ("n_tasks", str, int, lambda v: v >= 1, "an integer >= 1"),
+    ("rep", str, int, lambda v: v >= 0, "an integer >= 0"),
+    ("seed", str, int, lambda v: 0 <= v <= MASK64, "a 64-bit unsigned integer"),
+    ("makespan_s", "{:.6f}".format, float, lambda v: is_finite(v) and v > 0, "a finite positive number"),
+    ("evals", str, int, lambda v: v >= 0, "an integer >= 0"),
+    ("wall_ms", str, int, lambda v: v >= 0, "an integer >= 0"),
+]
 
 _CHART_COLORS = {
     SchedulerKind.FCFS: "#c44e52",
@@ -187,64 +198,25 @@ def emit_csv(records: Iterable[ExperimentRecord], sink: IO[str]) -> int:
     """Write records in canonical order/formatting; returns bytes written.
 
     Rows sort by (scheduler code, task count, repetition); makespan carries
-    six decimals; LF line endings.
+    six decimals; LF line endings. A record parse_csv would refuse raises its error.
     """
     ordered = sorted(records, key=lambda r: (r.scheduler.value, r.n_tasks, r.rep))
-    lines = [CSV_HEADER]
-    for r in ordered:
-        lines.append(
-            f"{r.scheduler.name},{r.n_tasks},{r.rep},{r.seed},"
-            f"{r.makespan_s:.6f},{r.evaluations},{r.wall_time_ms}"
-        )
-    text = "\n".join(lines) + "\n"
-    sink.write(text)
-    return len(text.encode("utf-8"))
-
-
-# The CSV columns after the scheduler, in ExperimentRecord field order:
-# (column, parse, accept, what a valid value is).
-_CSV_COLUMNS = [
-    ("n_tasks", int, lambda v: v >= 1, "an integer >= 1"),
-    ("rep", int, lambda v: v >= 0, "an integer >= 0"),
-    ("seed", int, lambda v: 0 <= v <= MASK64, "a 64-bit unsigned integer"),
-    ("makespan_s", float, lambda v: is_finite(v) and v > 0, "a finite positive number"),
-    ("evals", int, lambda v: v >= 0, "an integer >= 0"),
-    ("wall_ms", int, lambda v: v >= 0, "an integer >= 0"),
-]
-
-
-def _csv_value(line_no: int, text: str, column: tuple) -> int | float:
-    name, parse, accept, wanted = column
-    try:
-        value = parse(text)
-    except ValueError:
-        value = None
-    if value is None or not accept(value):
-        raise ValueError(f"line {line_no}: {name} must be {wanted}, got {text!r}")
-    return value
+    return write_rows(sink, _CSV_COLUMNS, map(astuple, ordered), parse_csv)
 
 
 def parse_csv(source: str | IO[str] | Iterable[str]) -> list[ExperimentRecord]:
     """Inverse of emit_csv (modulo the six-decimal makespan formatting).
 
-    Raises ValueError naming the line and the field of the first bad value.
+    Raises ValueError naming the line and every bad field of the first bad line.
     """
-    if isinstance(source, str):
-        source = source.splitlines()
-    lines = [line.rstrip("\r\n") for line in source]
-    lines = [line for line in lines if line.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"expected CSV header {CSV_HEADER!r}")
-    records = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise ValueError(f"line {line_no}: expected 7 fields, got {len(parts)}")
-        if parts[0] not in SchedulerKind.__members__:
-            raise ValueError(f"line {line_no}: unknown scheduler {parts[0]!r}")
-        values = [_csv_value(line_no, text, col) for text, col in zip(parts[1:], _CSV_COLUMNS)]
-        records.append(ExperimentRecord(SchedulerKind[parts[0]], *values))
-    return records
+    return [ExperimentRecord(*values) for _, values in read_rows(source, _CSV_COLUMNS)]
+
+
+def _element(tag: str, body: str | None = None, **attrs: object) -> str:
+    """One SVG element; floats print with one decimal, and a_b names print as a-b."""
+    text = " ".join(f'{k.replace("_", "-")}="{format(v, ".1f" if isinstance(v, float) else "")}"'
+                    for k, v in attrs.items())
+    return f"<{tag} {text}/>" if body is None else f"<{tag} {text}>{body}</{tag}>"
 
 
 def emit_svg_chart(agg: Aggregate, sink: IO[str]) -> int:
@@ -255,12 +227,12 @@ def emit_svg_chart(agg: Aggregate, sink: IO[str]) -> int:
     """
     if not agg.schedulers:
         raise ValueError("aggregate covers no schedulers")
-    width, height = 720.0, 480.0
+    width, height = 720, 480
     left, right, top, bottom = 70.0, 570.0, 30.0, 425.0
 
     xs = agg.task_counts
-    x_lo, x_hi = float(min(xs)), float(max(xs))
-    x_span = x_hi - x_lo
+    x_lo = float(min(xs))
+    x_span = float(max(xs)) - x_lo
 
     def x_pos(n: int) -> float:
         if x_span == 0.0:
@@ -273,58 +245,37 @@ def emit_svg_chart(agg: Aggregate, sink: IO[str]) -> int:
         return bottom - v / y_max * (bottom - top)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
-        f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
-        f'<line x1="{left:.1f}" y1="{bottom:.1f}" x2="{right:.1f}" y2="{bottom:.1f}" stroke="black"/>',
-        f'<line x1="{left:.1f}" y1="{top:.1f}" x2="{left:.1f}" y2="{bottom:.1f}" stroke="black"/>',
+        _element("rect", width=width, height=height, fill="white"),
+        _element("line", x1=left, y1=bottom, x2=right, y2=bottom, stroke="black"),
+        _element("line", x1=left, y1=top, x2=left, y2=bottom, stroke="black"),
     ]
     for n in xs:
         x = x_pos(n)
-        parts.append(
-            f'<line x1="{x:.1f}" y1="{bottom:.1f}" x2="{x:.1f}" y2="{bottom + 5:.1f}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{x:.1f}" y="{bottom + 20:.1f}" font-size="12" text-anchor="middle">{n}</text>'
-        )
+        parts.append(_element("line", x1=x, y1=bottom, x2=x, y2=bottom + 5, stroke="black"))
+        parts.append(_element("text", str(n), x=x, y=bottom + 20, font_size=12, text_anchor="middle"))
     for tick in range(5):
         v = y_max * tick / 4.0
         y = y_pos(v)
-        parts.append(
-            f'<line x1="{left - 5:.1f}" y1="{y:.1f}" x2="{left:.1f}" y2="{y:.1f}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{left - 9:.1f}" y="{y + 4:.1f}" font-size="12" text-anchor="end">{v:.2f}</text>'
-        )
-    parts.append(
-        f'<text x="{(left + right) / 2:.1f}" y="{height - 14:.1f}" font-size="13" '
-        f'text-anchor="middle">number of tasks</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{(top + bottom) / 2:.1f}" font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 16 {(top + bottom) / 2:.1f})">mean makespan (s)</text>'
-    )
+        parts.append(_element("line", x1=left - 5, y1=y, x2=left, y2=y, stroke="black"))
+        parts.append(_element("text", f"{v:.2f}", x=left - 9, y=y + 4, font_size=12, text_anchor="end"))
+    parts.append(_element("text", "number of tasks", x=(left + right) / 2, y=height - 14.0,
+                          font_size=13, text_anchor="middle"))
+    mid = (top + bottom) / 2
+    parts.append(_element("text", "mean makespan (s)", x=16, y=mid, font_size=13, text_anchor="middle",
+                          transform=f"rotate(-90 16 {mid:.1f})"))
     legend_y = top + 10.0
     for kind in agg.schedulers:
         color = _CHART_COLORS.get(kind, "#333333")
-        points = " ".join(
-            f"{x_pos(n):.1f},{y_pos(agg.mean_s[(kind, n)]):.1f}"
-            for n in xs
-            if (kind, n) in agg.mean_s
-        )
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{points}"/>'
-        )
-        parts.append(
-            f'<line x1="{right + 16:.1f}" y1="{legend_y:.1f}" x2="{right + 44:.1f}" '
-            f'y2="{legend_y:.1f}" stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{right + 50:.1f}" y="{legend_y + 4:.1f}" font-size="12">{kind.name}</text>'
-        )
+        points = " ".join(f"{x_pos(n):.1f},{y_pos(agg.mean_s[(kind, n)]):.1f}"
+                          for n in xs if (kind, n) in agg.mean_s)
+        parts.append(_element("polyline", fill="none", stroke=color, stroke_width=2, points=points))
+        parts.append(_element("line", x1=right + 16, y1=legend_y, x2=right + 44, y2=legend_y,
+                              stroke=color, stroke_width=2))
+        parts.append(_element("text", kind.name, x=right + 50, y=legend_y + 4, font_size=12))
         legend_y += 20.0
-    parts.append("</svg>")
-    text = "\n".join(parts) + "\n"
+    body = "\n".join(["", *parts, ""])
+    text = _element("svg", body, xmlns="http://www.w3.org/2000/svg", width=width, height=height,
+                    viewBox=f"0 0 {width} {height}") + "\n"
     sink.write(text)
     return len(text.encode("utf-8"))
 

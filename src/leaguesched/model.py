@@ -10,9 +10,11 @@ of its VM up to and including that task.
 
 from __future__ import annotations
 
+import io
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -23,6 +25,14 @@ class InvalidAssignmentError(ValueError):
 
 class InvalidInstanceError(ValueError):
     """Instance violates a structural invariant (e.g. no VMs at all)."""
+
+
+class TraceParseError(ValueError):
+    """Malformed line in a task trace or benchmark CSV; carries its 1-based line number."""
+
+    def __init__(self, line_no: int, message: str) -> None:
+        self.line_no = line_no
+        super().__init__(f"line {line_no}: {message}")
 
 
 def is_integer(value: object) -> bool:
@@ -40,6 +50,50 @@ def check_fields(*rows: tuple[str, bool, str, object]) -> None:
     problems = [f"{name} must be {want}, got {value!r}" for name, ok, want, value in rows if not ok]
     if problems:
         raise ValueError("; ".join(problems))
+
+
+def _parsed(parse: Callable[[str], object], text: str) -> object:
+    try:
+        return parse(text)
+    except ValueError:
+        return None
+
+
+def read_rows(source: str | IO[str] | Iterable[str], columns: list[tuple]) -> Iterator[tuple[int, list]]:
+    """Yield (line number, values) for each row of a comma-separated text table.
+
+    Each column is (name, write, parse, ok, want): write formats a value, parse
+    reads it back (a ValueError refuses the text), ok accepts the parsed value,
+    and want says what a valid one is. Lines and fields are stripped, blank
+    lines skipped, and the first line may be the header of column names. A bad
+    row raises TraceParseError: "line N: <field> must be <want>, got '<text>'".
+    """
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    lines = [(line_no, line) for line_no, line in enumerate(map(str.strip, source), start=1) if line]
+    if lines and lines[0][1] == ",".join(column[0] for column in columns):
+        del lines[0]
+    for line_no, line in lines:
+        texts = [part.strip() for part in line.split(",")]
+        try:
+            check_fields(("row", len(texts) == len(columns), f"{len(columns)} fields long", line))
+            values = [_parsed(column[2], text) for column, text in zip(columns, texts)]
+            check_fields(*[(name, value is not None and ok(value), want, text)
+                           for (name, _, _, ok, want), value, text in zip(columns, values, texts)])
+        except ValueError as exc:
+            raise TraceParseError(line_no, str(exc)) from None
+        yield line_no, values
+
+
+def write_rows(sink: IO[str], columns: list[tuple], rows: Iterable[tuple], read: Callable) -> int:
+    """Write a read_rows table, header first, and return the bytes written. The text is
+    first parsed by read, the format's own reader, so nothing it refuses is written."""
+    lines = [",".join(column[0] for column in columns)]
+    lines += [",".join(column[1](value) for column, value in zip(columns, row)) for row in rows]
+    text = "\n".join(lines) + "\n"
+    read(text)
+    sink.write(text)
+    return len(text.encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -107,6 +161,15 @@ class ProblemInstance:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
+        # Rounding is monotone: every duration is at least the shortest task on the
+        # fastest VM, and every load at most the sum of all tasks on the slowest VM.
+        with np.errstate(over="ignore"):
+            shortest = self.lengths.min() / self.speeds.max()
+            heaviest = self.loads(np.full(len(tasks), np.argmin(self.speeds))).max()
+        if not shortest > 0:
+            raise InvalidInstanceError("durations underflow: shortest task on the fastest VM takes 0 s")
+        if not math.isfinite(heaviest):
+            raise InvalidInstanceError("loads overflow: all tasks on the slowest VM take inf s")
 
     def loads(self, vm_index: np.ndarray) -> np.ndarray:
         """Per-VM busy seconds: the one evaluation kernel behind every objective.
@@ -117,16 +180,13 @@ class ProblemInstance:
         every load is bit-identical to a sequential sum over the tasks.
         """
         m = self.speeds.shape[0]
-        durations = self.lengths / self.speeds[vm_index]
+        block = np.atleast_2d(vm_index)  # an (n,) vector is one row
+        durations = self.lengths / self.speeds[block]
         if self._reordered:
-            vm_index, durations = vm_index[..., self.arrival], durations[..., self.arrival]
-        if vm_index.ndim == 1:
-            return np.bincount(vm_index, weights=durations, minlength=m)
-        rows = vm_index.shape[0]
-        keys = vm_index + m * np.arange(rows)[:, None]  # row r counts into bins [r*m, (r+1)*m)
-        return np.bincount(
-            keys.ravel(), weights=durations.ravel(), minlength=rows * m
-        ).reshape(rows, m)
+            block, durations = block[:, self.arrival], durations[:, self.arrival]
+        keys = block + m * np.arange(len(block))[:, None]  # row r counts into bins [r*m, (r+1)*m)
+        loads = np.bincount(keys.ravel(), weights=durations.ravel(), minlength=len(block) * m)
+        return loads.reshape(vm_index.shape[:-1] + (m,))
 
 
 @dataclass(frozen=True)

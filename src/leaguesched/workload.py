@@ -7,22 +7,16 @@ non-blank line. Arrival order is line order.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .model import Task, check_fields, is_finite, is_integer
+from .model import Task, TraceParseError, check_fields, is_finite, is_integer, read_rows, write_rows
 from .rng import SplitMix64
 
-TRACE_HEADER = "task_id,length_mi"
-
-
-class TraceParseError(ValueError):
-    """Malformed trace content; carries the offending 1-based line number."""
-
-    def __init__(self, line_no: int, message: str) -> None:
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
+_TRACE_COLUMNS = [  # read_rows columns: (name, write, parse, ok, want)
+    ("task_id", str, int, lambda v: v >= 0, "a nonnegative integer"),
+    ("length_mi", repr, float, lambda v: is_finite(v) and v > 0, "a finite positive number"),
+]
 
 
 class DuplicateTaskIdError(TraceParseError):
@@ -69,36 +63,9 @@ def load_trace(source: str | IO[str] | Iterable[str]) -> list[Task]:
     Raises TraceParseError (with the line number) for malformed lines and
     DuplicateTaskIdError when a task id repeats.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
     tasks: list[Task] = []
     seen: dict[int, int] = {}  # task_id -> defining line
-    saw_content = False
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if not saw_content and line == TRACE_HEADER:
-            saw_content = True
-            continue
-        saw_content = True
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 2:
-            raise TraceParseError(line_no, f"expected 2 fields, got {len(parts)}")
-        try:
-            task_id = int(parts[0])
-        except ValueError:
-            raise TraceParseError(line_no, f"task_id {parts[0]!r} is not an integer") from None
-        if task_id < 0:
-            raise TraceParseError(line_no, f"negative task_id {task_id}")
-        try:
-            length = float(parts[1])
-        except ValueError:
-            raise TraceParseError(line_no, f"length {parts[1]!r} is not a number") from None
-        if not is_finite(length):
-            raise TraceParseError(line_no, f"non-finite length {parts[1]}")
-        if not length > 0:
-            raise TraceParseError(line_no, f"nonpositive length {parts[1]}")
+    for line_no, (task_id, length) in read_rows(source, _TRACE_COLUMNS):
         if task_id in seen:
             raise DuplicateTaskIdError(
                 line_no, f"task_id {task_id} already defined on line {seen[task_id]}"
@@ -112,11 +79,7 @@ def dump_trace(tasks: Iterable[Task], sink: IO[str]) -> int:
     """Serialize tasks (in arrival order) to the trace format; returns bytes written.
 
     Lengths are written with full repr precision so load_trace(dump_trace(tasks))
-    reproduces the task list exactly.
+    reproduces the task list exactly; a task it would refuse raises its error.
     """
-    lines = [TRACE_HEADER]
-    for t in sorted(tasks, key=lambda t: t.arrival_index):
-        lines.append(f"{t.id},{t.length_mi!r}")
-    text = "\n".join(lines) + "\n"
-    sink.write(text)
-    return len(text.encode("utf-8"))
+    ordered = sorted(tasks, key=lambda t: t.arrival_index)
+    return write_rows(sink, _TRACE_COLUMNS, [(t.id, t.length_mi) for t in ordered], load_trace)

@@ -12,6 +12,7 @@ FCFS provably optimal there (20 tasks on 20 equal-speed VMs: one task per
 VM); in those repetitions LCA must reach the same optimum exactly.
 """
 
+import hashlib
 import io
 import itertools
 import time
@@ -276,6 +277,14 @@ def test_benchmark_csv_is_byte_identical_across_runs(bench):
     n_lines = len(first.getvalue().splitlines())
     _report("criterion 8", ok, f"two default runs emit identical CSV ({n_lines} lines)")
     assert ok
+
+
+def test_default_grid_csv_is_pinned(bench):
+    _, records, _, _ = bench
+    sink = io.StringIO()
+    emit_csv(records, sink)
+    digest = hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest()
+    assert digest == "0d6d9f86c60e2082f4ca322b02afe8ccb9eec69d1c246ceec42bc788cc5363e2"
 
 
 def test_league_history_never_increases(bench):

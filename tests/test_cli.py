@@ -128,14 +128,18 @@ def test_schedule_malformed_trace(tmp_path, capsys):
 @pytest.mark.parametrize(
     "rows, extra, fragment",
     [
-        ([(0, 200), (1, "inf")], [], "line 3: non-finite length inf"),
+        ([(0, 200), (1, "inf")], [], "line 3: length_mi must be a finite positive number, got 'inf'"),
         ([(0, 200), (1, 300)], ["--vm-mips", "-5"], "VM 0: speed must be finite and positive"),
         ([(0, 200), (1, 300)], ["--vm-mips", "nan"], "VM 0: speed must be finite and positive"),
         ([], [], "empty task list"),
         ([(0, 200)], ["--vms", "0"], "empty VM list"),
         ([(0, 200)], ["--seed", "-1"], "seed must be a 64-bit unsigned integer, got -1"),
+        ([(0, 1e308), (1, 1e308)], ["--vms", "1", "--vm-mips", "0.5"], "loads overflow"),
+        ([(0, 1e308), (1, 1e308)], ["--vms", "1", "--vm-mips", "0.5", "--algo", "lca"], "loads overflow"),
+        ([(0, 1e-300), (1, 1e-300)], ["--vm-mips", "1e300"], "durations underflow"),
     ],
-    ids=["inf_trace", "negative_mips", "nan_mips", "empty_trace", "no_vms", "negative_seed"],
+    ids=["inf_trace", "negative_mips", "nan_mips", "empty_trace", "no_vms", "negative_seed",
+         "overflowing_loads", "overflowing_loads_lca", "underflowing_durations"],
 )
 def test_schedule_rejects_bad_input_without_traceback(tmp_path, capsys, rows, extra, fragment):
     trace = tmp_path / "t.csv"
@@ -250,6 +254,29 @@ def test_bench_rejects_mistyped_or_non_finite_config(tmp_path, capsys, bad, fiel
     assert err.startswith("error: ") and f"{field} must be" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "bad, fragment",
+    [
+        ({"vm_speed_mips": 1e-310}, "loads overflow"),
+        ({"length_range_mi": [1e-300, 1e-300], "vm_speed_mips": 1e300}, "durations underflow"),
+        ({"length_range_mi": [1e-7, 1e-7], "n_vms": 2},
+         "makespan_s must be a finite positive number, got '0.000000'"),
+    ],
+    ids=["overflowing_loads", "underflowing_durations", "makespan_prints_as_zero"],
+)
+def test_bench_refuses_grids_it_cannot_write_faithfully(tmp_path, capsys, bad, fragment):
+    # Unrefused, these would write inf or 0.000000 makespans, or divide by zero in the chart.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_BENCH, **bad}))
+    out, svg = tmp_path / "results.csv", tmp_path / "chart.svg"
+    assert dispatch(["bench", "--config", str(config), "--out", str(out), "--svg", str(svg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+    assert "Traceback" not in err
+    assert not out.exists() or out.read_text() == ""  # no CSV rows
+    assert not svg.exists()
 
 
 @pytest.mark.parametrize("module", ["leaguesched", "leaguesched.cli"])

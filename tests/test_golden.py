@@ -25,8 +25,10 @@ from leaguesched import (
     Task,
     VirtualMachine,
     WorkloadSpec,
+    aggregate,
     config_from_dict,
     emit_csv,
+    emit_svg_chart,
     generate_synthetic,
     run,
     run_experiment,
@@ -55,6 +57,23 @@ PINS = [
 def test_small_grid_csv_is_pinned(config, sha256):
     sink = io.StringIO()
     emit_csv(run_experiment(config_from_dict(config)), sink)
+    assert hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest() == sha256
+
+
+SVG_PINS = [
+    "3c80214bf3a2998c6bf463431d834cffd0ad9c7dfdd79e6146364d7c476efc28",
+    "11db222cca3cc690d2252c167682d7181a63e777a4e8f6455a16f9638bb5bdac",
+]
+
+
+@pytest.mark.parametrize(
+    "config, sha256",
+    [(config, svg) for (config, _), svg in zip(PINS, SVG_PINS)],
+    ids=["equal_speeds", "unequal_speeds"],
+)
+def test_small_grid_svg_is_pinned(config, sha256):
+    sink = io.StringIO()
+    emit_svg_chart(aggregate(run_experiment(config_from_dict(config))), sink)
     assert hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest() == sha256
 
 

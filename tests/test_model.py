@@ -134,6 +134,29 @@ def test_validate_reports_empty_task_list():
         ProblemInstance((), (VirtualMachine(0, 100.0),))
 
 
+@pytest.mark.parametrize(
+    "lengths, speeds, cause",
+    [
+        ([1e308, 1e308], [0.5], "loads overflow"),  # each duration is already inf
+        ([1e308, 1e308], [1.0, 2.0], "loads overflow"),  # finite durations, infinite sum on VM 0
+        ([200.0, 500.0], [1e-310], "loads overflow"),
+        ([1e-300, 1e-300], [1e300], "durations underflow"),
+        ([1e-300, 1.0], [1.0, 1e300], "durations underflow"),  # 0 s only on the fast VM
+    ],
+)
+def test_validate_refuses_durations_that_underflow_or_loads_that_overflow(
+    make_instance, lengths, speeds, cause
+):
+    with pytest.raises(InvalidInstanceError, match=cause):
+        make_instance(lengths, speed_mips=speeds)
+
+
+def test_validate_accepts_extreme_instances_whose_every_load_is_finite_and_positive(make_instance):
+    inst = make_instance([1e308, 7e307, 5e-324], n_vms=2, speed_mips=1.0)
+    assert makespan(inst, Assignment((0, 0, 0))).makespan_s == 1e308 + 7e307
+    assert makespan(inst, Assignment((1, 1, 0))).vm_load_s == (5e-324, 1e308 + 7e307)
+
+
 def test_compiled_arrays_are_read_only(make_instance):
     inst = make_instance([200.0, 300.0])
     with pytest.raises(ValueError):

@@ -6,10 +6,13 @@ it bit for bit, because they all sum the same durations in the same order.
 The greedy baselines must meet Graham's list-scheduling bounds, and the league
 engine must agree with itself about the schedule it returns and land between
 the optimum and the baselines it starts from. Every field of the config types
-must refuse a mistyped value by name.
+must refuse a mistyped value by name. The trace and the benchmark CSV must
+read back what they write, and their writers must refuse exactly what their
+readers would.
 """
 
 import dataclasses
+import io
 import itertools
 import math
 from unittest import mock
@@ -22,18 +25,25 @@ from hypothesis import strategies as st
 from leaguesched import (
     Assignment,
     ExperimentConfig,
+    ExperimentRecord,
     LcaParams,
     ProblemInstance,
+    SchedulerKind,
     Task,
+    TraceParseError,
     VirtualMachine,
     WorkloadSpec,
     bef,
     brute_force_optimum,
+    dump_trace,
+    emit_csv,
     encode,
     fcfs,
     ljf,
+    load_trace,
     lower_bound,
     makespan,
+    parse_csv,
     run,
 )
 from leaguesched import lca, oracle
@@ -242,3 +252,54 @@ def test_every_config_field_refuses_bools_nans_and_strings_by_name(config_type, 
                 continue  # a flag takes a bool
             with pytest.raises(ValueError, match=rf"\b{f.name} must be "):
                 config_type(**{**required, f.name: bad})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2, 2**70), st.floats(allow_subnormal=True)), max_size=8))
+def test_trace_reads_back_what_it_writes_and_writes_only_what_it_reads(rows):
+    tasks = [Task(task_id, length, k) for k, (task_id, length) in enumerate(rows)]
+    ids = [t.id for t in tasks]
+    readable = len(set(ids)) == len(ids) and all(
+        t.id >= 0 and math.isfinite(t.length_mi) and t.length_mi > 0 for t in tasks
+    )
+    sink = io.StringIO()
+    if readable:
+        dump_trace(tasks, sink)
+        assert load_trace(sink.getvalue()) == tasks
+    else:
+        with pytest.raises(TraceParseError):
+            dump_trace(tasks, sink)
+        assert sink.getvalue() == ""
+
+
+records = st.builds(
+    ExperimentRecord,
+    st.sampled_from(SchedulerKind),
+    st.integers(-1, 10**6),
+    st.integers(-1, 50),
+    st.integers(-1, 2**64),
+    st.one_of(st.floats(), st.floats(0.0, 1e-5), st.floats(1e-7, 1e3)),
+    st.integers(-1, 10**9),
+    st.integers(-1, 10**6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(records, max_size=6))
+def test_csv_reads_back_what_it_writes_and_writes_only_what_it_reads(recs):
+    printed = [dataclasses.replace(r, makespan_s=float(f"{r.makespan_s:.6f}")) for r in recs]
+    readable = all(
+        r.n_tasks >= 1 and r.rep >= 0 and 0 <= r.seed < 2**64 and r.evaluations >= 0
+        and r.wall_time_ms >= 0 and math.isfinite(r.makespan_s) and r.makespan_s > 0
+        for r in printed
+    )
+    sink = io.StringIO()
+    if readable:
+        emit_csv(recs, sink)
+        assert parse_csv(sink.getvalue()) == sorted(
+            printed, key=lambda r: (r.scheduler.value, r.n_tasks, r.rep)
+        )
+    else:
+        with pytest.raises(ValueError):
+            emit_csv(recs, sink)
+        assert sink.getvalue() == ""
