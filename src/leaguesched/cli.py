@@ -3,15 +3,19 @@
 Subcommands: `generate` writes a synthetic trace, `schedule` scores one trace
 with one scheduler, `bench` runs the full benchmark grid, and `plot`
 re-renders the chart from an existing CSV. Exit codes: 0 success, 1 usage
-error, 2 unreadable or malformed input.
+error, 2 unreadable or malformed input. A command refused with exit 2 writes
+no file: every output is rendered whole in memory before any is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import sys
+from pathlib import Path
+from typing import IO, Callable
 
 from .baselines import bef, fcfs, ljf
 from .experiment import (
@@ -42,6 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--max-mi", type=float, default=500.0, help="maximum task length (MI)")
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--out", help="trace file path (default: stdout)")
+    g.set_defaults(handler=_cmd_generate)
 
     s = sub.add_parser("schedule", help="schedule one trace and print the makespan")
     s.add_argument("--trace", required=True, help="trace file path")
@@ -50,6 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--algo", choices=["fcfs", "ljf", "bef", "lca"], required=True)
     s.add_argument("--seed", type=int, default=0, help="search seed (lca only)")
     s.add_argument("--json", action="store_true", help="machine-readable output")
+    s.set_defaults(handler=_cmd_schedule)
 
     b = sub.add_parser("bench", help="run the scheduler x task-count benchmark grid")
     b.add_argument("--config", help="JSON config file (defaults used for absent keys)")
@@ -61,29 +67,38 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="fill wall_ms from the clock (makes the CSV non-reproducible)",
     )
+    b.set_defaults(handler=_cmd_bench)
 
     p = sub.add_parser("plot", help="render the chart from an existing benchmark CSV")
     p.add_argument("--csv", required=True)
     p.add_argument("--out", required=True, help="SVG output path")
+    p.set_defaults(handler=_cmd_plot)
     return parser
 
 
+def _write(*outputs: tuple[str | None, Callable[[IO[str]], object]]) -> None:
+    """Render every (path, writer) output in memory, then write each to its path, or
+    to stdout when the path is None; a writer that raises leaves every file untouched."""
+    texts = []
+    for path, writer in outputs:
+        writer(sink := io.StringIO())
+        texts.append((path, sink.getvalue()))
+    for path, text in texts:
+        if path:
+            Path(path).write_text(text, encoding="utf-8", newline="")
+        else:
+            sys.stdout.write(text)
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
-    tasks = generate_synthetic(
-        WorkloadSpec(args.n, args.min_mi, args.max_mi, seed=args.seed)
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as sink:
-            dump_trace(tasks, sink)
-    else:
-        dump_trace(tasks, sys.stdout)
+    tasks = generate_synthetic(WorkloadSpec(args.n, args.min_mi, args.max_mi, seed=args.seed))
+    _write((args.out, lambda sink: dump_trace(tasks, sink)))
     return 0
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
     params = LcaParams(seed=args.seed)  # built for every algorithm, so a bad --seed is always refused
-    with open(args.trace, "r", encoding="utf-8") as f:
-        tasks = load_trace(f)
+    tasks = load_trace(Path(args.trace).read_text(encoding="utf-8"))
     vms = tuple(VirtualMachine(id=v, speed_mips=args.vm_mips) for v in range(args.vms))
     instance = ProblemInstance(tuple(tasks), vms)
     if args.algo == "lca":
@@ -92,56 +107,35 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         assignment = {"fcfs": fcfs, "ljf": ljf, "bef": bef}[args.algo](instance)
     result = makespan(instance, assignment)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "algorithm": args.algo,
-                    "makespan_s": result.makespan_s,
-                    "vm_load_s": list(result.vm_load_s),
-                }
-            )
-        )
+        print(json.dumps({"algorithm": args.algo, "makespan_s": result.makespan_s,
+                          "vm_load_s": list(result.vm_load_s)}))
     else:
         print(f"makespan: {result.makespan_s:.6f} s")
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    config = ExperimentConfig()
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as f:
-            config = config_from_dict(json.load(f))
-    else:
-        config = ExperimentConfig()
+        config = config_from_dict(json.loads(Path(args.config).read_text(encoding="utf-8")))
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
     records = run_experiment(config, measure_wall_time=args.time)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as sink:
-            emit_csv(records, sink)
-        print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
-    else:
-        emit_csv(records, sys.stdout)
+    outputs = [(args.out, lambda sink: emit_csv(records, sink))]
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8", newline="") as sink:
-            emit_svg_chart(aggregate(records), sink)
+        outputs.append((args.svg, lambda sink: emit_svg_chart(aggregate(records), sink)))
+    _write(*outputs)
+    if args.out:
+        print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
+    if args.svg:
         print(f"wrote chart to {args.svg}", file=sys.stderr)
     return 0
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    with open(args.csv, "r", encoding="utf-8") as f:
-        records = parse_csv(f)
-    with open(args.out, "w", encoding="utf-8", newline="") as sink:
-        emit_svg_chart(aggregate(records), sink)
+    records = parse_csv(Path(args.csv).read_text(encoding="utf-8"))
+    _write((args.out, lambda sink: emit_svg_chart(aggregate(records), sink)))
     return 0
-
-
-_HANDLERS = {
-    "generate": _cmd_generate,
-    "schedule": _cmd_schedule,
-    "bench": _cmd_bench,
-    "plot": _cmd_plot,
-}
 
 
 def dispatch(argv: list[str]) -> int:
@@ -152,7 +146,7 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse handles --help and usage errors by exiting
         return 0 if exc.code in (0, None) else 1
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

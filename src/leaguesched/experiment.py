@@ -223,7 +223,7 @@ def emit_svg_chart(agg: Aggregate, sink: IO[str]) -> int:
     """Render mean makespan vs task count as an SVG line chart; returns bytes written.
 
     One polyline per scheduler, axes with ticks, and a legend. The layout is
-    fixed so equal aggregates yield identical bytes.
+    fixed so equal aggregates yield identical bytes. A mean too large to scale raises ValueError.
     """
     if not agg.schedulers:
         raise ValueError("aggregate covers no schedulers")
@@ -239,7 +239,9 @@ def emit_svg_chart(agg: Aggregate, sink: IO[str]) -> int:
             return (left + right) / 2.0
         return left + (n - x_lo) / x_span * (right - left)
 
-    y_max = max(agg.mean_s.values()) * 1.08
+    peak = max(agg.mean_s.values())
+    y_max = peak * 1.08
+    check_fields(("makespan_s", is_finite(y_max), "a mean the chart can scale by 1.08", peak))
 
     def y_pos(v: float) -> float:
         return bottom - v / y_max * (bottom - top)

@@ -15,7 +15,7 @@ from .rng import SplitMix64
 
 _TRACE_COLUMNS = [  # read_rows columns: (name, write, parse, ok, want)
     ("task_id", str, int, lambda v: v >= 0, "a nonnegative integer"),
-    ("length_mi", repr, float, lambda v: is_finite(v) and v > 0, "a finite positive number"),
+    ("length_mi", lambda v: repr(float(v)), float, lambda v: is_finite(v) and v > 0, "a finite positive number"),
 ]
 
 

@@ -263,11 +263,15 @@ def test_bench_rejects_mistyped_or_non_finite_config(tmp_path, capsys, bad, fiel
         ({"length_range_mi": [1e-300, 1e-300], "vm_speed_mips": 1e300}, "durations underflow"),
         ({"length_range_mi": [1e-7, 1e-7], "n_vms": 2},
          "makespan_s must be a finite positive number, got '0.000000'"),
+        ({"task_counts": [2], "n_vms": 1, "vm_speed_mips": 1.0, "length_range_mi": [0.85e308, 0.85e308],
+          "repetitions": 1, "schedulers": ["fcfs"]},
+         "makespan_s must be a mean the chart can scale by 1.08, got 1.7e+308"),
     ],
-    ids=["overflowing_loads", "underflowing_durations", "makespan_prints_as_zero"],
+    ids=["overflowing_loads", "underflowing_durations", "makespan_prints_as_zero", "chart_scale_overflows"],
 )
 def test_bench_refuses_grids_it_cannot_write_faithfully(tmp_path, capsys, bad, fragment):
-    # Unrefused, these would write inf or 0.000000 makespans, or divide by zero in the chart.
+    # Unrefused, these would write inf or 0.000000 makespans, divide by zero in the chart,
+    # or fill the chart with nan coordinates.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**TINY_BENCH, **bad}))
     out, svg = tmp_path / "results.csv", tmp_path / "chart.svg"
@@ -275,8 +279,25 @@ def test_bench_refuses_grids_it_cannot_write_faithfully(tmp_path, capsys, bad, f
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
     assert "Traceback" not in err
-    assert not out.exists() or out.read_text() == ""  # no CSV rows
+    assert not out.exists()
     assert not svg.exists()
+
+
+@pytest.mark.parametrize("command", ["bench", "plot"])
+def test_refused_command_leaves_an_existing_out_file_unchanged(tmp_path, capsys, command):
+    out = tmp_path / "existing.out"
+    out.write_bytes(b"earlier output\r\n")
+    if command == "bench":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY_BENCH, "length_range_mi": [1e-7, 1e-7], "n_vms": 2}))
+        argv = ["bench", "--config", str(config), "--out", str(out)]
+    else:
+        csv_path = tmp_path / "results.csv"
+        csv_path.write_text("scheduler,n_tasks,rep,seed,makespan_s,evals,wall_ms\nFCFS,4,0,1,1.7e308,0,0\n")
+        argv = ["plot", "--csv", str(csv_path), "--out", str(out)]
+    assert dispatch(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_bytes() == b"earlier output\r\n"
 
 
 @pytest.mark.parametrize("module", ["leaguesched", "leaguesched.cli"])
@@ -319,9 +340,10 @@ def test_plot_missing_csv(tmp_path):
         ("LCA,20,0,1,-1.500000,10,0", "line 3: makespan_s must be a finite positive number"),
         ("LCA,-20,0,1,1.500000,10,0", "line 3: n_tasks must be an integer >= 1, got '-20'"),
         ("LCA,2.5,0,1,1.500000,10,0", "line 3: n_tasks must be an integer >= 1, got '2.5'"),
+        ("LCA,20,0,1,1.7e308,10,0", "makespan_s must be a mean the chart can scale by 1.08, got 1.7e+308"),
     ],
     ids=["nan_makespan", "inf_makespan", "zero_makespan", "negative_makespan",
-         "negative_n_tasks", "fractional_n_tasks"],
+         "negative_n_tasks", "fractional_n_tasks", "chart_scale_overflows"],
 )
 def test_plot_rejects_bad_rows_without_traceback(tmp_path, capsys, row, fragment):
     csv_path = tmp_path / "results.csv"

@@ -344,6 +344,14 @@ def test_svg_contains_axis_labels_and_legend():
         assert kind.name in text
 
 
+def test_svg_refuses_a_mean_too_large_to_scale():
+    # 1.7e308 * 1.08 overflows, which would put nan into every y coordinate.
+    sink = io.StringIO()
+    with pytest.raises(ValueError, match=r"^makespan_s must be a mean the chart can scale by 1\.08"):
+        emit_svg_chart(aggregate([_record(K.FCFS, 4, 0, 1.7e308)]), sink)
+    assert sink.getvalue() == ""
+
+
 def test_svg_is_deterministic():
     a, b = io.StringIO(), io.StringIO()
     emit_svg_chart(_four_kind_aggregate(), a)

@@ -1,10 +1,12 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
 from leaguesched import (
     DuplicateTaskIdError,
+    Task,
     TraceParseError,
     WorkloadSpec,
     dump_trace,
@@ -145,3 +147,11 @@ def test_dump_then_load_round_trip():
     assert n_bytes == len(text.encode("utf-8"))
     assert text.startswith("task_id,length_mi\n")
     assert load_trace(text) == tasks
+
+
+def test_dump_trace_writes_numpy_float_lengths_as_numbers():
+    tasks = [Task(0, np.float64(300.0), 0), Task(1, np.float32(0.5), 1)]
+    sink = io.StringIO()
+    dump_trace(tasks, sink)
+    assert sink.getvalue() == "task_id,length_mi\n0,300.0\n1,0.5\n"
+    assert [t.length_mi for t in load_trace(sink.getvalue())] == [300.0, 0.5]
