@@ -2,9 +2,8 @@
 
 Each test prints one PASS/FAIL line (visible with -s) so a full run reads as
 a checklist. The default benchmark grid is executed once per session and
-shared by the tests that consume it. Byte-reproducibility (criterion 8) is
-checked against a pinned sha256 that earlier, separate runs produced, so the
-grid need not run twice.
+shared by the tests that consume it; a second full run backs the
+byte-reproducibility gate.
 
 The strict LCA-below-FCFS gate (criterion 6b) compares means strictly at
 every task count where FCFS could be beaten. A task count is exempt only when
@@ -268,15 +267,24 @@ def test_makespan_homogeneity_across_schedulers():
     _report("criterion 7", True, "tripling all lengths triples every scheduler's makespan (rel 1e-9, 20 instances)")
 
 
+def test_benchmark_csv_is_byte_identical_across_runs(bench):
+    config, records, _, _ = bench
+    first = io.StringIO()
+    emit_csv(records, first)
+    second = io.StringIO()
+    emit_csv(run_experiment(config), second)
+    ok = first.getvalue() == second.getvalue()
+    n_lines = len(first.getvalue().splitlines())
+    _report("criterion 8", ok, f"two default runs emit identical CSV ({n_lines} lines)")
+    assert ok
+
+
 def test_default_grid_csv_is_pinned(bench):
     _, records, _, _ = bench
     sink = io.StringIO()
     emit_csv(records, sink)
     digest = hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest()
-    ok = digest == "0d6d9f86c60e2082f4ca322b02afe8ccb9eec69d1c246ceec42bc788cc5363e2"
-    n_lines = len(sink.getvalue().splitlines())
-    _report("criterion 8", ok, f"the default run emits the pinned CSV bytes ({n_lines} lines)")
-    assert ok, f"default-grid CSV sha256 is {digest}"
+    assert digest == "0d6d9f86c60e2082f4ca322b02afe8ccb9eec69d1c246ceec42bc788cc5363e2"
 
 
 def test_league_history_never_increases(bench):
