@@ -176,7 +176,10 @@ def run_experiment(
 
 
 def aggregate(records: Iterable[ExperimentRecord]) -> Aggregate:
-    """Means and population stddevs per cell, plus per-scheduler grand means."""
+    """Means and population stddevs per cell, plus per-scheduler grand means.
+
+    Raises ValueError naming makespan_s when a cell's or a scheduler's makespans sum past the float range.
+    """
     records = list(records)
     if not records:
         raise ValueError("cannot aggregate an empty record list")
@@ -185,12 +188,19 @@ def aggregate(records: Iterable[ExperimentRecord]) -> Aggregate:
     for r in records:
         by_cell.setdefault((r.scheduler, r.n_tasks), []).append(r.makespan_s)
         by_kind.setdefault(r.scheduler, []).append(r.makespan_s)
+    try:
+        mean_s = {cell: statistics.fmean(v) for cell, v in by_cell.items()}
+        grand_mean_s = {kind: statistics.fmean(v) for kind, v in by_kind.items()}
+    except OverflowError:  # fmean's exact sum left the float range
+        mean_s = grand_mean_s = None
+    check_fields(("makespan_s", mean_s is not None, "values whose sum per cell and per scheduler stays finite",
+                  max(r.makespan_s for r in records)))
     return Aggregate(
         schedulers=tuple(sorted(by_kind, key=lambda k: k.value)),
         task_counts=tuple(sorted({n for _, n in by_cell})),
-        mean_s={cell: statistics.fmean(v) for cell, v in by_cell.items()},
+        mean_s=mean_s,
         std_s={cell: statistics.pstdev(v) for cell, v in by_cell.items()},
-        grand_mean_s={kind: statistics.fmean(v) for kind, v in by_kind.items()},
+        grand_mean_s=grand_mean_s,
     )
 
 

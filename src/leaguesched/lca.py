@@ -8,8 +8,10 @@ of its previous match and by the current form of its upcoming opponent; the
 week's fixtures are then resolved stochastically, with win probability driven
 by the two sides' fitness relative to the best value found anywhere in the
 league. Fitness is makespan, so lower means stronger, and a season is one
-full round robin. The league is held as arrays, one row per team, so a
-week's proposals are scored together by one call of the loads kernel.
+full round robin. The league is held as arrays, one row per team, and every
+update reads only last week's league, so a week is computed as a batch: its
+proposals from one span of the random stream, scored together by one call of
+the loads kernel, and its fixtures resolved from one more draw.
 
 Win probability for the side with fitness f_i against f_j, given the
 league-wide best f̂ (a lower bound on both):
@@ -25,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .baselines import bef, fcfs, ljf
 from .model import Assignment, ProblemInstance, check_fields, is_finite, is_integer, makespan
@@ -32,6 +35,9 @@ from .rng import SplitMix64
 
 # Formations are clamped to [0, m - _CLAMP_EPS] so floor() never reaches m.
 _CLAMP_EPS = 1e-9
+
+# Draws per proposal group: bounds the span a week holds at once, as oracle._CHUNK_CELLS bounds its blocks.
+_SPAN_DRAWS = 1 << 14
 
 # No team: a bye slot in the fixtures, or no opponent yet for a team that has not played.
 _BYE = -1
@@ -130,44 +136,45 @@ def season_fixtures(n_teams: int, season: int) -> list[list[tuple[int, int]]]:
     return weeks
 
 
-def win_probability(f_i: float, f_j: float, f_hat: float) -> float:
-    """Probability that the side with fitness f_i beats the side with f_j.
+def win_probability(f_i: np.ndarray, f_j: np.ndarray, f_hat: np.ndarray | float) -> np.ndarray:
+    """Probability that each side with fitness f_i beats the side with f_j, elementwise.
 
     Minimization orientation: fitness is makespan, so the SMALLER fitness gets
-    the larger probability. f_hat must be a lower bound on both fitnesses; a
-    zero denominator (both sides at the ideal value) is an even match.
+    the larger probability. f_hat (one value, or one per pair) must be a lower
+    bound on both fitnesses; a zero denominator (both sides at the ideal
+    value) is an even match.
     """
-    if f_i < f_hat or f_j < f_hat:
-        raise ValueError(
-            f"stale ideal value: f_hat={f_hat} exceeds a fitness ({f_i}, {f_j})"
-        )
-    denom = (f_i - f_hat) + (f_j - f_hat)
-    if denom == 0.0:
-        return 0.5
-    return (f_j - f_hat) / denom
+    f_i, f_j = np.asarray(f_i, dtype=np.float64), np.asarray(f_j, dtype=np.float64)
+    if (f_i < f_hat).any() or (f_j < f_hat).any():
+        raise ValueError(f"stale ideal value: f_hat={f_hat} exceeds a fitness ({f_i}, {f_j})")
+    gap_j = f_j - f_hat
+    denom = (f_i - f_hat) + gap_j
+    return np.divide(gap_j, denom, out=np.full(denom.shape, 0.5), where=denom != 0.0)
 
 
-def play_match(league: League, i: int, j: int) -> tuple[int, int]:
-    """Resolve fixture (i, j) with a single uniform draw; returns (winner, loser).
+def play_match(league: League, home: np.ndarray, away: np.ndarray) -> np.ndarray:
+    """Resolve the week's fixtures (home[k], away[k]) with one uniform draw each; returns the winners.
 
-    Records last_opponent and won for both teams. There are no ties: team i
-    wins iff the draw u satisfies u <= p_i (and p_i > 0, so a hopeless side
-    cannot win on the measure-zero draw u = 0).
+    Records last_opponent and won for both sides of every fixture. There are
+    no ties: the home side wins iff its draw u satisfies u <= p (and p > 0, so
+    a hopeless side cannot win on the measure-zero draw u = 0). The draws are
+    made in fixture order, one uniforms() call for the week.
     """
-    p_i = win_probability(league.current_fitness[i], league.current_fitness[j], league.f_hat)
-    u = league.rng.uniform()
-    winner, loser = (i, j) if p_i > 0.0 and u <= p_i else (j, i)
-    league.last_opponent[i], league.last_opponent[j] = j, i
-    league.won[winner], league.won[loser] = True, False
-    return winner, loser
+    fitness = league.current_fitness
+    p = win_probability(fitness[home], fitness[away], league.f_hat)
+    home_won = (p > 0.0) & (league.rng.uniforms(home.size) <= p)
+    league.last_opponent[home], league.last_opponent[away] = away, home
+    league.won[home], league.won[away] = home_won, ~home_won
+    return np.where(home_won, home, away)
 
 
 def update_formation(
-    league: League, team: int, upcoming: int, params: LcaParams, n_vms: int
+    league: League, teams: np.ndarray, upcoming: np.ndarray, params: LcaParams, n_vms: int
 ) -> np.ndarray:
-    """Propose next week's formation for `team`, whose upcoming opponent is `upcoming`.
+    """Propose next week's formation for each of `teams` (ascending), one row each.
 
-    Both move classes anchor at the team's best formation B. With probability
+    upcoming[t] is team t's opponent this week (_BYE for a bye). Both move
+    classes anchor at the team's best formation B. With probability
     swap_probability the proposal is a fine rearrangement: two uniformly
     chosen coordinates of B exchange values (two players trade positions),
     which rebalances a schedule without disturbing anything else. Otherwise a
@@ -176,43 +183,82 @@ def update_formation(
     steps: away from the previous opponent's formation after a win, toward it
     after a loss (a win confirms B's strengths; a loss exposes weaknesses),
     and likewise relative to the upcoming opponent's current formation
-    depending on that opponent's last result. The caller evaluates the
-    returned formation and commits it.
+    depending on that opponent's last result. A team with a bye this week, or
+    whose upcoming opponent has not played yet, drops the second step; its
+    draws are made all the same. The caller evaluates the rows and commits them.
 
     Both draws follow play_match's rule, so a probability of 1 is exact even
     on a draw of 1.0: the swap is taken iff the first draw u satisfies
     u <= swap_probability and swap_probability > 0 (the draw is made either
     way), and a coordinate is masked iff its draw is <= change_probability.
 
-    A team with a bye this week (upcoming == _BYE), or whose upcoming opponent
-    has not played yet, drops the second step; the draw pattern stays
-    identical so streams remain aligned.
+    Every proposal reads only last week's league, so the week is computed as a
+    batch with the same draws, in the same order, as proposing team by team.
+    The draws form one contiguous span of the stream: each team's decision
+    draw is read ahead with peek(), then a swap takes 2 draws (none when
+    n < 2) and a masked step k·n mask draws and 2n step draws, where k - 1 is
+    the number of empty masks redrawn. Consecutive teams whose span fits in
+    _SPAN_DRAWS (or one team alone) form a group drawn by one uniforms() call;
+    if a mask comes up empty, the group is drawn again with that team's k one
+    higher.
     """
-    previous = league.last_opponent[team]
-    if previous == _BYE:
-        raise RuntimeError(f"team {team} has no match history to update from")
-    rng, p = league.rng, params.swap_probability
-    best = league.best[team]
-    n = best.shape[0]
-    if rng.uniform() <= p and p > 0.0:
-        new_x = best.copy()
-        if n >= 2:
-            i = min(int(rng.uniform() * n), n - 1)
-            j = min(int(rng.uniform() * (n - 1)), n - 2)
-            j += j >= i
-            new_x[i], new_x[j] = new_x[j], new_x[i]
-        return new_x
-    while True:
-        mask = rng.uniforms(n) <= params.change_probability
-        if mask.any():
-            break
-    r = rng.uniforms(2 * n)
-    s_own = 1.0 if league.won[team] else -1.0
-    step = params.w1 * s_own * r[:n] * (best - league.current[previous])
-    if upcoming != _BYE and league.last_opponent[upcoming] != _BYE:
-        s_next = 1.0 if league.won[upcoming] else -1.0
-        step = step + params.w2 * s_next * r[n:] * (best - league.current[upcoming])
-    return np.clip(best + mask * step, 0.0, n_vms - _CLAMP_EPS)
+    previous, nxt = league.last_opponent[teams], upcoming[teams]
+    if (previous == _BYE).any():
+        raise RuntimeError(f"team {teams[previous == _BYE][0]} has no match history to update from")
+    rng, n = league.rng, league.best.shape[1]
+    p, swap_draws = params.swap_probability, 2 if n >= 2 else 0
+    c1 = np.where(league.won[teams], params.w1, -params.w1)[:, None]  # w1 times the sign of the step
+    c2 = np.where(league.won[nxt], params.w2, -params.w2)[:, None]
+    second = ((nxt != _BYE) & (league.last_opponent[nxt] != _BYE))[:, None]
+    proposed = league.best[teams]
+    swap_rows, swap_i, swap_j = [], [], []
+    mask_draws: dict[int, int] = {}  # row -> k, for rows whose first mask came up empty
+    first = 0
+    while first < teams.size:
+        start, cursor, end = rng.state, 0, first
+        swaps, step_rows, step_at = [], [], []
+        while end < teams.size:
+            swap = p > 0.0 and rng.peek(cursor + 1) <= p
+            k = 1 if swap else mask_draws.get(end, 1)
+            size = 1 + (swap_draws if swap else (k + 2) * n)
+            if end > first and cursor + size > _SPAN_DRAWS:
+                break
+            if not swap:
+                step_rows.append(end)
+                step_at.append(cursor + 1 + (k - 1) * n)  # the last mask, then r1 and r2
+            elif swap_draws:
+                swaps.append((end, cursor + 1))
+            cursor += size
+            end += 1
+        span = rng.uniforms(cursor)
+        if step_rows:
+            window = sliding_window_view(span, 3 * n)[step_at]
+            mask = window[:, :n] <= params.change_probability
+            empty = np.flatnonzero(~mask.any(axis=1))
+            if empty.size:
+                row = step_rows[empty[0]]
+                mask_draws[row] = mask_draws.get(row, 1) + 1
+                rng.state = start
+                continue
+            best = proposed[step_rows]
+            step = c1[step_rows] * window[:, n : 2 * n]
+            step *= best - league.current[previous[step_rows]]
+            toward_next = c2[step_rows] * window[:, 2 * n :]
+            toward_next *= best - league.current[nxt[step_rows]]
+            np.add(step, toward_next, out=step, where=second[step_rows])
+            step *= mask
+            step += best
+            proposed[step_rows] = np.clip(step, 0.0, n_vms - _CLAMP_EPS)
+        for row, at in swaps:
+            i = min(int(span[at] * n), n - 1)
+            j = min(int(span[at + 1] * (n - 1)), n - 2)
+            swap_rows.append(row)
+            swap_i.append(i)
+            swap_j.append(j + (j >= i))
+        first = end
+    proposed[swap_rows, swap_i], proposed[swap_rows, swap_j] = (
+        proposed[swap_rows, swap_j], proposed[swap_rows, swap_i])
+    return proposed
 
 
 class _FitnessEvaluator:
@@ -264,23 +310,21 @@ def run(params: LcaParams, instance: ProblemInstance) -> RunResult:
     Week 1 is played with the initial formations; from week 2 on, every team
     with match history proposes a new formation from last week's league
     (two-phase commit), and the week's proposals are scored in one block
-    before the fixtures are resolved. A team's best and the champion move
+    before the week's fixtures are resolved together. A team's best and the champion move
     only on a strictly lower fitness, the first team in index order winning
     ties, so the history of f̂ is nonincreasing.
     """
     league = init_league(params, instance)
-    n, m = len(instance.tasks), len(instance.vms)
+    m = len(instance.vms)
     history: list[float] = []
     for season in range(1, params.seasons + 1):
         for week, pairs in enumerate(season_fixtures(params.league_size, season)):
+            home, away = np.array(pairs).T
             if season > 1 or week > 0:
                 upcoming = np.full(params.league_size, _BYE)
-                home, away = np.array(pairs).T
                 upcoming[home], upcoming[away] = away, home
                 teams = np.flatnonzero(league.last_opponent != _BYE)  # byes may leave some unplayed
-                proposed = np.empty((teams.size, n))
-                for row, team in enumerate(teams):
-                    proposed[row] = update_formation(league, team, upcoming[team], params, m)
+                proposed = update_formation(league, teams, upcoming, params, m)
                 fitness = league.evaluate(proposed)
                 league.evaluations += teams.size
                 first = int(np.argmin(fitness))  # the first minimum: the lowest team index wins ties
@@ -290,8 +334,7 @@ def run(params: LcaParams, instance: ProblemInstance) -> RunResult:
                 league.current[teams], league.current_fitness[teams] = proposed, fitness
                 league.best[teams[better]] = proposed[better]
                 league.best_fitness[teams[better]] = fitness[better]
-            for i, j in pairs:
-                play_match(league, i, j)
+            play_match(league, home, away)
             history.append(league.f_hat)
     best_assignment = decode(league.best[league.champion], m)
     return RunResult(

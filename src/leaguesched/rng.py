@@ -30,16 +30,20 @@ def mix64(x: int) -> int:
 
 
 class SplitMix64:
-    """Sequential SplitMix64 stream with an exact vectorized block draw."""
+    """Sequential SplitMix64 stream with an exact vectorized block draw.
 
-    __slots__ = ("_state",)
+    The state is a counter: the t-th draw from here is the finalizer applied to
+    state + t * gamma, so a draw can be read ahead without making it.
+    """
+
+    __slots__ = ("state",)
 
     def __init__(self, seed: int) -> None:
-        self._state = seed & MASK64
+        self.state = seed & MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & MASK64
-        return mix64(self._state)
+        self.state = (self.state + _GAMMA) & MASK64
+        return mix64(self.state)
 
     def uniform(self) -> float:
         """Uniform float in [0, 1]: next_u64() / 2**64, which is 1.0 for outputs >= 2**64 - 2**10.
@@ -48,16 +52,25 @@ class SplitMix64:
         """
         return self.next_u64() / _TWO64
 
+    def peek(self, t: int) -> float:
+        """The uniform the t-th draw from now (t >= 1) will give, without drawing it."""
+        return mix64(self.state + t * _GAMMA) / _TWO64
+
     def uniforms(self, k: int) -> np.ndarray:
         """k uniforms in [0, 1] at once; values identical to k successive uniform() calls.
 
-        The state is a counter, so a block of draws is the finalizer applied to
-        state + gamma * [1..k], which vectorizes with wrapping uint64 math.
+        The block is the finalizer applied to state + gamma * [1..k], computed in
+        place on one buffer with wrapping uint64 math.
         """
-        offsets = np.arange(1, k + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + offsets * np.uint64(_GAMMA)
-        self._state = (self._state + k * _GAMMA) & MASK64
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MULT1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MULT2)
-        z = z ^ (z >> np.uint64(31))
-        return z.astype(np.float64) / _TWO64
+        z = np.arange(1, k + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self.state)
+        self.state = (self.state + k * _GAMMA) & MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MULT1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MULT2)
+        z ^= z >> np.uint64(31)
+        u = z.astype(np.float64)
+        u /= _TWO64
+        return u

@@ -65,17 +65,14 @@ def bench():
 
 
 def test_probability_normalization():
-    rng = SplitMix64(20260809)
     started = time.perf_counter()
-    worst = 0.0
-    for _ in range(10_000):
-        f_hat = rng.uniform() * 100.0
-        f_i = f_hat + rng.uniform() * 50.0
-        f_j = f_hat + rng.uniform() * 50.0
-        p_i = win_probability(f_i, f_j, f_hat)
-        p_j = win_probability(f_j, f_i, f_hat)
-        assert 0.0 <= p_i <= 1.0 and 0.0 <= p_j <= 1.0
-        worst = max(worst, abs(p_i + p_j - 1.0))
+    u = SplitMix64(20260809).uniforms(30_000).reshape(10_000, 3)
+    f_hat = u[:, 0] * 100.0
+    f_i, f_j = f_hat + u[:, 1] * 50.0, f_hat + u[:, 2] * 50.0
+    p_i = win_probability(f_i, f_j, f_hat)
+    p_j = win_probability(f_j, f_i, f_hat)
+    assert np.all((0.0 <= p_i) & (p_i <= 1.0) & (0.0 <= p_j) & (p_j <= 1.0))
+    worst = float(np.abs(p_i + p_j - 1.0).max())
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-12 and elapsed < 1.0
     _report(
@@ -88,11 +85,8 @@ def test_probability_normalization():
 
 
 def test_win_probability_spot_values():
-    values = (
-        win_probability(6.0, 10.0, 4.0),
-        win_probability(10.0, 10.0, 4.0),
-        win_probability(4.0, 10.0, 4.0),
-        win_probability(4.0, 4.0, 4.0),
+    values = tuple(
+        win_probability(np.array([6.0, 10.0, 4.0, 4.0]), np.array([10.0, 10.0, 10.0, 4.0]), 4.0).tolist()
     )
     ok = values == (0.75, 0.5, 1.0, 0.5)
     _report("criterion 2", ok, f"spot values {values} == (0.75, 0.5, 1.0, 0.5)")
@@ -100,21 +94,23 @@ def test_win_probability_spot_values():
 
 
 def test_match_frequency():
-    x = np.full((3, 1), 0.5)
-    fitness = np.array([6.0, 10.0, 4.0])  # team 2 holds f_hat = 4, so p_0 = 0.75 against team 1
+    # 10^5 fixtures of fitness 6 against 10 in one week; the last team holds f_hat = 4, so p = 0.75
+    k = 100_000
+    x = np.full((2 * k + 1, 1), 0.5)
+    fitness = np.array([6.0, 10.0] * k + [4.0])
     league = League(
         current=x,
         current_fitness=fitness,
         best=x,
         best_fitness=fitness,
-        last_opponent=np.full(3, -1),
-        won=np.zeros(3, dtype=bool),
-        champion=2,
+        last_opponent=np.full(2 * k + 1, -1),
+        won=np.zeros(2 * k + 1, dtype=bool),
+        champion=2 * k,
         rng=SplitMix64(777),
         evaluate=None,
     )
-    wins = sum(play_match(league, 0, 1)[0] == 0 for _ in range(100_000))
-    freq = wins / 100_000
+    home = np.arange(0, 2 * k, 2)
+    freq = float(np.mean(play_match(league, home, home + 1) == home))
     ok = abs(freq - 0.75) <= 0.01
     _report("criterion 3", ok, f"empirical win rate {freq:.4f} within 0.01 of 0.75")
     assert abs(freq - 0.75) <= 0.01

@@ -341,9 +341,11 @@ def test_plot_missing_csv(tmp_path):
         ("LCA,-20,0,1,1.500000,10,0", "line 3: n_tasks must be an integer >= 1, got '-20'"),
         ("LCA,2.5,0,1,1.500000,10,0", "line 3: n_tasks must be an integer >= 1, got '2.5'"),
         ("LCA,20,0,1,1.7e308,10,0", "makespan_s must be a mean the chart can scale by 1.08, got 1.7e+308"),
+        ("FCFS,4,0,1,1.0e308,0,0\nFCFS,4,1,1,1.0e308,0,0",
+         "makespan_s must be values whose sum per cell and per scheduler stays finite, got 1e+308"),
     ],
     ids=["nan_makespan", "inf_makespan", "zero_makespan", "negative_makespan",
-         "negative_n_tasks", "fractional_n_tasks", "chart_scale_overflows"],
+         "negative_n_tasks", "fractional_n_tasks", "chart_scale_overflows", "cell_sum_overflows"],
 )
 def test_plot_rejects_bad_rows_without_traceback(tmp_path, capsys, row, fragment):
     csv_path = tmp_path / "results.csv"

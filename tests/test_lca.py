@@ -1,9 +1,13 @@
 import itertools
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_rng import _seed_for_next_output
 
 from leaguesched import (
     Assignment,
@@ -24,6 +28,7 @@ from leaguesched import (
     mix64,
     run,
 )
+from leaguesched import lca
 from leaguesched.lca import (
     League,
     init_league,
@@ -32,22 +37,73 @@ from leaguesched.lca import (
     update_formation,
     win_probability,
 )
+from leaguesched.rng import _GAMMA, MASK64
+
+_BYE = -1
+TOP = 2**64 - 1  # a SplitMix64 output that draws exactly 1.0
 
 
-class ScriptedRng:
-    """Stand-in PRNG that replays scripted draws, for deterministic rule tests."""
+# ---------------------------------------------------------------- the per-team reference
+#
+# The engine as it was written before weeks were batched: one Python call per
+# team, each making its own draws, and one scalar draw per match. The batched
+# update_formation and play_match must agree with it bit for bit.
 
-    def __init__(self, singles=(), blocks=()):
-        self._singles = list(singles)
-        self._blocks = [np.asarray(b, dtype=float) for b in blocks]
 
-    def uniform(self):
-        return self._singles.pop(0)
+def reference_win_probability(f_i, f_j, f_hat):
+    if f_i < f_hat or f_j < f_hat:
+        raise ValueError(f"stale ideal value: f_hat={f_hat} exceeds a fitness ({f_i}, {f_j})")
+    denom = (f_i - f_hat) + (f_j - f_hat)
+    if denom == 0.0:
+        return 0.5
+    return (f_j - f_hat) / denom
 
-    def uniforms(self, k):
-        block = self._blocks.pop(0)
-        assert len(block) == k
-        return block
+
+def reference_play_match(league, i, j):
+    p_i = reference_win_probability(league.current_fitness[i], league.current_fitness[j], league.f_hat)
+    u = league.rng.uniform()
+    winner, loser = (i, j) if p_i > 0.0 and u <= p_i else (j, i)
+    league.last_opponent[i], league.last_opponent[j] = j, i
+    league.won[winner], league.won[loser] = True, False
+    return winner, loser
+
+
+def reference_update_formation(league, team, upcoming, params, n_vms):
+    previous = league.last_opponent[team]
+    if previous == _BYE:
+        raise RuntimeError(f"team {team} has no match history to update from")
+    rng, p = league.rng, params.swap_probability
+    best = league.best[team]
+    n = best.shape[0]
+    if rng.uniform() <= p and p > 0.0:
+        new_x = best.copy()
+        if n >= 2:
+            i = min(int(rng.uniform() * n), n - 1)
+            j = min(int(rng.uniform() * (n - 1)), n - 2)
+            j += j >= i
+            new_x[i], new_x[j] = new_x[j], new_x[i]
+        return new_x
+    while True:
+        mask = rng.uniforms(n) <= params.change_probability
+        if mask.any():
+            break
+    r = rng.uniforms(2 * n)
+    s_own = 1.0 if league.won[team] else -1.0
+    step = params.w1 * s_own * r[:n] * (best - league.current[previous])
+    if upcoming != _BYE and league.last_opponent[upcoming] != _BYE:
+        s_next = 1.0 if league.won[upcoming] else -1.0
+        step = step + params.w2 * s_next * r[n:] * (best - league.current[upcoming])
+    return np.clip(best + mask * step, 0.0, n_vms - 1e-9)
+
+
+def _rng_drawing(t, output):
+    """A fresh stream whose t-th draw (t >= 1) is the 64-bit `output`."""
+    return SplitMix64((_seed_for_next_output(output) - (t - 1) * _GAMMA) & MASK64)
+
+
+def _advanced(rng, draws):
+    """The state `rng` reaches after `draws` more draws."""
+    return (rng.state + draws * _GAMMA) & MASK64
 
 
 def _league(formations, fitness, rng, last_opponent=None, won=None):
@@ -79,6 +135,13 @@ def _proposer(formation, previous, won, rng, upcoming=None, upcoming_won=True):
         won=[won, not won, upcoming_won][: len(rows)],
     )
 
+
+def _propose(league, params, n_vms, upcoming=_BYE):
+    """Team 0's proposal when its opponent this week is `upcoming`."""
+    opponents = np.full(len(league.best), _BYE)
+    if upcoming != _BYE:
+        opponents[0], opponents[upcoming] = upcoming, 0
+    return update_formation(league, np.array([0]), opponents, params, n_vms)[0]
 
 # ---------------------------------------------------------------- encoding
 
@@ -155,60 +218,70 @@ def test_season_rotation_changes_pairing_order():
 
 
 def test_win_probability_spot_values():
-    assert win_probability(10.0, 10.0, 4.0) == 0.5
-    assert win_probability(4.0, 10.0, 4.0) == 1.0
-    assert win_probability(6.0, 10.0, 4.0) == 0.75
-    assert win_probability(4.0, 4.0, 4.0) == 0.5
+    f_i, f_j = np.array([10.0, 4.0, 6.0, 4.0]), np.array([10.0, 10.0, 10.0, 4.0])
+    assert win_probability(f_i, f_j, 4.0).tolist() == [0.5, 1.0, 0.75, 0.5]
 
 
 def test_win_probability_rejects_stale_ideal_value():
-    with pytest.raises(ValueError):
-        win_probability(3.0, 10.0, 4.0)
-    with pytest.raises(ValueError):
-        win_probability(10.0, 3.0, 4.0)
+    with pytest.raises(ValueError, match="stale ideal value"):
+        win_probability(np.array([5.0, 3.0]), np.array([10.0, 10.0]), 4.0)
+    with pytest.raises(ValueError, match="stale ideal value"):
+        win_probability(np.array([10.0]), np.array([3.0]), 4.0)
+
+
+def _triples(seed, k):
+    f_hat, gap_i, gap_j = SplitMix64(seed).uniforms(3 * k).reshape(k, 3).T
+    return f_hat * 100.0 + gap_i * 50.0, f_hat * 100.0 + gap_j * 50.0, f_hat * 100.0
 
 
 def test_win_probabilities_sum_to_one():
-    rng = SplitMix64(8)
-    for _ in range(2000):
-        f_hat = rng.uniform() * 100.0
-        f_i = f_hat + rng.uniform() * 50.0
-        f_j = f_hat + rng.uniform() * 50.0
-        p_i = win_probability(f_i, f_j, f_hat)
-        p_j = win_probability(f_j, f_i, f_hat)
-        assert 0.0 <= p_i <= 1.0
-        assert abs(p_i + p_j - 1.0) <= 1e-12
+    f_i, f_j, f_hat = _triples(8, 2000)
+    p_i, p_j = win_probability(f_i, f_j, f_hat), win_probability(f_j, f_i, f_hat)
+    assert np.all((0.0 <= p_i) & (p_i <= 1.0))
+    assert np.all(np.abs(p_i + p_j - 1.0) <= 1e-12)
+
+
+def test_win_probability_matches_the_scalar_formula_bit_for_bit():
+    f_i, f_j, f_hat = _triples(9, 500)
+    f_i[:50] = f_j[:50] = f_hat[:50]  # both sides at the ideal value
+    expected = [reference_win_probability(*triple) for triple in zip(f_i, f_j, f_hat)]
+    assert win_probability(f_i, f_j, f_hat).tolist() == expected
 
 
 def test_win_probability_decreases_as_fitness_worsens():
-    probs = [win_probability(f_i, 10.0, 0.0) for f_i in (1.0, 2.0, 5.0, 10.0, 40.0)]
-    assert all(a > b for a, b in zip(probs, probs[1:]))
+    probs = win_probability(np.array([1.0, 2.0, 5.0, 10.0, 40.0]), np.full(5, 10.0), 0.0)
+    assert np.all(probs[:-1] > probs[1:])
 
 
 def test_win_probability_approaches_one_against_hopeless_opponent():
-    assert win_probability(6.0, 1e15, 4.0) >= 1.0 - 1e-9
+    assert win_probability(np.array([6.0]), np.array([1e15]), 4.0)[0] >= 1.0 - 1e-9
 
 
 def test_play_match_certain_win():
     for seed in range(5):
         league = _league([[0.5], [1.5]], [4.0, 10.0], SplitMix64(seed))  # team 0 at f_hat: p_i = 1
-        winner, loser = play_match(league, 0, 1)
-        assert (winner, loser) == (0, 1)
+        winners = play_match(league, np.array([0]), np.array([1]))
+        assert winners.tolist() == [0]
         assert league.won.tolist() == [True, False]
         assert league.last_opponent.tolist() == [1, 0]
 
 
 def test_play_match_certain_loss():
-    league = _league([[0.5], [1.5]], [10.0, 4.0], ScriptedRng(singles=[0.0]))
-    winner, _ = play_match(league, 0, 1)  # p_i = 0: team 1 must win even on a zero draw
-    assert winner == 1
+    league = _league([[0.5], [1.5]], [10.0, 4.0], _rng_drawing(1, 0))
+    assert league.rng.peek(1) == 0.0
+    winners = play_match(league, np.array([0]), np.array([1]))  # p_i = 0: team 1 must win
+    assert winners.tolist() == [1]
+    assert league.won.tolist() == [False, True]
 
 
 def test_play_match_frequency_tracks_probability():
-    # f_i=6, f_j=10 and team 2 holding f_hat=4 give p_i = 0.75
-    league = _league([[0.5], [1.5], [2.5]], [6.0, 10.0, 4.0], SplitMix64(424242))
-    wins = sum(play_match(league, 0, 1)[0] == 0 for _ in range(20_000))
-    assert abs(wins / 20_000 - 0.75) < 0.02
+    # 20,000 fixtures of f=6 against f=10 in one week; the last team holds f_hat=4, so p = 0.75
+    k = 20_000
+    fitness = [6.0, 10.0] * k + [4.0]
+    league = _league(np.full((2 * k + 1, 1), 0.5), fitness, SplitMix64(424242))
+    home = np.arange(0, 2 * k, 2)
+    winners = play_match(league, home, home + 1)
+    assert abs(np.mean(winners == home) - 0.75) < 0.02
 
 
 # ---------------------------------------------------------------- update rule
@@ -221,85 +294,118 @@ def _params(**kw):
 
 
 def test_update_zero_weights_returns_best_exactly():
-    rng = ScriptedRng(singles=[0.99], blocks=[[0.0, 0.0, 0.0], [0.3] * 6])
-    league = _proposer([1.2, 0.4, 2.8], [0.1, 0.1, 0.1], True, rng)
+    league = _proposer([1.2, 0.4, 2.8], [0.1, 0.1, 0.1], True, SplitMix64(3))
     # LcaParams refuses zero weights; the update rule reads only these four fields.
     params = SimpleNamespace(change_probability=1.0, w1=0.0, w2=0.0, swap_probability=0.0)
-    out = update_formation(league, 0, -1, params, 3)
-    assert list(out) == [1.2, 0.4, 2.8]
+    assert list(_propose(league, params, 3)) == [1.2, 0.4, 2.8]
+
+
+def _hand_example(won):
+    # B=[1.0], previous opponent at [2.0], upcoming opponent at [0.0], which won
+    # last week; unit weights, mask certain, no swap, 3 VMs. Draws: decision,
+    # mask, r1, r2. Returns the proposal with r1 and r2.
+    rng = SplitMix64(5)
+    r1, r2 = rng.peek(3), rng.peek(4)
+    league = _proposer([1.0], [2.0], won, rng, upcoming=[0.0], upcoming_won=True)
+    out = _propose(league, _params(change_probability=1.0, swap_probability=0.0), 3, upcoming=2)
+    assert league.rng.state == _advanced(SplitMix64(5), 4)
+    return out.tolist(), r1, r2
 
 
 def test_update_hand_example():
-    # B=[1.0], previous opponent at [2.0], upcoming opponent at [0.0], both
-    # sides won last week, unit weights, r1=r2=1, mask on, 3 VMs:
-    # 1 + (1*(1-2) + 1*(1-0)) = 1.0
-    rng = ScriptedRng(singles=[0.99], blocks=[[0.0], [1.0, 1.0]])
-    league = _proposer([1.0], [2.0], True, rng, upcoming=[0.0], upcoming_won=True)
-    out = update_formation(league, 0, 2, _params(), 3)
-    assert list(out) == [1.0]
+    # A win steps away from the previous opponent: 1 + (r1 * (1 - 2) + r2 * (1 - 0)).
+    out, r1, r2 = _hand_example(won=True)
+    assert out == [1.0 + (r1 * -1.0 + r2 * 1.0)]
 
 
 def test_update_loss_flips_step_direction():
-    # Same setup but the team lost: 1 + (-1*(1-2) + 1*(1-0)) = 3.0, clamped < 3
-    rng = ScriptedRng(singles=[0.99], blocks=[[0.0], [1.0, 1.0]])
-    league = _proposer([1.0], [2.0], False, rng, upcoming=[0.0], upcoming_won=True)
-    out = update_formation(league, 0, 2, _params(), 3)
-    assert out[0] == pytest.approx(3.0 - 1e-9)
+    # A loss steps toward the previous opponent: 1 + (-r1 * (1 - 2) + r2 * (1 - 0)).
+    out, r1, r2 = _hand_example(won=False)
+    assert out == [1.0 + (-r1 * -1.0 + r2 * 1.0)]
 
 
 def test_update_mask_redrawn_until_nonempty():
-    rng = ScriptedRng(singles=[0.99], blocks=[[0.9], [0.9], [0.1], [1.0, 1.0]])
+    # One coordinate and change_probability 0.05: a mask draw of 1.0 is empty,
+    # so the mask is drawn again until a draw is <= 0.05, then r1 and r2 follow.
+    rng = _rng_drawing(2, TOP)
+    start = SplitMix64(rng.state)
+    k = next(t for t in itertools.count(3) if rng.peek(t) <= 0.05) - 1  # mask draws made
+    r1 = rng.peek(k + 2)
     league = _proposer([1.0], [2.0], True, rng)
-    out = update_formation(league, 0, -1, _params(change_probability=0.5), 3)
-    assert list(out) == [0.0]  # only the retrospective step: 1 + (1-2) = 0
+    out = _propose(league, _params(change_probability=0.05, swap_probability=0.0), 3)
+    assert k >= 2
+    assert out.tolist() == [max(0.0, 1.0 + r1 * -1.0)]  # only the retrospective step
+    assert league.rng.state == _advanced(start, 1 + k + 2)
+
+
+def _swapped(values, i, j):
+    out = list(values)
+    out[i], out[j] = out[j], out[i]
+    return out
 
 
 def test_update_swap_branch_exchanges_two_positions():
-    rng = ScriptedRng(singles=[0.0, 0.0, 0.9])  # take swap; i=0; j=1 -> bumped to 2
-    league = _proposer([0.5, 1.5, 2.5], [0.0, 0.0, 0.0], True, rng)
-    out = update_formation(league, 0, -1, _params(), 3)
-    assert list(out) == [2.5, 1.5, 0.5]
+    rng = SplitMix64(17)
+    u1, u2 = rng.peek(2), rng.peek(3)
+    i = min(int(u1 * 4), 3)
+    j = min(int(u2 * 3), 2)
+    j += j >= i
+    league = _proposer([0.5, 1.5, 2.5, 3.0], [0.0] * 4, True, rng)
+    out = _propose(league, _params(swap_probability=1.0), 4)
+    assert out.tolist() == _swapped([0.5, 1.5, 2.5, 3.0], i, j)
+    assert league.rng.state == _advanced(SplitMix64(17), 3)
 
 
 def test_update_swap_clamps_a_draw_of_exactly_one():
-    rng = ScriptedRng(singles=[0.0, 1.0, 0.0])  # take swap; i=min(3, 2)=2; j=0
+    rng = _rng_drawing(2, TOP)  # the first swap index draw is 1.0: i = min(3, 2) = 2
+    j = min(int(rng.peek(3) * 2), 1)  # never bumped, since j <= 1 < i
     league = _proposer([0.5, 1.5, 2.5], [0.0, 0.0, 0.0], True, rng)
-    out = update_formation(league, 0, -1, _params(), 3)
-    assert list(out) == [2.5, 1.5, 0.5]
+    out = _propose(league, _params(swap_probability=1.0), 3)
+    assert out.tolist() == _swapped([0.5, 1.5, 2.5], 2, j)
 
 
 def test_update_swap_probability_one_swaps_on_a_draw_of_one():
-    rng = ScriptedRng(singles=[1.0, 0.0, 0.9])  # take swap even at u = 1; i=0; j=1 -> bumped to 2
+    rng = _rng_drawing(1, TOP)
+    start = SplitMix64(rng.state)
+    assert rng.peek(1) == 1.0
     league = _proposer([0.5, 1.5, 2.5], [0.0, 0.0, 0.0], True, rng)
-    out = update_formation(league, 0, -1, _params(swap_probability=1.0), 3)
-    assert list(out) == [2.5, 1.5, 0.5]
+    out = _propose(league, _params(swap_probability=1.0), 3)
+    assert sorted(out.tolist()) == [0.5, 1.5, 2.5] and out.tolist() != [0.5, 1.5, 2.5]
+    assert league.rng.state == _advanced(start, 3)  # the decision and two index draws
 
 
 def test_update_swap_probability_zero_never_swaps_on_a_draw_of_zero():
-    rng = ScriptedRng(singles=[0.0], blocks=[[0.0, 0.0, 0.0], [1.0] * 6])
+    rng = _rng_drawing(1, 0)
+    start = SplitMix64(rng.state)
+    assert rng.peek(1) == 0.0
+    r1 = [rng.peek(t) for t in (5, 6, 7)]
     league = _proposer([0.5, 1.0, 1.25], [0.0, 0.0, 0.0], True, rng)
-    out = update_formation(league, 0, -1, _params(swap_probability=0.0), 3)
-    assert list(out) == [1.0, 2.0, 2.5]  # the masked step: B + (B - 0)
+    out = _propose(league, _params(swap_probability=0.0, change_probability=1.0), 3)
+    assert out.tolist() == [b + r * b for b, r in zip([0.5, 1.0, 1.25], r1)]  # the masked step: B + r1 (B - 0)
+    assert league.rng.state == _advanced(start, 1 + 3 * 3)
 
 
 def test_update_change_probability_one_masks_a_draw_of_one():
-    rng = ScriptedRng(singles=[0.99], blocks=[[0.2, 1.0, 0.2], [1.0] * 6])
+    rng = _rng_drawing(3, TOP)  # the second coordinate's mask draw is 1.0
+    start = SplitMix64(rng.state)
+    assert rng.peek(3) == 1.0
+    r1 = [rng.peek(t) for t in (5, 6, 7)]
     league = _proposer([0.5, 1.0, 1.25], [0.0, 0.0, 0.0], True, rng)
-    out = update_formation(league, 0, -1, _params(change_probability=1.0), 3)
-    assert list(out) == [1.0, 2.0, 2.5]  # all three coordinates move
+    out = _propose(league, _params(swap_probability=0.0, change_probability=1.0), 3)
+    assert out.tolist() == [b + r * b for b, r in zip([0.5, 1.0, 1.25], r1)]  # all three coordinates move
+    assert league.rng.state == _advanced(start, 1 + 3 * 3)
 
 
 def test_update_swap_preserves_coordinate_multiset():
     league = _proposer([0.5, 1.5, 2.5, 0.5], np.zeros(4), False, SplitMix64(5))
-    params = _params(swap_probability=1.0)
-    out = update_formation(league, 0, -1, params, 3)
+    out = _propose(league, _params(swap_probability=1.0), 3)
     assert sorted(out) == sorted(league.best[0])
 
 
 def test_update_requires_match_history():
     league = _league([[1.0], [2.0]], [5.0, 6.0], SplitMix64(1))  # nobody has played yet
     with pytest.raises(RuntimeError):
-        update_formation(league, 0, 1, _params(), 3)
+        _propose(league, _params(), 3, upcoming=1)
 
 
 def test_update_always_stays_in_vm_range():
@@ -310,8 +416,65 @@ def test_update_always_stays_in_vm_range():
         n = 1 + int(rng.uniform() * 9)
         rows = [rng.uniforms(n) * m for _ in range(3)]
         league = _proposer(*rows[:2], trial % 2 == 1, rng, upcoming=rows[2], upcoming_won=False)
-        out = update_formation(league, 0, 2, params, m)
+        out = _propose(league, params, m, upcoming=2)
         assert np.all(out >= 0.0) and np.all(out < m)
+
+
+def _random_league(size, n, m, seed):
+    """A league mid-run: random formations and fitness, some teams not yet played."""
+    rng = SplitMix64(seed)
+    best_fitness = 1.0 + rng.uniforms(size) * 10.0
+    current_fitness = best_fitness + rng.uniforms(size) * 5.0
+    history = rng.uniforms(size)
+    last_opponent = np.where(history < 0.2, _BYE, (np.arange(size) + 1 + (history * (size - 1)).astype(int)) % size)
+    return League(
+        current=rng.uniforms(size * n).reshape(size, n) * m,
+        current_fitness=current_fitness,
+        best=rng.uniforms(size * n).reshape(size, n) * m,
+        best_fitness=best_fitness,
+        last_opponent=last_opponent,
+        won=rng.uniforms(size) < 0.5,
+        champion=int(np.argmin(best_fitness)),
+        rng=SplitMix64(mix64(seed)),
+        evaluate=None,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.integers(4, 9),
+    n=st.sampled_from([1, 2, 3, 5, 12, 40]),
+    m=st.integers(1, 4),
+    week=st.integers(0, 17),
+    swap=st.sampled_from([0.0, 0.5, 1.0]),
+    change=st.sampled_from([0.05, 0.3, 1.0]),
+    bound=st.sampled_from([1 << 14, 1, 7, 40, 200]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_batched_week_equals_the_per_team_reference(size, n, m, week, swap, change, bound, seed):
+    # The week's proposals, the RNG state after them, and the fixtures' results
+    # agree bit for bit with proposing and playing team by team; a small group
+    # bound splits the week into many groups, with mask redraws across their edges.
+    params = LcaParams(league_size=size, swap_probability=swap, change_probability=change,
+                       w1=1.5, w2=0.75)
+    batched, reference = _random_league(size, n, m, seed), _random_league(size, n, m, seed)
+    weeks = season_fixtures(size, 1 + week // size)
+    pairs = weeks[week % len(weeks)]
+    home, away = np.array(pairs).T
+    upcoming = np.full(size, _BYE)
+    upcoming[home], upcoming[away] = away, home
+    teams = np.flatnonzero(batched.last_opponent != _BYE)
+    with mock.patch.object(lca, "_SPAN_DRAWS", bound):
+        proposed = update_formation(batched, teams, upcoming, params, m)
+    expected = [reference_update_formation(reference, t, upcoming[t], params, m) for t in teams]
+    assert proposed.shape == (teams.size, n)
+    assert proposed.tobytes() == np.array(expected).reshape(teams.size, n).tobytes()
+    assert batched.rng.state == reference.rng.state
+    winners = play_match(batched, home, away)
+    assert winners.tolist() == [reference_play_match(reference, i, j)[0] for i, j in pairs]
+    assert batched.won.tolist() == reference.won.tolist()
+    assert batched.last_opponent.tolist() == reference.last_opponent.tolist()
+    assert batched.rng.state == reference.rng.state
 
 
 # ---------------------------------------------------------------- league init
@@ -462,3 +625,15 @@ def test_run_without_baseline_seeding_still_valid():
     )
     _, optimum = brute_force_optimum(inst)
     assert result.best_makespan_s >= optimum
+
+
+def test_a_default_run_draws_each_week_in_at_most_two_blocks():
+    # One uniforms() span for the week's proposals and one for its fixtures; no scalar draws.
+    params, instance = LcaParams(), _instance(n=100, m=20)
+    with mock.patch.object(SplitMix64, "uniforms", autospec=True, side_effect=SplitMix64.uniforms) as blocks, \
+            mock.patch.object(SplitMix64, "uniform", autospec=True, side_effect=SplitMix64.uniform) as scalars:
+        run(params, instance)
+    weeks = params.seasons * (params.league_size - 1)
+    unseeded = params.league_size - 3  # init_league draws one block per team not started from a baseline
+    assert scalars.call_count == 0
+    assert blocks.call_count - unseeded <= 2 * weeks
