@@ -36,7 +36,7 @@ from .rng import SplitMix64
 # Formations are clamped to [0, m - _CLAMP_EPS] so floor() never reaches m.
 _CLAMP_EPS = 1e-9
 
-# Draws per proposal group: bounds the span a week holds at once, as oracle._CHUNK_CELLS bounds its blocks.
+# Draws per proposal group: bounds the span a week holds at once, as oracle._CHUNK_CELLS bounds its chunks.
 _SPAN_DRAWS = 1 << 14
 
 # No team: a bye slot in the fixtures, or no opponent yet for a team that has not played.

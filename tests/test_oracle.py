@@ -1,6 +1,11 @@
+import itertools
+import tracemalloc
+from unittest import mock
+
 import pytest
 
 from leaguesched import (
+    Assignment,
     ProblemInstance,
     SplitMix64,
     Task,
@@ -11,6 +16,7 @@ from leaguesched import (
     ljf,
     lower_bound,
     makespan,
+    oracle,
 )
 
 
@@ -105,3 +111,63 @@ def test_ties_resolve_to_lexicographically_smallest(make_instance):
     assert best.vm_of == (0, 1)
     single = make_instance([400.0], n_vms=3)
     assert brute_force_optimum(single)[0].vm_of == (0,)
+
+
+def _tied_instance(arrival, n_vms, lengths=None):
+    """Equal-speed VMs and equal lengths unless given: optima tie in many relabelled ways."""
+    lengths = lengths or [300.0] * len(arrival)
+    tasks = tuple(Task(k, lengths[k], a) for k, a in enumerate(arrival))
+    return ProblemInstance(tasks, tuple(VirtualMachine(v, 100.0) for v in range(n_vms)))
+
+
+def _first_optimum(instance):
+    """The position-lexicographically first assignment of least makespan, one at a time."""
+    m, n = len(instance.vms), len(instance.tasks)
+    vm_of = min(
+        itertools.product(range(m), repeat=n),
+        key=lambda vm_of: makespan(instance, Assignment(vm_of)).makespan_s,
+    )
+    return vm_of, makespan(instance, Assignment(vm_of)).makespan_s
+
+
+@pytest.mark.parametrize("cells", [1, 4, 7, 1 << 14])
+@pytest.mark.parametrize(
+    "arrival, n_vms, lengths",
+    [
+        ([5, 4, 3, 2, 1, 0], 3, None),
+        ([2, 0, 4, 1, 3, 5], 3, [200.0, 100.0, 200.0, 100.0, 300.0, 100.0]),
+        ([6, 3, 0, 5, 2, 4, 1], 2, [100.0, 200.0, 300.0, 100.0, 200.0, 300.0, 100.0]),
+    ],
+)
+def test_ties_resolve_to_first_optimum_across_small_chunks(arrival, n_vms, lengths, cells):
+    # Reversed and shuffled arrival: the first optimum in arrival order is not
+    # the first by position. At 1, 4 and 7 cells a chunk is narrower than one
+    # level of one node, so tied optima land in different chunks.
+    inst = _tied_instance(arrival, n_vms, lengths)
+    with mock.patch.object(oracle, "_CHUNK_CELLS", cells):
+        best, optimum = brute_force_optimum(inst)
+    assert (best.vm_of, optimum) == _first_optimum(inst)
+
+
+def test_enumeration_memory_stays_within_a_few_chunks(make_instance):
+    # 2^20 assignments: one tree level of them is 2^21 loads (16 MiB), the
+    # whole tree twice that; chunked enumeration holds a few chunks at most.
+    inst = make_instance([100.0 + 7.0 * k for k in range(20)], n_vms=2)
+    tracemalloc.start()
+    try:
+        _, optimum = brute_force_optimum(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lower_bound(inst) <= optimum
+    assert peak < 4 * oracle._CHUNK_CELLS * 8
+
+
+@pytest.mark.parametrize("speed_mips", [1e10, 1e308])
+def test_lower_bound_stays_finite_when_total_length_overflows(make_instance, speed_mips):
+    # sum(length_mi) is inf here (and so is sum(speed_mips) at 1e308), yet
+    # every schedule is finite: one task per VM is optimal.
+    inst = make_instance([1e308, 1e308], n_vms=2, speed_mips=speed_mips)
+    _, optimum = brute_force_optimum(inst)
+    bound = lower_bound(inst)
+    assert bound == optimum == makespan(inst, fcfs(inst)).makespan_s == 1e308 / speed_mips

@@ -146,6 +146,14 @@ def test_oracle_matches_reference_enumeration_for_any_block_size(instance, cells
     assert value == expected_ms
 
 
+@settings(max_examples=100, deadline=None)
+@given(instances())
+def test_lower_bound_is_the_plain_formula_when_sums_are_finite(instance):
+    lengths = [t.length_mi for t in instance.tasks]
+    speeds = [vm.speed_mips for vm in instance.vms]
+    assert lower_bound(instance) == max(sum(lengths) / sum(speeds), max(lengths) / max(speeds))
+
+
 @settings(max_examples=60, deadline=None)
 @given(instances(max_tasks=8, max_vms=4, max_assignments=5000))
 def test_lower_bound_optimum_and_greedy_baselines_are_ordered(instance):
