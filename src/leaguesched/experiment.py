@@ -106,23 +106,22 @@ class ExperimentRecord:
 
 @dataclass(frozen=True)
 class Aggregate:
-    """Per-cell means/stddevs and per-scheduler grand means over the grid."""
+    """Per-cell means and per-scheduler grand means over the grid."""
 
     schedulers: tuple[SchedulerKind, ...]  # sorted by code
     task_counts: tuple[int, ...]  # sorted ascending
     mean_s: dict[tuple[SchedulerKind, int], float]
-    std_s: dict[tuple[SchedulerKind, int], float]  # population stddev over repetitions
     grand_mean_s: dict[SchedulerKind, float]
 
 
 def derive_cell_seed(master_seed: int, n_tasks: int, rep: int) -> int:
     """Workload seed for one (task count, repetition) cell."""
-    return mix64((master_seed ^ (n_tasks << 20) ^ rep) & MASK64)
+    return mix64(master_seed ^ (n_tasks << 20) ^ rep)
 
 
 def derive_search_seed(cell_seed: int, scheduler_code: int) -> int:
     """Search seed for a stochastic scheduler inside a cell."""
-    return mix64((cell_seed ^ scheduler_code) & MASK64)
+    return mix64(cell_seed ^ scheduler_code)
 
 
 def _build_vms(config: ExperimentConfig) -> tuple[VirtualMachine, ...]:
@@ -176,7 +175,7 @@ def run_experiment(
 
 
 def aggregate(records: Iterable[ExperimentRecord]) -> Aggregate:
-    """Means and population stddevs per cell, plus per-scheduler grand means.
+    """Means per cell, plus per-scheduler grand means.
 
     Raises ValueError naming makespan_s when a cell's or a scheduler's makespans sum past the float range.
     """
@@ -199,7 +198,6 @@ def aggregate(records: Iterable[ExperimentRecord]) -> Aggregate:
         schedulers=tuple(sorted(by_kind, key=lambda k: k.value)),
         task_counts=tuple(sorted({n for _, n in by_cell})),
         mean_s=mean_s,
-        std_s={cell: statistics.pstdev(v) for cell, v in by_cell.items()},
         grand_mean_s=grand_mean_s,
     )
 

@@ -36,9 +36,6 @@ from .rng import SplitMix64
 # Formations are clamped to [0, m - _CLAMP_EPS] so floor() never reaches m.
 _CLAMP_EPS = 1e-9
 
-# Draws per proposal group: bounds the span a week holds at once, as oracle._CHUNK_CELLS bounds its chunks.
-_SPAN_DRAWS = 1 << 14
-
 # No team: a bye slot in the fixtures, or no opponent yet for a team that has not played.
 _BYE = -1
 
@@ -114,8 +111,16 @@ def _vm_index(formation: np.ndarray, n_vms: int) -> np.ndarray:
 
 
 def decode(formation: np.ndarray, n_vms: int) -> Assignment:
-    """The schedule a formation stands for: each coordinate truncated to a VM index."""
-    return Assignment(tuple(_vm_index(np.asarray(formation, dtype=np.float64), n_vms).tolist()))
+    """The schedule a formation stands for: each coordinate truncated to a VM index.
+
+    Raises ValueError naming formation when it is not a vector of finite coordinates, and n_vms when it is not an
+    integer >= 1.
+    """
+    x = np.asarray(formation, dtype=np.float64)
+    check_fields(("formation", x.ndim == 1 and bool(np.isfinite(x).all()), "a vector of finite coordinates",
+                  formation),
+                 ("n_vms", is_integer(n_vms) and n_vms >= 1, "an integer >= 1", n_vms))
+    return Assignment(tuple(_vm_index(x, n_vms).tolist()))
 
 
 def season_fixtures(n_teams: int, season: int) -> list[list[tuple[int, int]]]:
@@ -194,70 +199,55 @@ def update_formation(
 
     Every proposal reads only last week's league, so the week is computed as a
     batch with the same draws, in the same order, as proposing team by team.
-    The draws form one contiguous span of the stream: each team's decision
-    draw is read ahead with peek(), then a swap takes 2 draws (none when
-    n < 2) and a masked step k·n mask draws and 2n step draws, where k - 1 is
-    the number of empty masks redrawn. Consecutive teams whose span fits in
-    _SPAN_DRAWS (or one team alone) form a group drawn by one uniforms() call;
-    if a mask comes up empty, the group is drawn again with that team's k one
-    higher.
+    The draws form one contiguous span of the stream, drawn by one uniforms()
+    call: each team's decision draw is read ahead with peek(), then a swap
+    takes 2 draws (none when n < 2) and a masked step k·n mask draws and 2n
+    step draws, where k - 1 is the number of empty masks redrawn. If a mask
+    comes up empty, the week is drawn again with that team's k one higher.
     """
     previous, nxt = league.last_opponent[teams], upcoming[teams]
     if (previous == _BYE).any():
         raise RuntimeError(f"team {teams[previous == _BYE][0]} has no match history to update from")
     rng, n = league.rng, league.best.shape[1]
     p, swap_draws = params.swap_probability, 2 if n >= 2 else 0
-    c1 = np.where(league.won[teams], params.w1, -params.w1)[:, None]  # w1 times the sign of the step
-    c2 = np.where(league.won[nxt], params.w2, -params.w2)[:, None]
-    second = ((nxt != _BYE) & (league.last_opponent[nxt] != _BYE))[:, None]
-    proposed = league.best[teams]
-    swap_rows, swap_i, swap_j = [], [], []
-    mask_draws: dict[int, int] = {}  # row -> k, for rows whose first mask came up empty
-    first = 0
-    while first < teams.size:
-        start, cursor, end = rng.state, 0, first
-        swaps, step_rows, step_at = [], [], []
-        while end < teams.size:
-            swap = p > 0.0 and rng.peek(cursor + 1) <= p
-            k = 1 if swap else mask_draws.get(end, 1)
-            size = 1 + (swap_draws if swap else (k + 2) * n)
-            if end > first and cursor + size > _SPAN_DRAWS:
-                break
-            if not swap:
-                step_rows.append(end)
+    mask_draws = [1] * teams.size  # k for each row: 1 + the empty masks redrawn so far
+    start = rng.state
+    while True:
+        cursor, swap_rows, swap_at, step_rows, step_at = 0, [], [], [], []
+        for row, k in enumerate(mask_draws):
+            if p > 0.0 and rng.peek(cursor + 1) <= p:
+                if swap_draws:
+                    swap_rows.append(row)
+                    swap_at.append(cursor + 1)
+                cursor += 1 + swap_draws
+            else:
+                step_rows.append(row)
                 step_at.append(cursor + 1 + (k - 1) * n)  # the last mask, then r1 and r2
-            elif swap_draws:
-                swaps.append((end, cursor + 1))
-            cursor += size
-            end += 1
+                cursor += 1 + (k + 2) * n
         span = rng.uniforms(cursor)
-        if step_rows:
-            window = sliding_window_view(span, 3 * n)[step_at]
-            mask = window[:, :n] <= params.change_probability
-            empty = np.flatnonzero(~mask.any(axis=1))
-            if empty.size:
-                row = step_rows[empty[0]]
-                mask_draws[row] = mask_draws.get(row, 1) + 1
-                rng.state = start
-                continue
-            best = proposed[step_rows]
-            step = c1[step_rows] * window[:, n : 2 * n]
-            step *= best - league.current[previous[step_rows]]
-            toward_next = c2[step_rows] * window[:, 2 * n :]
-            toward_next *= best - league.current[nxt[step_rows]]
-            np.add(step, toward_next, out=step, where=second[step_rows])
-            step *= mask
-            step += best
-            proposed[step_rows] = np.clip(step, 0.0, n_vms - _CLAMP_EPS)
-        for row, at in swaps:
-            i = min(int(span[at] * n), n - 1)
-            j = min(int(span[at + 1] * (n - 1)), n - 2)
-            swap_rows.append(row)
-            swap_i.append(i)
-            swap_j.append(j + (j >= i))
-        first = end
-    proposed[swap_rows, swap_i], proposed[swap_rows, swap_j] = (
-        proposed[swap_rows, swap_j], proposed[swap_rows, swap_i])
+        window = sliding_window_view(span, 3 * n)[step_at] if step_rows else np.empty((0, 3 * n))
+        mask = window[:, :n] <= params.change_probability
+        empty = np.flatnonzero(~mask.any(axis=1))
+        if not empty.size:
+            break
+        mask_draws[step_rows[empty[0]]] += 1
+        rng.state = start
+    proposed = league.best[teams]
+    best, prev, ahead = proposed[step_rows], previous[step_rows], nxt[step_rows]
+    step = np.where(league.won[teams[step_rows]], params.w1, -params.w1)[:, None] * window[:, n : 2 * n]
+    step *= best - league.current[prev]
+    toward_next = np.where(league.won[ahead], params.w2, -params.w2)[:, None] * window[:, 2 * n :]
+    toward_next *= best - league.current[ahead]
+    second = (ahead != _BYE) & (league.last_opponent[ahead] != _BYE)
+    np.add(step, toward_next, out=step, where=second[:, None])
+    step *= mask
+    step += best
+    proposed[step_rows] = np.clip(step, 0.0, n_vms - _CLAMP_EPS)
+    at = np.array(swap_at, dtype=np.int64)
+    i = np.minimum((span[at] * n).astype(np.int64), n - 1)
+    j = np.minimum((span[at + 1] * (n - 1)).astype(np.int64), n - 2)
+    j += j >= i
+    proposed[swap_rows, i], proposed[swap_rows, j] = proposed[swap_rows, j], proposed[swap_rows, i]
     return proposed
 
 

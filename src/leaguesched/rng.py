@@ -8,6 +8,8 @@ down to the byte.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 MASK64 = (1 << 64) - 1
@@ -21,9 +23,11 @@ _TWO64 = float(2**64)
 def mix64(x: int) -> int:
     """SplitMix64 finalizer: avalanche one 64-bit word.
 
-    Also used standalone to derive child seeds from combined identifiers.
+    Also used standalone to derive child seeds from combined identifiers. Any
+    integer is taken as a Python int (a numpy scalar would overflow), and
+    anything else raises TypeError.
     """
-    z = x & MASK64
+    z = operator.index(x) & MASK64
     z = ((z ^ (z >> 30)) * _MULT1) & MASK64
     z = ((z ^ (z >> 27)) * _MULT2) & MASK64
     return z ^ (z >> 31)
@@ -39,7 +43,7 @@ class SplitMix64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int) -> None:
-        self.state = seed & MASK64
+        self.state = operator.index(seed) & MASK64  # a Python int, even for a numpy seed
 
     def next_u64(self) -> int:
         self.state = (self.state + _GAMMA) & MASK64

@@ -28,7 +28,6 @@ from leaguesched import (
     mix64,
     run,
 )
-from leaguesched import lca
 from leaguesched.lca import (
     League,
     init_league,
@@ -158,6 +157,18 @@ def test_decode_floors():
 def test_decode_clamps_both_ends():
     assert decode(np.array([-0.3, 3.2]), 3).vm_of == (0, 2)
     assert decode(np.array([0.5]), 1).vm_of == (0,)
+
+
+@pytest.mark.parametrize("formation", [[0.5, np.nan], [np.inf], [-np.inf, 0.5], [[0.5]], 0.5])
+def test_decode_refuses_a_formation_that_is_not_a_finite_vector(formation):
+    with pytest.raises(ValueError, match="formation must be a vector of finite coordinates"):
+        decode(np.array(formation), 2)
+
+
+@pytest.mark.parametrize("n_vms", [True, 0, -1, 2.0, "2", None])
+def test_decode_refuses_a_bad_vm_count(n_vms):
+    with pytest.raises(ValueError, match="n_vms must be an integer >= 1"):
+        decode(np.array([0.5]), n_vms)
 
 
 def test_decode_encode_round_trip():
@@ -448,13 +459,11 @@ def _random_league(size, n, m, seed):
     week=st.integers(0, 17),
     swap=st.sampled_from([0.0, 0.5, 1.0]),
     change=st.sampled_from([0.05, 0.3, 1.0]),
-    bound=st.sampled_from([1 << 14, 1, 7, 40, 200]),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_batched_week_equals_the_per_team_reference(size, n, m, week, swap, change, bound, seed):
+def test_batched_week_equals_the_per_team_reference(size, n, m, week, swap, change, seed):
     # The week's proposals, the RNG state after them, and the fixtures' results
-    # agree bit for bit with proposing and playing team by team; a small group
-    # bound splits the week into many groups, with mask redraws across their edges.
+    # agree bit for bit with proposing and playing team by team.
     params = LcaParams(league_size=size, swap_probability=swap, change_probability=change,
                        w1=1.5, w2=0.75)
     batched, reference = _random_league(size, n, m, seed), _random_league(size, n, m, seed)
@@ -464,8 +473,7 @@ def test_batched_week_equals_the_per_team_reference(size, n, m, week, swap, chan
     upcoming = np.full(size, _BYE)
     upcoming[home], upcoming[away] = away, home
     teams = np.flatnonzero(batched.last_opponent != _BYE)
-    with mock.patch.object(lca, "_SPAN_DRAWS", bound):
-        proposed = update_formation(batched, teams, upcoming, params, m)
+    proposed = update_formation(batched, teams, upcoming, params, m)
     expected = [reference_update_formation(reference, t, upcoming[t], params, m) for t in teams]
     assert proposed.shape == (teams.size, n)
     assert proposed.tobytes() == np.array(expected).reshape(teams.size, n).tobytes()
@@ -474,6 +482,23 @@ def test_batched_week_equals_the_per_team_reference(size, n, m, week, swap, chan
     assert winners.tolist() == [reference_play_match(reference, i, j)[0] for i, j in pairs]
     assert batched.won.tolist() == reference.won.tolist()
     assert batched.last_opponent.tolist() == reference.last_opponent.tolist()
+    assert batched.rng.state == reference.rng.state
+
+
+def test_a_large_week_is_drawn_as_one_span():
+    # Six masked steps of 1 + 3 * 3,000 draws each: the whole week of 54,006 draws is
+    # one uniforms() call, with the same proposals and RNG state as proposing team by team.
+    size, n, m = 6, 3_000, 4
+    params = LcaParams(league_size=size, swap_probability=0.0)
+    batched, reference = _random_league(size, n, m, 5), _random_league(size, n, m, 5)
+    for league in (batched, reference):
+        league.last_opponent = np.array([1, 0, 3, 2, 5, 4])
+    teams, upcoming = np.arange(size), np.array([5, 4, 3, 2, 1, 0])
+    with mock.patch.object(SplitMix64, "uniforms", autospec=True, side_effect=SplitMix64.uniforms) as blocks:
+        proposed = update_formation(batched, teams, upcoming, params, m)
+    assert [call.args[1] for call in blocks.call_args_list] == [size * (1 + 3 * n)]
+    expected = [reference_update_formation(reference, t, upcoming[t], params, m) for t in teams]
+    assert proposed.tobytes() == np.array(expected).tobytes()
     assert batched.rng.state == reference.rng.state
 
 
@@ -608,6 +633,14 @@ def test_run_counts_evaluations():
     result = run(params, _instance(n=5, m=2))
     weeks = 3 * 3
     assert result.evaluations == 4 + (weeks - 1) * 4
+
+
+@pytest.mark.parametrize("seed", [np.uint64(5), np.int64(5)])
+def test_run_with_a_numpy_seed_equals_the_int_seed(seed):
+    # A numpy scalar seed makes no overflow (pyproject turns warnings into errors).
+    inst = _instance(n=12, m=3)
+    assert run(LcaParams(league_size=6, seasons=3, seed=seed), inst) == run(
+        LcaParams(league_size=6, seasons=3, seed=5), inst)
 
 
 def test_run_handles_odd_league_with_byes():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from leaguesched import SplitMix64, decode, mix64
 from leaguesched.rng import _GAMMA, _MULT1, _MULT2, MASK64
@@ -26,6 +27,16 @@ def test_equal_seeds_give_equal_streams():
 def test_seed_is_masked_to_64_bits():
     a, b = SplitMix64(5), SplitMix64(2**64 + 5)
     assert a.next_u64() == b.next_u64()
+
+
+def test_numpy_seeds_give_the_int_stream_and_floats_are_refused():
+    for seed in (np.uint64(2**64 - 3), np.int64(5)):
+        a, b = SplitMix64(seed), SplitMix64(int(seed))
+        assert type(a.state) is int and a.uniforms(4).tolist() == b.uniforms(4).tolist()
+        assert mix64(seed) == mix64(int(seed))
+    for bad in (SplitMix64, mix64):
+        with pytest.raises(TypeError):
+            bad(5.0)
 
 
 def test_uniform_in_unit_interval():
