@@ -17,8 +17,8 @@ from typing import IO, Callable, Iterable
 
 from .baselines import SchedulerKind, bef, fcfs, ljf
 from .lca import LcaParams, run
-from .model import (ProblemInstance, VirtualMachine, check_fields, is_finite, is_integer, makespan,
-                    read_rows, write_rows)
+from .model import (ProblemInstance, TraceParseError, VirtualMachine, check_fields, is_finite, is_integer,
+                    makespan, read_rows, write_rows)
 from .rng import MASK64, mix64
 from .workload import WorkloadSpec, generate_synthetic
 
@@ -73,8 +73,9 @@ class ExperimentConfig:
         lo_hi = c.length_range_mi
         check_fields(
             ("task_counts", isinstance(c.task_counts, tuple) and c.task_counts
-             and all(is_integer(n) and n >= 1 for n in c.task_counts),
-             "a non-empty list of integers >= 1", c.task_counts),
+             and all(is_integer(n) and n >= 1 for n in c.task_counts)
+             and len(set(c.task_counts)) == len(c.task_counts),
+             "a non-empty list of distinct integers >= 1", c.task_counts),
             ("n_vms", is_integer(c.n_vms) and c.n_vms >= 1, "an integer >= 1", c.n_vms),
             ("vm_speed_mips", all(is_finite(s) and s > 0 for s in speeds)
              and (not isinstance(c.vm_speed_mips, tuple) or len(speeds) == c.n_vms),
@@ -85,8 +86,9 @@ class ExperimentConfig:
             ("repetitions", is_integer(c.repetitions) and c.repetitions >= 1, "an integer >= 1",
              c.repetitions),
             ("schedulers", isinstance(c.schedulers, tuple) and c.schedulers
-             and all(isinstance(k, SchedulerKind) for k in c.schedulers),
-             "a non-empty list of schedulers", c.schedulers),
+             and all(isinstance(k, SchedulerKind) for k in c.schedulers)
+             and len(set(c.schedulers)) == len(c.schedulers),
+             "a non-empty list of distinct schedulers", c.schedulers),
             ("lca_params", isinstance(c.lca_params, LcaParams), "an LcaParams", c.lca_params),
             ("master_seed", is_integer(c.master_seed) and 0 <= c.master_seed < 2**64,
              "a 64-bit unsigned integer", c.master_seed),
@@ -215,9 +217,20 @@ def emit_csv(records: Iterable[ExperimentRecord], sink: IO[str]) -> int:
 def parse_csv(source: str | IO[str] | Iterable[str]) -> list[ExperimentRecord]:
     """Inverse of emit_csv (modulo the six-decimal makespan formatting).
 
-    Raises ValueError naming the line and every bad field of the first bad line.
+    Raises ValueError naming the line and every bad field of the first bad line, and
+    TraceParseError naming both lines when a (scheduler, n_tasks, rep) cell repeats.
     """
-    return [ExperimentRecord(*values) for _, values in read_rows(source, _CSV_COLUMNS)]
+    records: list[ExperimentRecord] = []
+    seen: dict[tuple, int] = {}  # (scheduler, n_tasks, rep) -> defining line
+    for line_no, values in read_rows(source, _CSV_COLUMNS):
+        kind, n_tasks, rep = cell = tuple(values[:3])
+        if cell in seen:
+            raise TraceParseError(
+                line_no, f"{kind.name} n_tasks {n_tasks} rep {rep} already defined on line {seen[cell]}"
+            )
+        seen[cell] = line_no
+        records.append(ExperimentRecord(*values))
+    return records
 
 
 def _element(tag: str, body: str | None = None, **attrs: object) -> str:
@@ -249,7 +262,7 @@ def emit_svg_chart(agg: Aggregate, sink: IO[str]) -> int:
 
     peak = max(agg.mean_s.values())
     y_max = peak * 1.08
-    check_fields(("makespan_s", is_finite(y_max), "a mean the chart can scale by 1.08", peak))
+    check_fields(("makespan_s", is_finite(y_max) and y_max > 0, "a mean the chart can scale by 1.08", peak))
 
     def y_pos(v: float) -> float:
         return bottom - v / y_max * (bottom - top)

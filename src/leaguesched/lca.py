@@ -27,13 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .baselines import bef, fcfs, ljf
 from .model import Assignment, ProblemInstance, check_fields, is_finite, is_integer, makespan
 from .rng import SplitMix64
 
-# Formations are clamped to [0, m - _CLAMP_EPS] so floor() never reaches m.
+# Formations are clamped to [0, m - _CLAMP_EPS] so truncation never reaches m.
 _CLAMP_EPS = 1e-9
 
 # No team: a bye slot in the fixtures, or no opponent yet for a team that has not played.
@@ -106,17 +105,20 @@ def encode(assignment: Assignment) -> np.ndarray:
 
 
 def _vm_index(formation: np.ndarray, n_vms: int) -> np.ndarray:
-    """Truncate each coordinate to a VM index, clamping strays into [0, n_vms)."""
-    return np.clip(np.floor(formation).astype(np.int64), 0, n_vms - 1)
+    """Clamp coordinates into [0, n_vms - 1], then truncate: clamped first, the int64 cast cannot overflow."""
+    return np.clip(formation, 0, n_vms - 1).astype(np.int64)
 
 
 def decode(formation: np.ndarray, n_vms: int) -> Assignment:
-    """The schedule a formation stands for: each coordinate truncated to a VM index.
+    """The schedule a formation stands for: each coordinate clamped into [0, n_vms - 1], then truncated.
 
-    Raises ValueError naming formation when it is not a vector of finite coordinates, and n_vms when it is not an
-    integer >= 1.
+    Clamped first, a coordinate of any size decodes to its nearest end VM. Raises ValueError naming formation
+    when it is not a vector of finite coordinates, and n_vms when it is not an integer >= 1.
     """
-    x = np.asarray(formation, dtype=np.float64)
+    try:
+        x = np.asarray(formation, dtype=np.float64)
+    except (TypeError, ValueError):  # not numeric: a 2-d stand-in, so check_fields refuses it by name
+        x = np.empty((0, 0))
     check_fields(("formation", x.ndim == 1 and bool(np.isfinite(x).all()), "a vector of finite coordinates",
                   formation),
                  ("n_vms", is_integer(n_vms) and n_vms >= 1, "an integer >= 1", n_vms))
@@ -225,7 +227,7 @@ def update_formation(
                 step_at.append(cursor + 1 + (k - 1) * n)  # the last mask, then r1 and r2
                 cursor += 1 + (k + 2) * n
         span = rng.uniforms(cursor)
-        window = sliding_window_view(span, 3 * n)[step_at] if step_rows else np.empty((0, 3 * n))
+        window = np.array([span[at : at + 3 * n] for at in step_at]).reshape(-1, 3 * n)
         mask = window[:, :n] <= params.change_probability
         empty = np.flatnonzero(~mask.any(axis=1))
         if not empty.size:
@@ -276,9 +278,7 @@ def init_league(params: LcaParams, instance: ProblemInstance) -> League:
     evaluate = _FitnessEvaluator(instance)
     size, n, m = params.league_size, len(instance.tasks), len(instance.vms)
     seeds = [fcfs(instance), ljf(instance), bef(instance)] if params.seed_with_baselines else []
-    current = np.empty((size, n))
-    for i in range(size):
-        current[i] = encode(seeds[i]) if i < len(seeds) else rng.uniforms(n) * m
+    current = np.vstack([*map(encode, seeds), rng.uniforms((size - len(seeds)) * n).reshape(-1, n) * m])
     fitness = evaluate(current)
     return League(
         current=current,
@@ -308,9 +308,8 @@ def run(params: LcaParams, instance: ProblemInstance) -> RunResult:
     m = len(instance.vms)
     history: list[float] = []
     for season in range(1, params.seasons + 1):
-        for week, pairs in enumerate(season_fixtures(params.league_size, season)):
-            home, away = np.array(pairs).T
-            if season > 1 or week > 0:
+        for home, away in np.array(season_fixtures(params.league_size, season)).transpose(0, 2, 1):
+            if history:  # from week 2 on; week 1 is played with the initial formations
                 upcoming = np.full(params.league_size, _BYE)
                 upcoming[home], upcoming[away] = away, home
                 teams = np.flatnonzero(league.last_opponent != _BYE)  # byes may leave some unplayed

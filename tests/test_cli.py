@@ -241,9 +241,11 @@ def test_bench_rejects_malformed_json(tmp_path):
         ({"vm_speed_mips": math.inf}, "vm_speed_mips"),
         ({"schedulers": 5}, "schedulers"),
         ({"lca_params": {"seed": 999}}, "lca_params.seed"),
+        ({"task_counts": [4, 4]}, "task_counts"),
+        ({"schedulers": ["fcfs", "FCFS"]}, "schedulers"),
     ],
     ids=["fractional_n_vms", "string_league_size", "infinite_length", "infinite_speed",
-         "scalar_schedulers", "ignored_search_seed"],
+         "scalar_schedulers", "ignored_search_seed", "repeated_task_count", "repeated_scheduler"],
 )
 def test_bench_rejects_mistyped_or_non_finite_config(tmp_path, capsys, bad, field):
     config = tmp_path / "config.json"

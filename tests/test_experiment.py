@@ -10,6 +10,7 @@ from leaguesched import (
     ExperimentRecord,
     LcaParams,
     SchedulerKind,
+    TraceParseError,
     aggregate,
     config_from_dict,
     derive_cell_seed,
@@ -148,6 +149,8 @@ def test_lca_histories_reported_via_callback():
         ("repetitions", dict(repetitions=True)),
         ("master_seed", dict(master_seed=2**64)),
         ("league_size", dict(lca_params=dict(league_size="x"))),  # LcaParams kwargs
+        ("task_counts", dict(task_counts=(4, 6, 4))),  # a repeat would write its cells twice
+        ("schedulers", dict(schedulers=(K.FCFS, K.LCA, K.FCFS))),
     ],
 )
 def test_invalid_configs_rejected(overrides):
@@ -302,6 +305,13 @@ def test_parse_csv_rejects_bad_values_naming_line_and_field(row, field):
         parse_csv(text)
 
 
+def test_parse_csv_refuses_a_repeated_cell_naming_both_lines():
+    text = "scheduler,n_tasks,rep,seed,makespan_s,evals,wall_ms\nFCFS,4,0,1,2.0,0,0\nFCFS,4,1,2,2.0,0,0\n" \
+        "FCFS,4,0,1,2.0,0,0\n"
+    with pytest.raises(TraceParseError, match=r"^line 4: FCFS n_tasks 4 rep 0 already defined on line 2$"):
+        parse_csv(text)
+
+
 def test_parse_csv_accepts_the_largest_seed():
     (record,) = parse_csv(
         "scheduler,n_tasks,rep,seed,makespan_s,evals,wall_ms\n"
@@ -357,6 +367,14 @@ def test_svg_refuses_a_mean_too_large_to_scale():
     sink = io.StringIO()
     with pytest.raises(ValueError, match=r"^makespan_s must be a mean the chart can scale by 1\.08"):
         emit_svg_chart(aggregate([_record(K.FCFS, 4, 0, 1.7e308)]), sink)
+    assert sink.getvalue() == ""
+
+
+def test_svg_refuses_a_zero_scale():
+    # A largest mean of 0.0 would divide every y coordinate by zero.
+    sink = io.StringIO()
+    with pytest.raises(ValueError, match=r"^makespan_s must be a mean the chart can scale by 1\.08, got 0\.0$"):
+        emit_svg_chart(aggregate([_record(K.FCFS, 4, 0, 0.0)]), sink)
     assert sink.getvalue() == ""
 
 

@@ -301,7 +301,7 @@ def test_csv_reads_back_what_it_writes_and_writes_only_what_it_reads(recs):
         r.n_tasks >= 1 and r.rep >= 0 and 0 <= r.seed < 2**64 and r.evaluations >= 0
         and r.wall_time_ms >= 0 and math.isfinite(r.makespan_s) and r.makespan_s > 0
         for r in printed
-    )
+    ) and len({(r.scheduler, r.n_tasks, r.rep) for r in recs}) == len(recs)  # one row per grid cell
     sink = io.StringIO()
     if readable:
         emit_csv(recs, sink)
