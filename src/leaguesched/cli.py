@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 from typing import IO, Callable
 
-from .baselines import bef, fcfs, ljf
+from .baselines import SchedulerKind, bef, fcfs, ljf
 from .experiment import (
     ExperimentConfig,
     aggregate,
@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trace", required=True, help="trace file path")
     s.add_argument("--vms", type=int, required=True, help="number of VMs")
     s.add_argument("--vm-mips", type=float, default=1000.0, help="speed of every VM (MIPS)")
-    s.add_argument("--algo", choices=["fcfs", "ljf", "bef", "lca"], required=True)
+    s.add_argument("--algo", choices=[kind.name.lower() for kind in SchedulerKind], required=True)
     s.add_argument("--seed", type=int, default=0, help="search seed (lca only)")
     s.add_argument("--json", action="store_true", help="machine-readable output")
     s.set_defaults(handler=_cmd_schedule)
@@ -101,10 +101,11 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     tasks = load_trace(Path(args.trace).read_text(encoding="utf-8"))
     vms = tuple(VirtualMachine(id=v, speed_mips=args.vm_mips) for v in range(args.vms))
     instance = ProblemInstance(tuple(tasks), vms)
-    if args.algo == "lca":
+    kind = SchedulerKind[args.algo.upper()]
+    if kind is SchedulerKind.LCA:
         assignment = run(params, instance).best_assignment
-    else:
-        assignment = {"fcfs": fcfs, "ljf": ljf, "bef": bef}[args.algo](instance)
+    else:  # a greedy baseline by code, looked up per call so a rebound module global is seen
+        assignment = (fcfs, ljf, bef)[kind](instance)
     result = makespan(instance, assignment)
     if args.json:
         print(json.dumps({"algorithm": args.algo, "makespan_s": result.makespan_s,

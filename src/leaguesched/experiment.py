@@ -34,12 +34,7 @@ _CSV_COLUMNS = [
     ("wall_ms", str, int, lambda v: v >= 0, "an integer >= 0"),
 ]
 
-_CHART_COLORS = {
-    SchedulerKind.FCFS: "#c44e52",
-    SchedulerKind.LJF: "#55a868",
-    SchedulerKind.BEF: "#dd8452",
-    SchedulerKind.LCA: "#4c72b0",
-}
+_CHART_COLORS = ("#c44e52", "#55a868", "#dd8452", "#4c72b0")  # indexed by SchedulerKind code
 
 
 @dataclass(frozen=True)
@@ -53,12 +48,7 @@ class ExperimentConfig:
     vm_speed_mips: float | tuple[float, ...] = 1000.0
     length_range_mi: tuple[float, float] = (200.0, 500.0)
     repetitions: int = 9
-    schedulers: tuple[SchedulerKind, ...] = (
-        SchedulerKind.FCFS,
-        SchedulerKind.LJF,
-        SchedulerKind.BEF,
-        SchedulerKind.LCA,
-    )
+    schedulers: tuple[SchedulerKind, ...] = tuple(SchedulerKind)
     lca_params: LcaParams = field(default_factory=LcaParams)
     master_seed: int = 42
 
@@ -126,13 +116,6 @@ def derive_search_seed(cell_seed: int, scheduler_code: int) -> int:
     return mix64(cell_seed ^ scheduler_code)
 
 
-def _build_vms(config: ExperimentConfig) -> tuple[VirtualMachine, ...]:
-    speeds = config.vm_speed_mips
-    if not isinstance(speeds, tuple):
-        speeds = (speeds,) * config.n_vms
-    return tuple(VirtualMachine(id=v, speed_mips=float(s)) for v, s in enumerate(speeds))
-
-
 def run_experiment(
     config: ExperimentConfig,
     measure_wall_time: bool = False,
@@ -146,7 +129,10 @@ def run_experiment(
     function of the configuration. history_callback, when given, is
     invoked with each LCA record and its week-by-week best-fitness history.
     """
-    vms = _build_vms(config)
+    speeds = config.vm_speed_mips
+    if not isinstance(speeds, tuple):
+        speeds = (speeds,) * config.n_vms
+    vms = tuple(VirtualMachine(id=v, speed_mips=float(s)) for v, s in enumerate(speeds))
     records = []
     for n_tasks in config.task_counts:
         for rep in range(config.repetitions):
@@ -155,24 +141,16 @@ def run_experiment(
             instance = ProblemInstance(tuple(tasks), vms)
             for kind in config.schedulers:
                 started = time.perf_counter_ns()
-                history = None
                 if kind is SchedulerKind.LCA:
-                    params = replace(config.lca_params, seed=derive_search_seed(cell_seed, kind.value))
-                    result = run(params, instance)
+                    result = run(replace(config.lca_params, seed=derive_search_seed(cell_seed, kind)), instance)
                     ms, evals = result.best_makespan_s, result.evaluations
-                    history = result.history
-                else:
-                    assignment = {
-                        SchedulerKind.FCFS: fcfs,
-                        SchedulerKind.LJF: ljf,
-                        SchedulerKind.BEF: bef,
-                    }[kind](instance)
-                    ms, evals = makespan(instance, assignment).makespan_s, 0
+                else:  # a greedy baseline by code, looked up per call so a rebound module global is seen
+                    ms, evals = makespan(instance, (fcfs, ljf, bef)[kind](instance)).makespan_s, 0
                 wall = -((started - time.perf_counter_ns()) // 1_000_000) if measure_wall_time else 0
                 record = ExperimentRecord(kind, n_tasks, rep, cell_seed, ms, evals, wall)
                 records.append(record)
-                if history is not None and history_callback is not None:
-                    history_callback(record, history)
+                if kind is SchedulerKind.LCA and history_callback is not None:
+                    history_callback(record, result.history)
     return records
 
 
@@ -288,7 +266,7 @@ def emit_svg_chart(agg: Aggregate, sink: IO[str]) -> int:
                           transform=f"rotate(-90 16 {mid:.1f})"))
     legend_y = top + 10.0
     for kind in agg.schedulers:
-        color = _CHART_COLORS.get(kind, "#333333")
+        color = _CHART_COLORS[kind]
         points = " ".join(f"{x_pos(n):.1f},{y_pos(agg.mean_s[(kind, n)]):.1f}"
                           for n in xs if (kind, n) in agg.mean_s)
         parts.append(_element("polyline", fill="none", stroke=color, stroke_width=2, points=points))
@@ -311,9 +289,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     """
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
-    unknown = set(data) - set(ExperimentConfig.__dataclass_fields__)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    sub = data.get("lca_params", {})
+    check_fields(("lca_params", isinstance(sub, dict), "a JSON object", sub))
+    for name, keys, fields in (("config", data, ExperimentConfig), ("lca_params", sub, LcaParams)):
+        unknown = set(keys) - set(fields.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
     kwargs = dict(data)
     if "schedulers" in kwargs:
         names = kwargs["schedulers"]
@@ -322,13 +303,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             kwargs["schedulers"] = tuple(SchedulerKind[str(name).upper()] for name in names)
         except KeyError as exc:
             raise ValueError(f"unknown scheduler name: {exc.args[0]!r}") from None
-    if "lca_params" in kwargs:
-        sub = kwargs["lca_params"]
-        check_fields(("lca_params", isinstance(sub, dict), "a JSON object", sub))
-        lca_unknown = set(sub) - set(LcaParams.__dataclass_fields__)
-        if lca_unknown:
-            raise ValueError(f"unknown lca_params keys: {sorted(lca_unknown)}")
-        check_fields(("lca_params.seed", "seed" not in sub, "absent: search seeds derive from master_seed",
-                      sub.get("seed")))
-        kwargs["lca_params"] = LcaParams(**sub)
+    check_fields(("lca_params.seed", "seed" not in sub, "absent: search seeds derive from master_seed",
+                  sub.get("seed")))
+    kwargs["lca_params"] = LcaParams(**sub)
     return ExperimentConfig(**kwargs)

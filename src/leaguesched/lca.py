@@ -113,7 +113,7 @@ def decode(formation: np.ndarray, n_vms: int) -> Assignment:
     """The schedule a formation stands for: each coordinate clamped into [0, n_vms - 1], then truncated.
 
     Clamped first, a coordinate of any size decodes to its nearest end VM. Raises ValueError naming formation
-    when it is not a vector of finite coordinates, and n_vms when it is not an integer >= 1.
+    unless a vector of finite coordinates, and n_vms unless an integer in [1, 2**53], where n_vms - 1 is exact.
     """
     try:
         x = np.asarray(formation, dtype=np.float64)
@@ -121,7 +121,7 @@ def decode(formation: np.ndarray, n_vms: int) -> Assignment:
         x = np.empty((0, 0))
     check_fields(("formation", x.ndim == 1 and bool(np.isfinite(x).all()), "a vector of finite coordinates",
                   formation),
-                 ("n_vms", is_integer(n_vms) and n_vms >= 1, "an integer >= 1", n_vms))
+                 ("n_vms", is_integer(n_vms) and 1 <= n_vms <= 2**53, "an integer >= 1 and <= 2**53", n_vms))
     return Assignment(tuple(_vm_index(x, n_vms).tolist()))
 
 

@@ -14,7 +14,7 @@ import io
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,11 +70,11 @@ def read_rows(source: str | IO[str] | Iterable[str], columns: list[tuple]) -> It
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    lines = [(line_no, line) for line_no, line in enumerate(map(str.strip, source), start=1) if line]
-    if lines and lines[0][1] == ",".join(column[0] for column in columns):
-        del lines[0]
-    for line_no, line in lines:
-        texts = [part.strip() for part in line.split(",")]
+    rows = [(line_no, line, [part.strip() for part in line.split(",")])
+            for line_no, line in enumerate(map(str.strip, source), start=1) if line]
+    if rows and rows[0][2] == [column[0] for column in columns]:
+        del rows[0]
+    for line_no, line, texts in rows:
         try:
             check_fields(("row", len(texts) == len(columns), f"{len(columns)} fields long", line))
             values = [_parsed(column[2], text) for column, text in zip(columns, texts)]
@@ -125,6 +125,13 @@ class ProblemInstance:
     _reordered: bool = field(init=False, repr=False, compare=False)  # arrival != position order
 
     def __post_init__(self) -> None:
+        fields = (("tasks", self.tasks, Task), ("vms", self.vms, VirtualMachine))
+        wrong = [f"{name} must be a sequence, got {type(seq).__name__}"
+                 for name, seq, _ in fields if not isinstance(seq, Sequence)]
+        wrong = wrong or [f"{name}[{k}] must be a {kind.__name__}, got {type(x).__name__}"
+                          for name, seq, kind in fields for k, x in enumerate(seq) if not isinstance(x, kind)]
+        if wrong:
+            raise InvalidInstanceError("; ".join(wrong))
         tasks, vms = tuple(self.tasks), tuple(self.vms)
         problems = [] if tasks else ["empty task list"]
         if not vms:
@@ -202,9 +209,6 @@ class Assignment:
             if not (is_integer(v) and v >= 0):
                 raise InvalidAssignmentError(f"position {k}: {v!r} is not a nonnegative integer VM index")
         object.__setattr__(self, "vm_of", tuple(map(int, vm_of)))
-
-    def __len__(self) -> int:
-        return len(self.vm_of)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from leaguesched import (
+    Aggregate,
     ExperimentConfig,
     ExperimentRecord,
     LcaParams,
@@ -268,6 +269,11 @@ def test_parse_csv_rejects_bad_header():
         parse_csv("nope,nope\n")
 
 
+def test_parse_csv_skips_a_header_with_spaces_around_its_fields():
+    text = "scheduler, n_tasks, rep, seed, makespan_s, evals, wall_ms\nFCFS, 20, 0, 1, 1.000000, 0, 0\n"
+    assert parse_csv(text) == [ExperimentRecord(K.FCFS, 20, 0, 1, 1.0, 0, 0)]
+
+
 def test_parse_csv_rejects_unknown_scheduler():
     with pytest.raises(ValueError):
         parse_csv(
@@ -375,6 +381,13 @@ def test_svg_refuses_a_zero_scale():
     sink = io.StringIO()
     with pytest.raises(ValueError, match=r"^makespan_s must be a mean the chart can scale by 1\.08, got 0\.0$"):
         emit_svg_chart(aggregate([_record(K.FCFS, 4, 0, 0.0)]), sink)
+    assert sink.getvalue() == ""
+
+
+def test_svg_refuses_an_aggregate_with_no_schedulers():
+    sink = io.StringIO()
+    with pytest.raises(ValueError, match="^aggregate covers no schedulers$"):
+        emit_svg_chart(Aggregate(schedulers=(), task_counts=(), mean_s={}, grand_mean_s={}), sink)
     assert sink.getvalue() == ""
 
 

@@ -160,6 +160,7 @@ def test_decode_clamps_both_ends():
     assert decode(np.array([0.5]), 1).vm_of == (0,)
     # Past 2**63 an int64 cast of the coordinate itself would overflow; the clamp comes first.
     assert decode(np.array([1e300, -1e300, 0.5]), 3).vm_of == (2, 0, 0)
+    assert decode(np.array([1e20]), 2**53).vm_of == (2**53 - 1,)
 
 
 @settings(max_examples=200, deadline=None)
@@ -178,7 +179,8 @@ def test_decode_refuses_a_formation_that_is_not_a_finite_vector(formation):
         decode(np.array(formation), 2)
 
 
-@pytest.mark.parametrize("n_vms", [True, 0, -1, 2.0, "2", None])
+# Past 2**53, n_vms - 1 is not exact in float64, so the clamp bound could leave the int64 range.
+@pytest.mark.parametrize("n_vms", [True, 0, -1, 2.0, "2", None, 2**53 + 1, 10**30])
 def test_decode_refuses_a_bad_vm_count(n_vms):
     with pytest.raises(ValueError, match="n_vms must be an integer >= 1"):
         decode(np.array([0.5]), n_vms)

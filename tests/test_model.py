@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,27 @@ def test_validate_reports_nonpositive_length():
 def test_validate_reports_empty_vm_list():
     with pytest.raises(InvalidInstanceError, match="empty VM list"):
         ProblemInstance((Task(0, 100.0, 0),), ())
+
+
+@pytest.mark.parametrize("bad_id", [-1, 1.5])
+def test_validate_refuses_a_task_id_that_is_not_a_nonnegative_integer(bad_id):
+    with pytest.raises(InvalidInstanceError, match=re.escape(f"task {bad_id!r}: id must be a nonnegative integer")):
+        ProblemInstance((Task(bad_id, 100.0, 0),), (VirtualMachine(0, 100.0),))
+
+
+@pytest.mark.parametrize(
+    "tasks, vms, message",
+    [
+        ((1, 2), (VirtualMachine(0, 100.0),), "tasks[0] must be a Task, got int; tasks[1] must be a Task, got int"),
+        (None, (VirtualMachine(0, 100.0),), "tasks must be a sequence, got NoneType"),
+        ((Task(0, 100.0, 0),), None, "vms must be a sequence, got NoneType"),
+        ((Task(0, 100.0, 0),), [VirtualMachine(0, 100.0), 7], "vms[1] must be a VirtualMachine, got int"),
+        (None, 5, "tasks must be a sequence, got NoneType; vms must be a sequence, got int"),
+    ],
+)
+def test_validate_refuses_a_container_or_entry_of_the_wrong_type(tasks, vms, message):
+    with pytest.raises(InvalidInstanceError, match=f"^{re.escape(message)}$"):
+        ProblemInstance(tasks, vms)
 
 
 def test_validate_reports_duplicate_task_ids():

@@ -89,6 +89,12 @@ def test_load_trace_skips_header():
     assert tasks[0].length_mi == 250.0
 
 
+def test_load_trace_skips_a_header_with_spaces_around_its_fields():
+    # Data fields are stripped, so the header's are too: "0, 300" and "task_id, length_mi" both read.
+    tasks = load_trace(" task_id , length_mi\n0, 300\n")
+    assert [(t.id, t.length_mi) for t in tasks] == [(0, 300.0)]
+
+
 def test_load_trace_header_only_after_blank_lines():
     tasks = load_trace("\n\ntask_id,length_mi\n4,300\n")
     assert [(t.id, t.arrival_index) for t in tasks] == [(4, 0)]
