@@ -198,13 +198,18 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class Assignment:
-    """Decoded schedule: vm_of[k] is the VM index executing task k. A float, string,
-    bool or negative entry raises InvalidAssignmentError rather than being coerced."""
+    """Decoded schedule: vm_of[k] is the VM index executing task k. A vm_of that is not
+    iterable, or a float, string, bool or negative entry, raises InvalidAssignmentError
+    rather than being coerced."""
 
     vm_of: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        vm_of = tuple(self.vm_of)
+        try:
+            vm_of = tuple(self.vm_of)
+        except TypeError:
+            kind = type(self.vm_of).__name__
+            raise InvalidAssignmentError(f"vm_of must be a sequence of VM indices, got {kind}") from None
         for k, v in enumerate(vm_of):
             if not (is_integer(v) and v >= 0):
                 raise InvalidAssignmentError(f"position {k}: {v!r} is not a nonnegative integer VM index")

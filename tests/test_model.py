@@ -73,6 +73,13 @@ def test_assignment_rejects_entries_that_are_not_vm_indexes(vm_of, position):
         Assignment(vm_of)
 
 
+@pytest.mark.parametrize("vm_of", [None, 5], ids=["none", "int"])
+def test_assignment_refuses_a_vm_of_that_is_not_a_sequence(vm_of):
+    kind = type(vm_of).__name__
+    with pytest.raises(InvalidAssignmentError, match=rf"^vm_of must be a sequence of VM indices, got {kind}$"):
+        Assignment(vm_of)
+
+
 def test_assignment_accepts_numpy_integers_as_plain_ints():
     a = Assignment(np.array([2, 0, 1], dtype=np.int64))
     assert a.vm_of == (2, 0, 1) and all(type(v) is int for v in a.vm_of)

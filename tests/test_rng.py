@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leaguesched import SplitMix64, decode, mix64
-from leaguesched.rng import _GAMMA, _MULT1, _MULT2, MASK64
+from leaguesched.rng import _GAMMA, _MULT1, _MULT2, _SPLIT_CAST, MASK64, _split_cast
 
 # First three SplitMix64 outputs for seed 0, as published for the reference
 # implementation (also used as seeding vectors by the xoshiro family).
@@ -47,7 +49,7 @@ def test_uniform_in_unit_interval():
 
 
 def test_uniforms_block_matches_sequential_draws():
-    for k in (1, 2, 7, 64, 1000):
+    for k in (1, 2, 7, 64, 1000, _SPLIT_CAST - 1, _SPLIT_CAST, 5000):
         seq = SplitMix64(k)
         blk = SplitMix64(k)
         expected = [seq.uniform() for _ in range(k)]
@@ -63,6 +65,54 @@ def test_uniforms_advances_state_like_sequential():
         seq.uniform()
     blk.uniforms(10)
     assert seq.uniform() == blk.uniform()
+
+
+def test_uniforms_takes_any_integer_count_and_refuses_the_rest():
+    assert SplitMix64(5).uniforms(np.int64(3)).tolist() == SplitMix64(5).uniforms(3).tolist()
+    gen = SplitMix64(5)
+    assert gen.uniforms(0).shape == (0,) and gen.state == 5  # an all-swap week draws an empty span
+    with pytest.raises(ValueError, match=r"^k must be an integer >= 0, got -1$"):
+        gen.uniforms(-1)
+    with pytest.raises(TypeError):
+        gen.uniforms(2.5)
+    assert gen.state == 5  # a refused k draws nothing
+
+
+def _plain_uniforms(state, k):
+    """The block the plain cast gives: the finalizer on state + gamma * [1..k], cast as uint64."""
+    z = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(state)
+    for shift, mult in ((30, _MULT1), (27, _MULT2)):
+        z = (z ^ (z >> np.uint64(shift))) * np.uint64(mult)
+    z ^= z >> np.uint64(31)
+    return z.astype(np.float64) / 2**64
+
+
+# Words around the float64 rounding boundaries: exact below 2**53, ties to even at
+# 2**63 + 2**10 (down) and 2**63 + 3 * 2**10 (up), and the top words that round to 2**64.
+EDGE_WORDS = [0, 1, 2**53 - 1, 2**53, 2**53 + 1, 2**63, 2**63 + 2**10, 2**63 + 3 * 2**10,
+              2**64 - 2**10 - 1, 2**64 - 2**10, 2**64 - 1]
+
+
+def test_split_cast_equals_the_plain_cast_on_edge_words():
+    z = np.array(EDGE_WORDS, dtype=np.uint64)
+    expected = z.astype(np.float64) / 2**64
+    got = _split_cast(z.copy())
+    assert got.dtype == np.float64
+    assert got.tobytes() == expected.tobytes()
+    assert got[-3] < 1.0 and got[-2] == got[-1] == 1.0
+    assert got[6] == 0.5 and got[7] == 0.5 + 2**-52  # the two ties, rounded to even
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, MASK64),
+    st.one_of(st.integers(0, _SPLIT_CAST + 8), st.integers(_SPLIT_CAST - 8, 40_000)),
+)
+def test_uniforms_equals_the_plain_cast_on_both_sides_of_the_split(state, k):
+    gen = SplitMix64(state)
+    got = gen.uniforms(k)
+    assert got.tobytes() == _plain_uniforms(state, k).tobytes()
+    assert gen.state == (state + k * _GAMMA) & MASK64
 
 
 def _unshift(y, s):
@@ -88,5 +138,6 @@ def test_top_outputs_round_to_exactly_one_and_decoding_clamps_them():
         assert SplitMix64(seed).next_u64() == output
         assert SplitMix64(seed).uniform() == 1.0
         assert SplitMix64(seed).uniforms(1)[0] == 1.0
+        assert SplitMix64(seed).uniforms(_SPLIT_CAST)[0] == 1.0  # the split cast rounds it up too
         assert decode(SplitMix64(seed).uniforms(1) * 3, 3).vm_of == (2,)
     assert SplitMix64(_seed_for_next_output(2**64 - 2**10 - 1)).uniform() < 1.0
