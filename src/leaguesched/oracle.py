@@ -1,12 +1,13 @@
 """Ground truth for the league search on small instances.
 
-Exhaustive enumeration of every assignment plus an analytic lower bound.
-Both exist to check the search, not the objective, and enumeration is guarded
-to desk scale. It walks the prefix tree of assignments: a node at depth k
-holds the per-VM loads of one choice of VMs for the first k arriving tasks,
-and its m children add the next task's length / speed to one VM each. Every
-load is thus 0.0 plus the loads kernel's quotients in arrival order, the sum
-its bincount makes, so every makespan is bit-identical to the kernel's.
+An exact search over every assignment plus an analytic lower bound, both to
+check the search, not the objective; the search is guarded to desk scale. It
+walks the prefix tree of assignments: a node at depth k holds the per-VM loads
+of one choice of VMs for the first k arriving tasks, and its m children add
+the next task's length / speed to one VM each, so every load is 0.0 plus the
+loads kernel's quotients in arrival order and every makespan is bit-identical
+to the kernel's. Loads only grow down the tree, so a node whose max load
+exceeds a reached makespan holds no optimum, and the search cuts it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 
 import numpy as np
 
+from .baselines import ljf
 from .model import Assignment, ProblemInstance, makespan
 
 ENUMERATION_LIMIT = 10**7
@@ -24,13 +26,13 @@ _CHUNK_CELLS = 1 << 14
 
 
 def brute_force_optimum(instance: ProblemInstance) -> tuple[Assignment, float]:
-    """Enumerate all m^n assignments and return a makespan-minimal one.
+    """Search all m^n assignments and return the lexicographically smallest makespan-minimal one.
 
-    A tree level is m copies of the last side by side plus one strided add,
-    grown in chunks of at most about _CHUNK_CELLS loads. Ties go to the
-    lexicographically smallest vm_of whatever the arrival order: a chunk's
-    tied leaves become vm_of codes (task 0 the most significant base-m
-    digit) and the least (makespan, code) wins.
+    The tree grows one strided add per level, in chunks of at most about
+    _CHUNK_CELLS loads, and cuts every column above the incumbent: the least
+    (makespan, vm_of code) reached so far, LJF's at first, with task 0 the
+    most significant base-m digit. Ties survive the cut (<=), so every optimum
+    reaches a leaf and the least code wins whatever the arrival order.
     """
     n, m = len(instance.tasks), len(instance.vms)
     if m**n > ENUMERATION_LIMIT:
@@ -38,34 +40,32 @@ def brute_force_optimum(instance: ProblemInstance) -> tuple[Assignment, float]:
     place = m ** np.arange(n - 1, -1, -1)  # digit weights; task 0 is the most significant
     weight = place[instance.arrival]  # digit weight of the k-th arriving task
     dur = instance.lengths[instance.arrival, None] / instance.speeds  # the kernel's quotients, by arrival
+    start = np.array(ljf(instance).vm_of)
+    incumbent = (float(instance.loads(start).max()), int(start @ place))  # a leaf, summed as the tree sums it
 
-    def grow(loads: np.ndarray, k: int) -> np.ndarray:
-        """The next level: its column j*c + i is column i with arrival k on VM j."""
+    def grow(loads: np.ndarray, codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next level within the incumbent: column j*c + i, if kept, is column i with arrival k on VM j."""
         grown = np.concatenate([loads] * m, axis=1)
         grown.reshape(m * m, -1)[:: m + 1] += dur[k][:, None]  # row v of every block j == v
-        return grown
+        keep = np.maximum.reduce(grown, axis=0) <= incumbent[0]  # compress, unlike [:, keep], stays C-ordered
+        return grown.compress(keep, axis=1), (codes + (np.arange(m) * weight[k])[:, None]).ravel()[keep]
 
-    def best(loads: np.ndarray, codes: np.ndarray, k: int) -> tuple[float, int]:
-        """Least (makespan, code) below the columns of loads, which place arrivals 0..k-1."""
-        if k == n or loads.size * m ** (n - k) <= _CHUNK_CELLS:
-            for j in range(k, n):
-                loads = grow(loads, j)
+    def descend(loads: np.ndarray, codes: np.ndarray, k: int) -> None:
+        """Grow the columns of loads (arrivals 0..k-1 placed) while a level fits a chunk; split or score."""
+        nonlocal incumbent
+        while k < n and (len(codes) == 1 or loads.size * m <= _CHUNK_CELLS):
+            loads, codes, k = *grow(loads, codes, k), k + 1
+        if k < n:
+            width = max(1, _CHUNK_CELLS // m ** (n - k + 1))  # columns whose unpruned subtrees fill a chunk
+            for a in range(0, len(codes), width):
+                descend(loads[:, a : a + width], codes[a : a + width], k)
+        elif codes.size:
             ms = np.maximum.reduce(loads, axis=0)
-            low = ms.min()
-            # Leaf column s * len(codes) + i extends column i by arrivals k.. with base-m digits s.
-            suffix, prefix = np.divmod(np.flatnonzero(ms == low), len(codes))
-            ties = codes[prefix] + (suffix[:, None] // m ** np.arange(n - k) % m) @ weight[k:]
-            return float(low), int(ties.min())
-        # Only a single node is too large for a chunk: grow it while the frontier fits one.
-        while len(codes) == 1 or loads.size * m <= _CHUNK_CELLS:
-            loads, codes, k = grow(loads, k), (codes + (np.arange(m) * weight[k])[:, None]).ravel(), k + 1
-        width = max(1, _CHUNK_CELLS // m ** (n - k + 1))  # columns whose subtrees fill a chunk
-        return min(best(loads[:, a : a + width], codes[a : a + width], k) for a in range(0, len(codes), width))
+            incumbent = min(incumbent, (float(ms.min()), int(codes[ms == ms.min()].min())))
 
-    code = best(np.zeros((m, 1)), np.zeros(1, dtype=np.int64), 0)[1]
-    vm_of = Assignment(tuple((code // place % m).tolist()))
-    # Report the canonical model evaluation of the winning assignment.
-    return vm_of, makespan(instance, vm_of).makespan_s
+    descend(np.zeros((m, 1)), np.zeros(1, dtype=np.int64), 0)
+    vm_of = Assignment(tuple((incumbent[1] // place % m).tolist()))
+    return vm_of, makespan(instance, vm_of).makespan_s  # the canonical model evaluation of the winner
 
 
 def lower_bound(instance: ProblemInstance) -> float:

@@ -59,7 +59,10 @@ class SplitMix64:
         return self.next_u64() / _TWO64
 
     def peek(self, t: int) -> float:
-        """The uniform the t-th draw from now (t >= 1) will give, without drawing it."""
+        """The uniform the t-th draw from now will give, without drawing it; t is any integer >= 1."""
+        t = operator.index(t)
+        if t < 1:
+            raise ValueError(f"t must be an integer >= 1, got {t}")
         return mix64(self.state + t * _GAMMA) / _TWO64
 
     def uniforms(self, k: int) -> np.ndarray:

@@ -164,6 +164,32 @@ def test_search_matches_brute_force_oracle():
     assert elapsed < 30.0
 
 
+def test_search_against_the_true_optimum_on_three_and_four_vms():
+    # Equal-speed VMs with more tasks than VMs, so FCFS is not certified optimal
+    # and the exact optimum is the only reference that shows how close LCA gets.
+    # lower_bound sums all lengths in one expression, so it gets a rounding slack.
+    shapes = [(3, 12), (3, 12), (4, 10), (4, 10), (4, 11), (4, 11)]
+    gaps = []
+    started = time.perf_counter()
+    for i, (n_vms, n_tasks) in enumerate(shapes):
+        seed = mix64(2000 + i)
+        tasks = generate_synthetic(WorkloadSpec(n_tasks, seed=seed))
+        instance = ProblemInstance(tuple(tasks), tuple(VirtualMachine(v, 1000.0) for v in range(n_vms)))
+        bound, (_, optimum) = lower_bound(instance), brute_force_optimum(instance)
+        league_s = run(LcaParams(seed=mix64(seed ^ K.LCA.value)), instance).best_makespan_s
+        greedy_s = [makespan(instance, scheduler(instance)).makespan_s for scheduler in (fcfs, ljf, bef)]
+        assert greedy_s[0] != bound, f"instance {i}: FCFS is certified optimal"
+        assert bound <= optimum * (1.0 + 1e-12) and optimum <= league_s <= min(greedy_s), f"instance {i}"
+        gaps.append(league_s / optimum - 1.0)
+    elapsed = time.perf_counter() - started
+    exact = sum(gap == 0.0 for gap in gaps)
+    _report(
+        "LCA vs OPT",
+        True,
+        f"exact optimum in {exact}/{len(gaps)}, mean gap {sum(gaps) / len(gaps):.3%}, {elapsed:.1f}s",
+    )
+
+
 def test_grid_league_never_above_any_baseline(bench):
     _, records, _, _ = bench
     agg = aggregate(records)

@@ -113,6 +113,23 @@ def test_ties_resolve_to_lexicographically_smallest(make_instance):
     assert brute_force_optimum(single)[0].vm_of == (0,)
 
 
+def test_ljf_tied_with_a_smaller_optimum_loses_the_tie(make_instance):
+    # LJF is optimal here, but the search must still reach and prefer the
+    # lexicographically smaller optimum that ties it.
+    inst = make_instance([300.0] * 4)
+    assert ljf(inst).vm_of == (0, 1, 0, 1)
+    best, optimum = brute_force_optimum(inst)
+    assert (best.vm_of, optimum) == ((0, 0, 1, 1), 6.0)
+
+
+def test_ljf_that_is_the_first_optimum_is_returned(make_instance):
+    # {500} against {200, 300}: LJF's own (0, 1, 1) is the first of the two optima.
+    inst = make_instance([500.0, 200.0, 300.0])
+    assert ljf(inst).vm_of == (0, 1, 1)
+    best, optimum = brute_force_optimum(inst)
+    assert (best.vm_of, optimum) == ((0, 1, 1), 5.0)
+
+
 def _tied_instance(arrival, n_vms, lengths=None):
     """Equal-speed VMs and equal lengths unless given: optima tie in many relabelled ways."""
     lengths = lengths or [300.0] * len(arrival)

@@ -146,6 +146,24 @@ def test_oracle_matches_reference_enumeration_for_any_block_size(instance, cells
     assert value == expected_ms
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.booleans().flatmap(
+        lambda equal: instances(max_tasks=6, max_vms=3, max_assignments=400, equal_speeds=equal)
+    ),
+    st.integers(1, 40),
+)
+def test_oracle_answer_does_not_depend_on_its_first_incumbent(instance, cells):
+    # The cut keeps ties and every incumbent is a real leaf, so any starting
+    # schedule in place of LJF's must give the same optimum and tie rule.
+    slowest = Assignment((int(np.argmin(instance.speeds)),) * len(instance.tasks))
+    expected = reference_optimum(instance)
+    for start in (fcfs, bef, lambda _: slowest):
+        with mock.patch.object(oracle, "ljf", start), mock.patch.object(oracle, "_CHUNK_CELLS", cells):
+            best, value = brute_force_optimum(instance)
+        assert (best.vm_of, value) == expected
+
+
 @settings(max_examples=100, deadline=None)
 @given(instances())
 def test_lower_bound_is_the_plain_formula_when_sums_are_finite(instance):

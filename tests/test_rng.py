@@ -78,6 +78,21 @@ def test_uniforms_takes_any_integer_count_and_refuses_the_rest():
     assert gen.state == 5  # a refused k draws nothing
 
 
+def test_peek_takes_any_integer_offset():
+    gen = SplitMix64(5)
+    assert gen.peek(np.int64(3)) == gen.peek(3) == SplitMix64(5).uniforms(3)[2]
+    assert gen.state == 5
+
+
+@pytest.mark.parametrize("t", [0, -1])
+def test_peek_refuses_offsets_below_one(t):
+    # peek(0) would read the draw already made, peek(-1) the one before it.
+    gen = SplitMix64(5)
+    with pytest.raises(ValueError, match=rf"^t must be an integer >= 1, got {t}$"):
+        gen.peek(t)
+    assert gen.state == 5
+
+
 def _plain_uniforms(state, k):
     """The block the plain cast gives: the finalizer on state + gamma * [1..k], cast as uint64."""
     z = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(state)
