@@ -9,9 +9,11 @@ week's fixtures are then resolved stochastically, with win probability driven
 by the two sides' fitness relative to the best value found anywhere in the
 league. Fitness is makespan, so lower means stronger, and a season is one
 full round robin. The league is held as arrays, one row per team, and every
-update reads only last week's league, so a week is computed as a batch: its
-proposals from one span of the random stream, scored together by one call of
-the loads kernel, and its fixtures resolved from one more draw.
+update reads only last week's league, so a week is computed as a batch and
+scored by one call of the loads kernel. Where each draw of the stream falls,
+and what it is, depends only on the seed, the fixtures and n, never on the
+league: SplitMix64 is a counter, so a plan of several weeks' draws is laid
+out and drawn at once (_draw_plan), and each week reads its slice of it.
 
 Win probability for the side with fitness f_i against f_j, given the
 league-wide best f̂ (a lower bound on both):
@@ -37,6 +39,10 @@ _CLAMP_EPS = 1e-9
 
 # No team: a bye slot in the fixtures, or no opponent yet for a team that has not played.
 _BYE = -1
+
+# A week joins a plan (_weeks) while the plan's worst case, every row a masked step with one mask draw, fits in
+# this many draws; a plan is one week or more, within its season. 2**16 ran slower: long spans draw slowly.
+_PLAN_WORDS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -159,29 +165,26 @@ def win_probability(f_i: np.ndarray, f_j: np.ndarray, f_hat: np.ndarray | float)
     return np.divide(gap_j, denom, out=np.full(denom.shape, 0.5), where=denom != 0.0)
 
 
-def play_match(league: League, home: np.ndarray, away: np.ndarray) -> np.ndarray:
+def play_match(league: League, home: np.ndarray, away: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Resolve the week's fixtures (home[k], away[k]) with one uniform draw each; returns the winners.
 
     Records last_opponent and won for both sides of every fixture. There are
-    no ties: the home side wins iff its draw u satisfies u <= p (and p > 0, so
-    a hopeless side cannot win on the measure-zero draw u = 0). The draws are
-    made in fixture order, one uniforms() call for the week.
+    no ties: the home side wins iff its draw u = draws[k] satisfies u <= p
+    (and p > 0, so a hopeless side cannot win on the measure-zero draw
+    u = 0). The draws are the week's match draws of its plan, in fixture order.
     """
     fitness = league.current_fitness
     p = win_probability(fitness[home], fitness[away], league.f_hat)
-    home_won = (p > 0.0) & (league.rng.uniforms(home.size) <= p)
+    home_won = (p > 0.0) & (draws <= p)
     league.last_opponent[home], league.last_opponent[away] = away, home
     league.won[home], league.won[away] = home_won, ~home_won
     return np.where(home_won, home, away)
 
 
-def update_formation(
-    league: League, teams: np.ndarray, upcoming: np.ndarray, params: LcaParams, n_vms: int
-) -> np.ndarray:
-    """Propose next week's formation for each of `teams` (ascending), one row each.
+def update_formation(league: League, moves: tuple, params: LcaParams, n_vms: int) -> np.ndarray:
+    """Propose next week's formation for each proposing team, one row each, from the week's plan slice.
 
-    upcoming[t] is team t's opponent this week (_BYE for a bye). Both move
-    classes anchor at the team's best formation B. With probability
+    Both move classes anchor at the team's best formation B. With probability
     swap_probability the proposal is a fine rearrangement: two uniformly
     chosen coordinates of B exchange values (two players trade positions),
     which rebalances a schedule without disturbing anything else. Otherwise a
@@ -191,66 +194,117 @@ def update_formation(
     after a loss (a win confirms B's strengths; a loss exposes weaknesses),
     and likewise relative to the upcoming opponent's current formation
     depending on that opponent's last result. A team with a bye this week, or
-    whose upcoming opponent has not played yet, drops the second step; its
-    draws are made all the same. The caller evaluates the rows and commits them.
+    whose upcoming opponent has not played yet, drops the second step. The
+    caller evaluates the rows and commits them.
 
-    Both draws follow play_match's rule, so a probability of 1 is exact even
-    on a draw of 1.0: the swap is taken iff the first draw u satisfies
-    u <= swap_probability and swap_probability > 0 (the draw is made either
-    way), and a coordinate is masked iff its draw is <= change_probability.
-
-    Every proposal reads only last week's league, so the week is computed as a
-    batch with the same draws, in the same order, as proposing team by team.
-    The draws form one contiguous span of the stream, drawn by one uniforms()
-    call: each team's decision draw is read ahead with peek(), then a swap
-    takes 2 draws (none when n < 2) and a masked step k·n mask draws and 2n
-    step draws, where k - 1 is the number of empty masks redrawn. If a mask
-    comes up empty, the week is drawn again with that team's k one higher.
+    moves, the week's slice of its plan, is (teams, rows, own, previous,
+    ahead, mask, r1, r2, swap_i, swap_j): the proposing teams, ascending;
+    the step rows among them with each one's team, opponents, mask and step
+    draws, r2 zero where the second step is dropped; each swap's two
+    positions in the flattened block. Only B, the formations and the signs
+    come from the league.
     """
-    previous, nxt = league.last_opponent[teams], upcoming[teams]
-    if (previous == _BYE).any():
-        raise RuntimeError(f"team {teams[previous == _BYE][0]} has no match history to update from")
-    rng, n = league.rng, league.best.shape[1]
-    p, swap_draws = params.swap_probability, 2 if n >= 2 else 0
-    mask_draws = [1] * teams.size  # k for each row: 1 + the empty masks redrawn so far
-    start = rng.state
-    while True:
-        cursor, swap_rows, swap_at, step_rows, step_at = 0, [], [], [], []
-        for row, k in enumerate(mask_draws):
-            if p > 0.0 and rng.peek(cursor + 1) <= p:
-                if swap_draws:
-                    swap_rows.append(row)
-                    swap_at.append(cursor + 1)
-                cursor += 1 + swap_draws
-            else:
-                step_rows.append(row)
-                step_at.append(cursor + 1 + (k - 1) * n)  # the last mask, then r1 and r2
-                cursor += 1 + (k + 2) * n
-        span = rng.uniforms(cursor)
-        window = np.array([span[at : at + 3 * n] for at in step_at]).reshape(-1, 3 * n)
-        mask = window[:, :n] <= params.change_probability
-        empty = np.flatnonzero(~mask.any(axis=1))
-        if not empty.size:
-            break
-        mask_draws[step_rows[empty[0]]] += 1
-        rng.state = start
+    teams, rows, own, previous, ahead, mask, r1, r2, swap_i, swap_j = moves
     proposed = league.best[teams]
-    best, prev, ahead = proposed[step_rows], previous[step_rows], nxt[step_rows]
-    step = np.where(league.won[teams[step_rows]], params.w1, -params.w1)[:, None] * window[:, n : 2 * n]
-    step *= best - league.current[prev]
-    toward_next = np.where(league.won[ahead], params.w2, -params.w2)[:, None] * window[:, 2 * n :]
+    best = proposed[rows]
+    step = np.where(league.won[own], params.w1, -params.w1)[:, None] * r1
+    step *= best - league.current[previous]
+    toward_next = np.where(league.won[ahead], params.w2, -params.w2)[:, None] * r2
     toward_next *= best - league.current[ahead]
-    second = (ahead != _BYE) & (league.last_opponent[ahead] != _BYE)
-    np.add(step, toward_next, out=step, where=second[:, None])
+    step += toward_next
     step *= mask
     step += best
-    proposed[step_rows] = np.clip(step, 0.0, n_vms - _CLAMP_EPS)
-    at = np.array(swap_at, dtype=np.int64)
-    i = np.minimum((span[at] * n).astype(np.int64), n - 1)
-    j = np.minimum((span[at + 1] * (n - 1)).astype(np.int64), n - 2)
-    j += j >= i
-    proposed[swap_rows, i], proposed[swap_rows, j] = proposed[swap_rows, j], proposed[swap_rows, i]
+    proposed[rows] = np.clip(step, 0.0, n_vms - _CLAMP_EPS)
+    flat = proposed.reshape(-1)
+    flat[swap_i], flat[swap_j] = flat[swap_j], flat[swap_i]
     return proposed
+
+
+def _season_rows(last_opponent: np.ndarray, fixtures: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """A season's proposing rows in stream order: (starts, (team, row, previous, ahead, second)).
+
+    fixtures is a (weeks, 2, pairs) array of home and away sides. A team proposes once it has played;
+    week w's rows are starts[w]..starts[w+1]-1 by team, row is the index among them, and second whether
+    the second step applies. All follow from the fixtures and last_opponent before the season.
+    """
+    weeks = len(fixtures)
+    opponent = np.vstack([last_opponent, np.full((weeks, last_opponent.size), _BYE)])  # row 0: before the season
+    opponent[np.arange(1, weeks + 1)[:, None, None], fixtures] = fixtures[:, ::-1]
+    seen = np.maximum.accumulate(np.where(opponent != _BYE, np.arange(weeks + 1)[:, None], 0))
+    last = np.take_along_axis(opponent, seen, axis=0)  # last[w]: each team's last opponent before week w
+    week, team = np.nonzero(last[:-1] != _BYE)
+    starts = np.append(0, np.cumsum(np.bincount(week, minlength=weeks)))
+    ahead = opponent[week + 1, team]
+    second = (ahead != _BYE) & (last[week, ahead] != _BYE)
+    return starts, (team, np.arange(week.size) - starts[week], last[week, team], ahead, second)
+
+
+def _draw_plan(rng: SplitMix64, params: LcaParams, n: int, rows: tuple, starts: np.ndarray,
+               pairs: int) -> list[tuple[np.ndarray, tuple | None]]:
+    """Draw a plan of whole weeks with one uniforms() call: (match draws, moves or None) per week.
+
+    Week w's rows (_season_rows) are starts[w]..starts[w+1]-1. A week takes each row's draws, then one per
+    fixture. A row's decision draw, read with peek(), gives its length: 2 for a swap (none when n < 2), or k·n
+    mask draws and 2n step draws, second step or not, where k - 1 masks came up empty. On an empty mask that
+    row's k goes one higher and the plan is drawn again, walked again from that row's week on, so later rows
+    shift as they would week by week. As in play_match, a probability of 1 is exact even on a draw of 1.0: a
+    row swaps iff its decision draw is <= swap_probability > 0, and a coordinate moves iff its mask draw is
+    <= change_probability.
+    """
+    team, row, previous, ahead, second = (column[starts[0] : starts[-1]] for column in rows)
+    bounds = (starts - starts[0]).tolist()
+    p, swap_draws = params.swap_probability, 2 if n >= 2 else 0
+    k, at, masked, match_at, start, redo = [1] * team.size, [], [], [], rng.state, 0
+    while True:
+        del at[bounds[redo]:], masked[bounds[redo]:], match_at[redo:]
+        cursor = match_at[-1] + pairs if match_at else 0
+        for a, b in zip(bounds[redo:], bounds[redo + 1:]):
+            for kr in k[a:b]:
+                step = not (p > 0.0 and rng.peek(cursor + 1) <= p)
+                at.append(cursor + (kr - 1) * n if step else cursor)  # before the last mask, or the swap draws
+                masked.append(step)
+                cursor += 1 + ((kr + 2) * n if step else swap_draws)
+            match_at.append(cursor)
+            cursor += pairs
+        span = rng.uniforms(cursor)
+        window = np.array([span[s + 1 : s + 1 + 3 * n] for s, x in zip(at, masked) if x]).reshape(-1, 3 * n)
+        mask = window[:, :n] <= params.change_probability
+        empty, steps = np.flatnonzero(~mask.any(axis=1)), np.flatnonzero(masked)
+        if not empty.size:
+            break
+        k[steps[empty[0]]] += 1
+        redo = int(np.searchsorted(bounds, steps[empty[0]], "right")) - 1
+        rng.state = start
+    r = window[:, n:].reshape(-1, 2, n)  # r1 and r2 of each step row
+    r[~second[steps], 1] = 0.0
+    swaps = np.flatnonzero(np.logical_not(masked)) if swap_draws else steps[:0]
+    u = span[np.array(at, dtype=np.int64)[swaps, None] + [1, 2]] * [n, n - 1]
+    i, j = np.minimum(u.astype(np.int64), [n - 1, n - 2]).T
+    j += j >= i
+    draws = span[np.array(match_at)[:, None] + np.arange(pairs)]
+    step_cols = (row[steps], team[steps], previous[steps], ahead[steps], mask, r[:, 0], r[:, 1])
+    swap_cols = (row[swaps] * n + i, row[swaps] * n + j)
+    cuts = [(bounds, [team]), (np.searchsorted(steps, bounds).tolist(), step_cols),
+            (np.searchsorted(swaps, bounds).tolist(), swap_cols)]  # where each week starts in each group
+    return [(draws[w], tuple(x[edge[w] : edge[w + 1]] for edge, columns in cuts for x in columns)
+             if bounds[w + 1] > bounds[w] else None) for w in range(len(bounds) - 1)]
+
+
+def _weeks(league: League, params: LcaParams):
+    """Every week in stream order, drawn a plan at a time: (home, away, match draws, moves or None)."""
+    n = league.best.shape[1]
+    for season in range(1, params.seasons + 1):
+        fixtures = np.array(season_fixtures(params.league_size, season)).transpose(0, 2, 1)
+        weeks, pairs = fixtures.shape[0], fixtures.shape[2]
+        starts, rows = _season_rows(league.last_opponent, fixtures)
+        worst = starts * (1 + 3 * n) + np.arange(weeks + 1) * pairs
+        first = 0
+        while first < weeks:
+            last = max(first + 1, int(np.searchsorted(worst, worst[first] + _PLAN_WORDS, "right")) - 1)
+            plan = _draw_plan(league.rng, params, n, rows, starts[first : last + 1], pairs)
+            for home, away in fixtures[first:last]:
+                yield home, away, *plan.pop(0)
+            first = last
 
 
 class _FitnessEvaluator:
@@ -307,24 +361,21 @@ def run(params: LcaParams, instance: ProblemInstance) -> RunResult:
     league = init_league(params, instance)
     m = len(instance.vms)
     history: list[float] = []
-    for season in range(1, params.seasons + 1):
-        for home, away in np.array(season_fixtures(params.league_size, season)).transpose(0, 2, 1):
-            if history:  # from week 2 on; week 1 is played with the initial formations
-                upcoming = np.full(params.league_size, _BYE)
-                upcoming[home], upcoming[away] = away, home
-                teams = np.flatnonzero(league.last_opponent != _BYE)  # byes may leave some unplayed
-                proposed = update_formation(league, teams, upcoming, params, m)
-                fitness = league.evaluate(proposed)
-                league.evaluations += teams.size
-                first = int(np.argmin(fitness))  # the first minimum: the lowest team index wins ties
-                if fitness[first] < league.f_hat:
-                    league.champion = int(teams[first])
-                better = fitness < league.best_fitness[teams]
-                league.current[teams], league.current_fitness[teams] = proposed, fitness
-                league.best[teams[better]] = proposed[better]
-                league.best_fitness[teams[better]] = fitness[better]
-            play_match(league, home, away)
-            history.append(league.f_hat)
+    for home, away, draws, moves in _weeks(league, params):
+        if moves is not None:  # from week 2 on; week 1 is played with the initial formations
+            teams, proposed = moves[0], update_formation(league, moves, params, m)
+            del moves  # the week's step draws are not held while it is scored
+            fitness = league.evaluate(proposed)
+            league.evaluations += teams.size
+            first = int(np.argmin(fitness))  # the first minimum: the lowest team index wins ties
+            if fitness[first] < league.f_hat:
+                league.champion = int(teams[first])
+            better = fitness < league.best_fitness[teams]
+            league.current[teams], league.current_fitness[teams] = proposed, fitness
+            league.best[teams[better]] = proposed[better]
+            league.best_fitness[teams[better]] = fitness[better]
+        play_match(league, home, away, draws)
+        history.append(league.f_hat)
     best_assignment = decode(league.best[league.champion], m)
     return RunResult(
         best_assignment=best_assignment,

@@ -221,7 +221,6 @@ class ScheduleResult:
     assignment: Assignment
     vm_load_s: tuple[float, ...]  # per-VM busy time, seconds
     makespan_s: float
-    completion_s: tuple[float, ...]  # per-task completion time, seconds
 
 
 def _checked_index(instance: ProblemInstance, assignment: Assignment) -> np.ndarray:
@@ -240,16 +239,4 @@ def makespan(instance: ProblemInstance, assignment: Assignment) -> ScheduleResul
     """Evaluate an assignment; the makespan is the largest completion time."""
     vm_index = _checked_index(instance, assignment)
     loads = instance.loads(vm_index)
-    durations = instance.lengths / instance.speeds[vm_index]
-    completion = np.empty_like(durations)
-    vm_in_arrival_order = vm_index[instance.arrival]
-    for v in range(len(instance.vms)):
-        # cumsum adds sequentially, so each VM's last completion equals its load bit for bit.
-        on_v = instance.arrival[vm_in_arrival_order == v]
-        completion[on_v] = np.cumsum(durations[on_v])
-    return ScheduleResult(
-        assignment=assignment,
-        vm_load_s=tuple(loads.tolist()),
-        makespan_s=float(loads.max()),
-        completion_s=tuple(completion.tolist()),
-    )
+    return ScheduleResult(assignment=assignment, vm_load_s=tuple(loads.tolist()), makespan_s=float(loads.max()))

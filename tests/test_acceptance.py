@@ -110,7 +110,7 @@ def test_match_frequency():
         evaluate=None,
     )
     home = np.arange(0, 2 * k, 2)
-    freq = float(np.mean(play_match(league, home, home + 1) == home))
+    freq = float(np.mean(play_match(league, home, home + 1, league.rng.uniforms(k)) == home))
     ok = abs(freq - 0.75) <= 0.01
     _report("criterion 3", ok, f"empirical win rate {freq:.4f} within 0.01 of 0.75")
     assert abs(freq - 0.75) <= 0.01

@@ -28,8 +28,11 @@ from leaguesched import (
     mix64,
     run,
 )
+from leaguesched import lca
 from leaguesched.lca import (
     League,
+    _draw_plan,
+    _season_rows,
     _vm_index,
     init_league,
     play_match,
@@ -45,9 +48,10 @@ TOP = 2**64 - 1  # a SplitMix64 output that draws exactly 1.0
 
 # ---------------------------------------------------------------- the per-team reference
 #
-# The engine as it was written before weeks were batched: one Python call per
-# team, each making its own draws, and one scalar draw per match. The batched
-# update_formation and play_match must agree with it bit for bit.
+# The engine as it was written before weeks were batched and drawn a plan at a
+# time: one Python call per team, each making its own draws, and one scalar
+# draw per match. The planned update_formation and play_match, and whole runs,
+# must agree with it bit for bit.
 
 
 def reference_win_probability(f_i, f_j, f_hat):
@@ -96,6 +100,32 @@ def reference_update_formation(league, team, upcoming, params, n_vms):
     return np.clip(best + mask * step, 0.0, n_vms - 1e-9)
 
 
+def reference_run(params, instance):
+    """A whole championship team by team: proposals first, then their commit, then one draw per fixture."""
+    league = init_league(params, instance)
+    m = len(instance.vms)
+    history = []
+    for season in range(1, params.seasons + 1):
+        for pairs in season_fixtures(params.league_size, season):
+            if history:
+                upcoming = dict(pairs) | {j: i for i, j in pairs}
+                teams = [t for t in range(params.league_size) if league.last_opponent[t] != _BYE]
+                proposed = [reference_update_formation(league, t, upcoming.get(t, _BYE), params, m)
+                            for t in teams]
+                league.evaluations += len(teams)
+                for t, x in zip(teams, proposed):
+                    fitness = makespan(instance, decode(x, m)).makespan_s
+                    if fitness < league.f_hat:
+                        league.champion = t
+                    league.current[t], league.current_fitness[t] = x, fitness
+                    if fitness < league.best_fitness[t]:
+                        league.best[t], league.best_fitness[t] = x, fitness
+            for i, j in pairs:
+                reference_play_match(league, i, j)
+            history.append(league.f_hat)
+    return history, decode(league.best[league.champion], m), league.evaluations
+
+
 def _rng_drawing(t, output):
     """A fresh stream whose t-th draw (t >= 1) is the 64-bit `output`."""
     return SplitMix64((_seed_for_next_output(output) - (t - 1) * _GAMMA) & MASK64)
@@ -137,11 +167,12 @@ def _proposer(formation, previous, won, rng, upcoming=None, upcoming_won=True):
 
 
 def _propose(league, params, n_vms, upcoming=_BYE):
-    """Team 0's proposal when its opponent this week is `upcoming`."""
-    opponents = np.full(len(league.best), _BYE)
-    if upcoming != _BYE:
-        opponents[0], opponents[upcoming] = upcoming, 0
-    return update_formation(league, np.array([0]), opponents, params, n_vms)[0]
+    """Team 0's proposal when its opponent this week is `upcoming`: a plan of one week, its one row, no fixture."""
+    second = upcoming != _BYE and league.last_opponent[upcoming] != _BYE
+    rows = tuple(np.array([x]) for x in (0, 0, league.last_opponent[0], upcoming, second))
+    ((draws, moves),) = _draw_plan(league.rng, params, league.best.shape[1], rows, np.array([0, 1]), 0)
+    assert draws.size == 0 and moves[0].tolist() == [0]
+    return update_formation(league, moves, params, n_vms)[0]
 
 # ---------------------------------------------------------------- encoding
 
@@ -286,7 +317,7 @@ def test_win_probability_approaches_one_against_hopeless_opponent():
 def test_play_match_certain_win():
     for seed in range(5):
         league = _league([[0.5], [1.5]], [4.0, 10.0], SplitMix64(seed))  # team 0 at f_hat: p_i = 1
-        winners = play_match(league, np.array([0]), np.array([1]))
+        winners = play_match(league, np.array([0]), np.array([1]), league.rng.uniforms(1))
         assert winners.tolist() == [0]
         assert league.won.tolist() == [True, False]
         assert league.last_opponent.tolist() == [1, 0]
@@ -295,7 +326,7 @@ def test_play_match_certain_win():
 def test_play_match_certain_loss():
     league = _league([[0.5], [1.5]], [10.0, 4.0], _rng_drawing(1, 0))
     assert league.rng.peek(1) == 0.0
-    winners = play_match(league, np.array([0]), np.array([1]))  # p_i = 0: team 1 must win
+    winners = play_match(league, np.array([0]), np.array([1]), league.rng.uniforms(1))  # p_i = 0: team 1 must win
     assert winners.tolist() == [1]
     assert league.won.tolist() == [False, True]
 
@@ -306,7 +337,7 @@ def test_play_match_frequency_tracks_probability():
     fitness = [6.0, 10.0] * k + [4.0]
     league = _league(np.full((2 * k + 1, 1), 0.5), fitness, SplitMix64(424242))
     home = np.arange(0, 2 * k, 2)
-    winners = play_match(league, home, home + 1)
+    winners = play_match(league, home, home + 1, league.rng.uniforms(k))
     assert abs(np.mean(winners == home) - 0.75) < 0.02
 
 
@@ -429,9 +460,14 @@ def test_update_swap_preserves_coordinate_multiset():
 
 
 def test_update_requires_match_history():
-    league = _league([[1.0], [2.0]], [5.0, 6.0], SplitMix64(1))  # nobody has played yet
-    with pytest.raises(RuntimeError):
-        _propose(league, _params(), 3, upcoming=1)
+    # A team proposes only once it has played: nobody in week 1 of a league of five, then every team that has
+    # played, so the team with a bye in week 1 waits for its first match. A week nobody proposes in has no moves.
+    fixtures = np.array(season_fixtures(5, 1)).transpose(0, 2, 1)
+    starts, rows = _season_rows(np.full(5, _BYE), fixtures)
+    for w in range(len(fixtures)):
+        assert rows[0][starts[w] : starts[w + 1]].tolist() == sorted(set(fixtures[:w].ravel().tolist()))
+    ((draws, moves),) = _draw_plan(SplitMix64(1), _params(league_size=5), 3, rows, np.array([0, 0]), 2)
+    assert moves is None and draws.size == 2
 
 
 def test_update_always_stays_in_vm_range():
@@ -471,49 +507,60 @@ def _random_league(size, n, m, seed):
     size=st.integers(4, 9),
     n=st.sampled_from([1, 2, 3, 5, 12, 40]),
     m=st.integers(1, 4),
-    week=st.integers(0, 17),
+    season=st.integers(1, 9),
+    weeks=st.integers(1, 9),
     swap=st.sampled_from([0.0, 0.5, 1.0]),
     change=st.sampled_from([0.05, 0.3, 1.0]),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_batched_week_equals_the_per_team_reference(size, n, m, week, swap, change, seed):
-    # The week's proposals, the RNG state after them, and the fixtures' results
-    # agree bit for bit with proposing and playing team by team.
+def test_batched_week_equals_the_per_team_reference(size, n, m, season, weeks, swap, change, seed):
+    # A plan of several weeks drawn at once: each week's proposals and fixture results, and the RNG state
+    # after the plan, agree bit for bit with proposing and playing team by team. Each week's proposals
+    # become the current formations, so the next week reads them.
     params = LcaParams(league_size=size, swap_probability=swap, change_probability=change,
                        w1=1.5, w2=0.75)
     batched, reference = _random_league(size, n, m, seed), _random_league(size, n, m, seed)
-    weeks = season_fixtures(size, 1 + week // size)
-    pairs = weeks[week % len(weeks)]
-    home, away = np.array(pairs).T
-    upcoming = np.full(size, _BYE)
-    upcoming[home], upcoming[away] = away, home
-    teams = np.flatnonzero(batched.last_opponent != _BYE)
-    proposed = update_formation(batched, teams, upcoming, params, m)
-    expected = [reference_update_formation(reference, t, upcoming[t], params, m) for t in teams]
-    assert proposed.shape == (teams.size, n)
-    assert proposed.tobytes() == np.array(expected).reshape(teams.size, n).tobytes()
-    assert batched.rng.state == reference.rng.state
-    winners = play_match(batched, home, away)
-    assert winners.tolist() == [reference_play_match(reference, i, j)[0] for i, j in pairs]
-    assert batched.won.tolist() == reference.won.tolist()
-    assert batched.last_opponent.tolist() == reference.last_opponent.tolist()
+    fixtures = np.array(season_fixtures(size, season)).transpose(0, 2, 1)[:weeks]
+    starts, rows = _season_rows(batched.last_opponent, fixtures)
+    plan = _draw_plan(batched.rng, params, n, rows, starts, fixtures.shape[2])
+    for (home, away), (draws, moves) in zip(fixtures, plan):
+        upcoming = np.full(size, _BYE)
+        upcoming[home], upcoming[away] = away, home
+        teams = np.flatnonzero(reference.last_opponent != _BYE)
+        expected = [reference_update_formation(reference, t, upcoming[t], params, m) for t in teams]
+        if moves is None:
+            assert teams.size == 0
+        else:
+            assert moves[0].tolist() == teams.tolist()
+            proposed = update_formation(batched, moves, params, m)
+            assert proposed.tobytes() == np.array(expected).reshape(teams.size, n).tobytes()
+            batched.current[teams] = reference.current[teams] = proposed
+        winners = play_match(batched, home, away, draws)
+        assert winners.tolist() == [reference_play_match(reference, i, j)[0] for i, j in zip(home, away)]
+        assert batched.won.tolist() == reference.won.tolist()
+        assert batched.last_opponent.tolist() == reference.last_opponent.tolist()
     assert batched.rng.state == reference.rng.state
 
 
 def test_a_large_week_is_drawn_as_one_span():
-    # Six masked steps of 1 + 3 * 3,000 draws each: the whole week of 54,006 draws is
-    # one uniforms() call, with the same proposals and RNG state as proposing team by team.
+    # Six masked steps of 1 + 3 * 3,000 draws each, then three match draws: the week of 54,009 draws is one
+    # uniforms() call, with the same proposals, results and RNG state as proposing and playing team by team.
     size, n, m = 6, 3_000, 4
     params = LcaParams(league_size=size, swap_probability=0.0)
     batched, reference = _random_league(size, n, m, 5), _random_league(size, n, m, 5)
     for league in (batched, reference):
         league.last_opponent = np.array([1, 0, 3, 2, 5, 4])
-    teams, upcoming = np.arange(size), np.array([5, 4, 3, 2, 1, 0])
+    home, away = np.array([0, 1, 2]), np.array([5, 4, 3])
+    starts, rows = _season_rows(batched.last_opponent, np.array([[home, away]]))
     with mock.patch.object(SplitMix64, "uniforms", autospec=True, side_effect=SplitMix64.uniforms) as blocks:
-        proposed = update_formation(batched, teams, upcoming, params, m)
-    assert [call.args[1] for call in blocks.call_args_list] == [size * (1 + 3 * n)]
-    expected = [reference_update_formation(reference, t, upcoming[t], params, m) for t in teams]
+        ((draws, moves),) = _draw_plan(batched.rng, params, n, rows, starts, 3)
+    assert [call.args[1] for call in blocks.call_args_list] == [size * (1 + 3 * n) + 3]
+    proposed = update_formation(batched, moves, params, m)
+    upcoming = np.array([5, 4, 3, 2, 1, 0])
+    expected = [reference_update_formation(reference, t, upcoming[t], params, m) for t in range(size)]
     assert proposed.tobytes() == np.array(expected).tobytes()
+    winners = play_match(batched, home, away, draws)
+    assert winners.tolist() == [reference_play_match(reference, i, j)[0] for i, j in zip(home, away)]
     assert batched.rng.state == reference.rng.state
 
 
@@ -676,13 +723,52 @@ def test_run_without_baseline_seeding_still_valid():
 
 
 def test_a_default_run_draws_each_week_in_at_most_two_blocks():
-    # One uniforms() span for the week's proposals and one for its fixtures; no scalar draws.
+    # One uniforms() call draws a plan of whole weeks, its fixtures included; no scalar draws.
     params, instance = LcaParams(), _instance(n=100, m=20)
     with mock.patch.object(SplitMix64, "uniforms", autospec=True, side_effect=SplitMix64.uniforms) as blocks, \
             mock.patch.object(SplitMix64, "uniform", autospec=True, side_effect=SplitMix64.uniform) as scalars:
         run(params, instance)
     weeks = params.seasons * (params.league_size - 1)
-    # init_league draws every random start as one block, and week 1 plays the initial formations without
-    # proposing: 1 + 1 + 2 * (weeks - 1) blocks.
+    # At n = 100 a week takes at most 20 * (1 + 3 * 100) + 10 = 6,030 draws, so a plan holds 5 weeks, or 6
+    # when it starts with week 1, which nobody proposes in. init_league draws every random start as one block,
+    # then each season of 19 weeks is four plans: 1 + 4 * 50 blocks for the 950 weeks.
     assert scalars.call_count == 0
-    assert blocks.call_count == 2 * weeks == 1900
+    assert blocks.call_count == 1 + 4 * params.seasons == 201 < 2 * weeks
+
+
+_REFERENCE_RUNS = dict(
+    size=st.integers(4, 9),
+    seasons=st.integers(1, 3),
+    n=st.sampled_from([1, 2, 3, 12, 40]),
+    m=st.integers(1, 4),
+    swap=st.sampled_from([0.0, 0.5, 1.0]),
+    change=st.sampled_from([0.05, 0.3, 1.0]),
+    seeded=st.booleans(),
+    seed=st.integers(0, 2**64 - 1),
+)
+
+
+def _reference_case(size, seasons, n, m, swap, change, seeded, seed):
+    params = LcaParams(league_size=size, seasons=seasons, swap_probability=swap, change_probability=change,
+                       seed_with_baselines=seeded, seed=seed)
+    return params, _instance(n=n, m=m, seed=mix64(seed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_REFERENCE_RUNS)
+def test_a_whole_run_equals_the_per_team_reference(**case):
+    params, instance = _reference_case(**case)
+    result = run(params, instance)
+    assert (result.history, result.best_assignment, result.evaluations) == reference_run(params, instance)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_REFERENCE_RUNS)
+def test_the_plan_budget_is_unobservable(**case):
+    # One week per plan, or a whole season per plan: the same runs.
+    params, instance = _reference_case(**case)
+    with mock.patch.object(lca, "_PLAN_WORDS", 1):
+        weekly = run(params, instance)
+    with mock.patch.object(lca, "_PLAN_WORDS", 2**40):
+        seasonal = run(params, instance)
+    assert weekly == seasonal == run(params, instance)
