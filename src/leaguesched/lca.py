@@ -246,19 +246,18 @@ def _draw_plan(rng: SplitMix64, params: LcaParams, n: int, rows: tuple, starts: 
     Week w's rows (_season_rows) are starts[w]..starts[w+1]-1. A week takes each row's draws, then one per
     fixture. A row's decision draw, read with peek(), gives its length: 2 for a swap (none when n < 2), or k·n
     mask draws and 2n step draws, second step or not, where k - 1 masks came up empty. On an empty mask that
-    row's k goes one higher and the plan is drawn again, walked again from that row's week on, so later rows
-    shift as they would week by week. As in play_match, a probability of 1 is exact even on a draw of 1.0: a
-    row swaps iff its decision draw is <= swap_probability > 0, and a coordinate moves iff its mask draw is
+    row's k goes one higher, and the plan is walked and drawn again from its start, so later rows shift as
+    they would week by week. As in play_match, a probability of 1 is exact even on a draw of 1.0: a row swaps
+    iff its decision draw is <= swap_probability > 0, and a coordinate moves iff its mask draw is
     <= change_probability.
     """
     team, row, previous, ahead, second = (column[starts[0] : starts[-1]] for column in rows)
     bounds = (starts - starts[0]).tolist()
     p, swap_draws = params.swap_probability, 2 if n >= 2 else 0
-    k, at, masked, match_at, start, redo = [1] * team.size, [], [], [], rng.state, 0
+    k, start = [1] * team.size, rng.state
     while True:
-        del at[bounds[redo]:], masked[bounds[redo]:], match_at[redo:]
-        cursor = match_at[-1] + pairs if match_at else 0
-        for a, b in zip(bounds[redo:], bounds[redo + 1:]):
+        at, masked, match_at, cursor = [], [], [], 0
+        for a, b in zip(bounds, bounds[1:]):
             for kr in k[a:b]:
                 step = not (p > 0.0 and rng.peek(cursor + 1) <= p)
                 at.append(cursor + (kr - 1) * n if step else cursor)  # before the last mask, or the swap draws
@@ -273,7 +272,6 @@ def _draw_plan(rng: SplitMix64, params: LcaParams, n: int, rows: tuple, starts: 
         if not empty.size:
             break
         k[steps[empty[0]]] += 1
-        redo = int(np.searchsorted(bounds, steps[empty[0]], "right")) - 1
         rng.state = start
     r = window[:, n:].reshape(-1, 2, n)  # r1 and r2 of each step row
     r[~second[steps], 1] = 0.0
@@ -292,9 +290,10 @@ def _draw_plan(rng: SplitMix64, params: LcaParams, n: int, rows: tuple, starts: 
 
 def _weeks(league: League, params: LcaParams):
     """Every week in stream order, drawn a plan at a time: (home, away, match draws, moves or None)."""
-    n = league.best.shape[1]
+    n, size = league.best.shape[1], params.league_size
+    opening = np.array(season_fixtures(size, 1)).transpose(0, 2, 1)
     for season in range(1, params.seasons + 1):
-        fixtures = np.array(season_fixtures(params.league_size, season)).transpose(0, 2, 1)
+        fixtures = (opening + season - 1) % size  # season_fixtures(size, season): its teams relabelled
         weeks, pairs = fixtures.shape[0], fixtures.shape[2]
         starts, rows = _season_rows(league.last_opponent, fixtures)
         worst = starts * (1 + 3 * n) + np.arange(weeks + 1) * pairs
@@ -303,7 +302,7 @@ def _weeks(league: League, params: LcaParams):
             last = max(first + 1, int(np.searchsorted(worst, worst[first] + _PLAN_WORDS, "right")) - 1)
             plan = _draw_plan(league.rng, params, n, rows, starts[first : last + 1], pairs)
             for home, away in fixtures[first:last]:
-                yield home, away, *plan.pop(0)
+                yield home, away, *plan.pop(0)  # popped, so a week's moves are not held while it is scored
             first = last
 
 

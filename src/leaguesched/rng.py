@@ -18,8 +18,6 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MULT1 = 0xBF58476D1CE4E5B9
 _MULT2 = 0x94D049BB133111EB
 _TWO64 = float(2**64)
-# Blocks at least this long take the two-halves cast; below it, timed on fresh words, the plain cast is faster.
-_SPLIT_CAST = 2048
 
 
 def mix64(x: int) -> int:
@@ -69,13 +67,10 @@ class SplitMix64:
         """k uniforms in [0, 1] at once; values identical to k successive uniform() calls.
 
         The block is the finalizer applied to state + gamma * [1..k], computed in
-        place on one buffer with wrapping uint64 math. k is any integer >= 0; a
-        refused k raises and leaves the state as it was.
-
-        Below _SPLIT_CAST draws the words are cast as uint64 and divided by 2**64.
-        Longer blocks cast each word as two exact 32-bit halves and round their sum
-        once (_split_cast): the same floats bit for bit, several times faster on
-        fresh words, because numpy's int64 cast loop is fast and its uint64 one is not.
+        place on one buffer with wrapping uint64 math, then cast as two exact 32-bit
+        halves whose sum is rounded once (_split_cast): the floats of the plain
+        uint64 cast bit for bit. k is any integer >= 0; a refused k raises and
+        leaves the state as it was.
         """
         k = operator.index(k)
         if k < 0:
@@ -89,11 +84,7 @@ class SplitMix64:
         z ^= z >> np.uint64(27)
         z *= np.uint64(_MULT2)
         z ^= z >> np.uint64(31)
-        if k >= _SPLIT_CAST:
-            return _split_cast(z)
-        u = z.astype(np.float64)
-        u /= _TWO64
-        return u
+        return _split_cast(z)
 
 
 def _split_cast(z: np.ndarray) -> np.ndarray:

@@ -271,6 +271,15 @@ def test_season_rotation_changes_pairing_order():
     assert season_fixtures(6, 1) != season_fixtures(6, 2)
 
 
+@pytest.mark.parametrize("n_teams", range(2, 26))
+def test_each_season_is_the_first_with_its_teams_relabelled(n_teams):
+    # The run builds season 1's fixtures once and takes season s as (opening + s - 1) % L.
+    opening = np.array(season_fixtures(n_teams, 1))
+    for season in range(1, 3 * n_teams + 1):
+        relabelled = (opening + season - 1) % n_teams
+        assert relabelled.tolist() == np.array(season_fixtures(n_teams, season)).tolist()
+
+
 # ---------------------------------------------------------------- match math
 
 

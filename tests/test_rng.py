@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leaguesched import SplitMix64, decode, mix64
-from leaguesched.rng import _GAMMA, _MULT1, _MULT2, _SPLIT_CAST, MASK64, _split_cast
+from leaguesched.rng import _GAMMA, _MULT1, _MULT2, MASK64, _split_cast
 
 # First three SplitMix64 outputs for seed 0, as published for the reference
 # implementation (also used as seeding vectors by the xoshiro family).
@@ -49,7 +49,7 @@ def test_uniform_in_unit_interval():
 
 
 def test_uniforms_block_matches_sequential_draws():
-    for k in (1, 2, 7, 64, 1000, _SPLIT_CAST - 1, _SPLIT_CAST, 5000):
+    for k in (1, 2, 7, 64, 1000, 2047, 2048, 5000):
         seq = SplitMix64(k)
         blk = SplitMix64(k)
         expected = [seq.uniform() for _ in range(k)]
@@ -121,9 +121,9 @@ def test_split_cast_equals_the_plain_cast_on_edge_words():
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(0, MASK64),
-    st.one_of(st.integers(0, _SPLIT_CAST + 8), st.integers(_SPLIT_CAST - 8, 40_000)),
+    st.one_of(st.integers(0, 2048 + 8), st.integers(2048 - 8, 40_000)),
 )
-def test_uniforms_equals_the_plain_cast_on_both_sides_of_the_split(state, k):
+def test_uniforms_equals_the_plain_cast_on_short_and_long_blocks(state, k):
     gen = SplitMix64(state)
     got = gen.uniforms(k)
     assert got.tobytes() == _plain_uniforms(state, k).tobytes()
@@ -153,6 +153,6 @@ def test_top_outputs_round_to_exactly_one_and_decoding_clamps_them():
         assert SplitMix64(seed).next_u64() == output
         assert SplitMix64(seed).uniform() == 1.0
         assert SplitMix64(seed).uniforms(1)[0] == 1.0
-        assert SplitMix64(seed).uniforms(_SPLIT_CAST)[0] == 1.0  # the split cast rounds it up too
+        assert SplitMix64(seed).uniforms(2048)[0] == 1.0  # at any block length, the split cast rounds it up
         assert decode(SplitMix64(seed).uniforms(1) * 3, 3).vm_of == (2,)
     assert SplitMix64(_seed_for_next_output(2**64 - 2**10 - 1)).uniform() < 1.0

@@ -6,6 +6,7 @@ import pytest
 
 from leaguesched import (
     DuplicateTaskIdError,
+    SplitMix64,
     Task,
     TraceParseError,
     WorkloadSpec,
@@ -35,6 +36,17 @@ def test_different_seeds_differ():
     a = generate_synthetic(WorkloadSpec(50, seed=1))
     b = generate_synthetic(WorkloadSpec(50, seed=2))
     assert a != b
+
+
+@pytest.mark.parametrize("n", [1, 2, 340, 2047, 2048, 5000])
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+def test_lengths_are_the_sequential_draw_formula(n, seed):
+    lo, hi = 200.0, 500.0
+    rng = SplitMix64(seed)
+    expected = [lo + rng.uniform() * (hi - lo) for _ in range(n)]
+    tasks = generate_synthetic(WorkloadSpec(n, lo, hi, seed=seed))
+    assert [t.length_mi for t in tasks] == expected
+    assert all(type(t.length_mi) is float for t in tasks)
 
 
 def test_ids_and_arrival_follow_generation_order():
