@@ -98,7 +98,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
     params = LcaParams(seed=args.seed)  # built for every algorithm, so a bad --seed is always refused
-    tasks = load_trace(Path(args.trace).read_text(encoding="utf-8"))
+    tasks = load_trace(Path(args.trace).read_text(encoding="utf-8-sig"))
     vms = tuple(VirtualMachine(id=v, speed_mips=args.vm_mips) for v in range(args.vms))
     instance = ProblemInstance(tuple(tasks), vms)
     kind = SchedulerKind[args.algo.upper()]
@@ -118,7 +118,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     config = ExperimentConfig()
     if args.config:
-        config = config_from_dict(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        config = config_from_dict(json.loads(Path(args.config).read_text(encoding="utf-8-sig")))
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
     records = run_experiment(config, measure_wall_time=args.time)
@@ -134,7 +134,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    records = parse_csv(Path(args.csv).read_text(encoding="utf-8"))
+    records = parse_csv(Path(args.csv).read_text(encoding="utf-8-sig"))
     _write((args.out, lambda sink: emit_svg_chart(aggregate(records), sink)))
     return 0
 

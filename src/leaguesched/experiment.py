@@ -41,7 +41,7 @@ _CHART_COLORS = ("#c44e52", "#55a868", "#dd8452", "#4c72b0")  # indexed by Sched
 class ExperimentConfig:
     """One benchmark grid; construction raises ValueError naming every bad field.
 
-    lca_params.seed is unused: each LCA cell derives its search seed from master_seed."""
+    lca_params.seed must be left at 0: each LCA cell derives its search seed from master_seed."""
 
     task_counts: tuple[int, ...] = tuple(range(20, 181, 20))
     n_vms: int = 20
@@ -80,6 +80,8 @@ class ExperimentConfig:
              and len(set(c.schedulers)) == len(c.schedulers),
              "a non-empty list of distinct schedulers", c.schedulers),
             ("lca_params", isinstance(c.lca_params, LcaParams), "an LcaParams", c.lca_params),
+            ("lca_params.seed", not isinstance(c.lca_params, LcaParams) or c.lca_params.seed == 0,
+             "0: search seeds derive from master_seed", getattr(c.lca_params, "seed", None)),
             ("master_seed", is_integer(c.master_seed) and 0 <= c.master_seed < 2**64,
              "a 64-bit unsigned integer", c.master_seed),
         )

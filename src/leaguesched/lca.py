@@ -9,7 +9,7 @@ week's fixtures are then resolved stochastically, with win probability driven
 by the two sides' fitness relative to the best value found anywhere in the
 league. Fitness is makespan, so lower means stronger, and a season is one
 full round robin. The league is held as arrays, one row per team, and every
-update reads only last week's league, so a week is computed as a batch and
+update reads only last week's league, so every week is one (L, n) block
 scored by one call of the loads kernel. Where each draw of the stream falls,
 and what it is, depends only on the seed, the fixtures and n, never on the
 league: SplitMix64 is a counter, so a plan of several weeks' draws is laid
@@ -84,7 +84,6 @@ class League:
     current_fitness: np.ndarray  # (L,)
     best: np.ndarray  # (L, n) best formation each team has ever held
     best_fitness: np.ndarray  # (L,)
-    last_opponent: np.ndarray  # (L,) team index, _BYE before a team's first match
     won: np.ndarray  # (L,) bool, outcome of each team's last match
     champion: int  # first team to reach the best fitness found so far
     rng: SplitMix64
@@ -102,7 +101,7 @@ class RunResult:
     best_assignment: Assignment
     best_makespan_s: float
     history: list[float]  # f̂ after each week, nonincreasing
-    evaluations: int
+    evaluations: int  # proposals scored: L starting formations, then one per team that has played, each week
 
 
 def encode(assignment: Assignment) -> np.ndarray:
@@ -168,7 +167,7 @@ def win_probability(f_i: np.ndarray, f_j: np.ndarray, f_hat: np.ndarray | float)
 def play_match(league: League, home: np.ndarray, away: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Resolve the week's fixtures (home[k], away[k]) with one uniform draw each; returns the winners.
 
-    Records last_opponent and won for both sides of every fixture. There are
+    Records won for both sides of every fixture. There are
     no ties: the home side wins iff its draw u = draws[k] satisfies u <= p
     (and p > 0, so a hopeless side cannot win on the measure-zero draw
     u = 0). The draws are the week's match draws of its plan, in fixture order.
@@ -176,13 +175,12 @@ def play_match(league: League, home: np.ndarray, away: np.ndarray, draws: np.nda
     fitness = league.current_fitness
     p = win_probability(fitness[home], fitness[away], league.f_hat)
     home_won = (p > 0.0) & (draws <= p)
-    league.last_opponent[home], league.last_opponent[away] = away, home
     league.won[home], league.won[away] = home_won, ~home_won
     return np.where(home_won, home, away)
 
 
 def update_formation(league: League, moves: tuple, params: LcaParams, n_vms: int) -> np.ndarray:
-    """Propose next week's formation for each proposing team, one row each, from the week's plan slice.
+    """Next week's (L, n) block from the week's plan slice: a proposal from each team that has played, else B.
 
     Both move classes anchor at the team's best formation B. With probability
     swap_probability the proposal is a fine rearrangement: two uniformly
@@ -194,19 +192,19 @@ def update_formation(league: League, moves: tuple, params: LcaParams, n_vms: int
     after a loss (a win confirms B's strengths; a loss exposes weaknesses),
     and likewise relative to the upcoming opponent's current formation
     depending on that opponent's last result. A team with a bye this week, or
-    whose upcoming opponent has not played yet, drops the second step. The
-    caller evaluates the rows and commits them.
+    whose upcoming opponent has not played yet, drops the second step. A team
+    that has not played keeps B, still its starting formation. The caller
+    evaluates the rows and commits them.
 
-    moves, the week's slice of its plan, is (teams, rows, own, previous,
-    ahead, mask, r1, r2, swap_i, swap_j): the proposing teams, ascending;
-    the step rows among them with each one's team, opponents, mask and step
-    draws, r2 zero where the second step is dropped; each swap's two
-    positions in the flattened block. Only B, the formations and the signs
-    come from the league.
+    moves, the week's slice of its plan, is (proposals, own, previous, ahead,
+    mask, r1, r2, swap_i, swap_j): the count of proposing teams; each step
+    row's team, opponents, mask and step draws, r2 zero where the second step
+    is dropped; each swap's two positions in the flattened block. Only B,
+    the formations and the signs come from the league.
     """
-    teams, rows, own, previous, ahead, mask, r1, r2, swap_i, swap_j = moves
-    proposed = league.best[teams]
-    best = proposed[rows]
+    _, own, previous, ahead, mask, r1, r2, swap_i, swap_j = moves
+    proposed = league.best.copy()
+    best = proposed[own]
     step = np.where(league.won[own], params.w1, -params.w1)[:, None] * r1
     step *= best - league.current[previous]
     toward_next = np.where(league.won[ahead], params.w2, -params.w2)[:, None] * r2
@@ -214,21 +212,21 @@ def update_formation(league: League, moves: tuple, params: LcaParams, n_vms: int
     step += toward_next
     step *= mask
     step += best
-    proposed[rows] = np.clip(step, 0.0, n_vms - _CLAMP_EPS)
+    proposed[own] = np.clip(step, 0.0, n_vms - _CLAMP_EPS)
     flat = proposed.reshape(-1)
     flat[swap_i], flat[swap_j] = flat[swap_j], flat[swap_i]
     return proposed
 
 
-def _season_rows(last_opponent: np.ndarray, fixtures: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """A season's proposing rows in stream order: (starts, (team, row, previous, ahead, second)).
+def _season_rows(before: np.ndarray, fixtures: np.ndarray) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """A season's proposing rows in stream order: (starts, (team, previous, ahead, second), after).
 
-    fixtures is a (weeks, 2, pairs) array of home and away sides. A team proposes once it has played;
-    week w's rows are starts[w]..starts[w+1]-1 by team, row is the index among them, and second whether
-    the second step applies. All follow from the fixtures and last_opponent before the season.
+    fixtures is a (weeks, 2, pairs) array of home and away sides, and before and after hold each team's last
+    opponent (_BYE for none yet) before and after the season. A team proposes once it has played; week w's
+    rows are starts[w]..starts[w+1]-1 by team, and second says whether the second step applies.
     """
     weeks = len(fixtures)
-    opponent = np.vstack([last_opponent, np.full((weeks, last_opponent.size), _BYE)])  # row 0: before the season
+    opponent = np.vstack([before, np.full((weeks, before.size), _BYE)])  # row 0: before the season
     opponent[np.arange(1, weeks + 1)[:, None, None], fixtures] = fixtures[:, ::-1]
     seen = np.maximum.accumulate(np.where(opponent != _BYE, np.arange(weeks + 1)[:, None], 0))
     last = np.take_along_axis(opponent, seen, axis=0)  # last[w]: each team's last opponent before week w
@@ -236,22 +234,22 @@ def _season_rows(last_opponent: np.ndarray, fixtures: np.ndarray) -> tuple[np.nd
     starts = np.append(0, np.cumsum(np.bincount(week, minlength=weeks)))
     ahead = opponent[week + 1, team]
     second = (ahead != _BYE) & (last[week, ahead] != _BYE)
-    return starts, (team, np.arange(week.size) - starts[week], last[week, team], ahead, second)
+    return starts, (team, last[week, team], ahead, second), last[-1]
 
 
 def _draw_plan(rng: SplitMix64, params: LcaParams, n: int, rows: tuple, starts: np.ndarray,
-               pairs: int) -> list[tuple[np.ndarray, tuple | None]]:
-    """Draw a plan of whole weeks with one uniforms() call: (match draws, moves or None) per week.
+               pairs: int) -> list[tuple[np.ndarray, tuple]]:
+    """Draw a plan of whole weeks with one uniforms() call: (match draws, moves) per week.
 
-    Week w's rows (_season_rows) are starts[w]..starts[w+1]-1. A week takes each row's draws, then one per
-    fixture. A row's decision draw, read with peek(), gives its length: 2 for a swap (none when n < 2), or k·n
-    mask draws and 2n step draws, second step or not, where k - 1 masks came up empty. On an empty mask that
-    row's k goes one higher, and the plan is walked and drawn again from its start, so later rows shift as
-    they would week by week. As in play_match, a probability of 1 is exact even on a draw of 1.0: a row swaps
-    iff its decision draw is <= swap_probability > 0, and a coordinate moves iff its mask draw is
-    <= change_probability.
+    Week w's rows (_season_rows) are starts[w]..starts[w+1]-1, and its moves (update_formation) start with their
+    count, 0 in a week nobody proposes in. A week takes each row's draws, then one per fixture. A row's decision
+    draw, read with peek(), gives its length: 2 for a swap (none when n < 2), or k·n mask draws and 2n step
+    draws, second step or not, where k - 1 masks came up empty. On an empty mask that row's k goes one higher,
+    and the plan is walked and drawn again from its start, so later rows shift as they would week by week. As in
+    play_match, a probability of 1 is exact even on a draw of 1.0: a row swaps iff its decision draw is <=
+    swap_probability > 0, and a coordinate moves iff its mask draw is <= change_probability.
     """
-    team, row, previous, ahead, second = (column[starts[0] : starts[-1]] for column in rows)
+    team, previous, ahead, second = (column[starts[0] : starts[-1]] for column in rows)
     bounds = (starts - starts[0]).tolist()
     p, swap_draws = params.swap_probability, 2 if n >= 2 else 0
     k, start = [1] * team.size, rng.state
@@ -280,22 +278,25 @@ def _draw_plan(rng: SplitMix64, params: LcaParams, n: int, rows: tuple, starts: 
     i, j = np.minimum(u.astype(np.int64), [n - 1, n - 2]).T
     j += j >= i
     draws = span[np.array(match_at)[:, None] + np.arange(pairs)]
-    step_cols = (row[steps], team[steps], previous[steps], ahead[steps], mask, r[:, 0], r[:, 1])
-    swap_cols = (row[swaps] * n + i, row[swaps] * n + j)
-    cuts = [(bounds, [team]), (np.searchsorted(steps, bounds).tolist(), step_cols),
+    step_cols = (team[steps], previous[steps], ahead[steps], mask, r[:, 0], r[:, 1])
+    swap_cols = (team[swaps] * n + i, team[swaps] * n + j)
+    cuts = [(np.searchsorted(steps, bounds).tolist(), step_cols),
             (np.searchsorted(swaps, bounds).tolist(), swap_cols)]  # where each week starts in each group
-    return [(draws[w], tuple(x[edge[w] : edge[w + 1]] for edge, columns in cuts for x in columns)
-             if bounds[w + 1] > bounds[w] else None) for w in range(len(bounds) - 1)]
+    return [(draws[w], (b - a, *(x[edge[w] : edge[w + 1]] for edge, columns in cuts for x in columns)))
+            for w, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
 
 def _weeks(league: League, params: LcaParams):
-    """Every week in stream order, drawn a plan at a time: (home, away, match draws, moves or None)."""
+    """Every week in stream order, drawn a plan at a time: (home, away, match draws, moves).
+
+    Each team's last opponent follows from the fixtures alone, carried from one season into the next."""
     n, size = league.best.shape[1], params.league_size
     opening = np.array(season_fixtures(size, 1)).transpose(0, 2, 1)
+    last_opponent = np.full(size, _BYE)
     for season in range(1, params.seasons + 1):
         fixtures = (opening + season - 1) % size  # season_fixtures(size, season): its teams relabelled
         weeks, pairs = fixtures.shape[0], fixtures.shape[2]
-        starts, rows = _season_rows(league.last_opponent, fixtures)
+        starts, rows, last_opponent = _season_rows(last_opponent, fixtures)
         worst = starts * (1 + 3 * n) + np.arange(weeks + 1) * pairs
         first = 0
         while first < weeks:
@@ -338,7 +339,6 @@ def init_league(params: LcaParams, instance: ProblemInstance) -> League:
         current_fitness=fitness,
         best=current.copy(),
         best_fitness=fitness.copy(),
-        last_opponent=np.full(size, _BYE),
         won=np.zeros(size, dtype=bool),
         champion=int(np.argmin(fitness)),
         rng=rng,
@@ -350,29 +350,27 @@ def init_league(params: LcaParams, instance: ProblemInstance) -> League:
 def run(params: LcaParams, instance: ProblemInstance) -> RunResult:
     """Full championship: seasons of weekly update-then-play rounds.
 
-    Week 1 is played with the initial formations; from week 2 on, every team
-    with match history proposes a new formation from last week's league
-    (two-phase commit), and the week's proposals are scored in one block
-    before the week's fixtures are resolved together. A team's best and the champion move
-    only on a strictly lower fitness, the first team in index order winning
-    ties, so the history of f̂ is nonincreasing.
-    """
+    Each week, by one path, every team with match history proposes a new
+    formation from last week's league (two-phase commit), the rest keep their
+    best, and the whole league is scored as one block before the week's
+    fixtures are resolved together. A team's best and the champion move only
+    on a strictly lower fitness, the first team in index order winning ties,
+    so the history of f̂ is nonincreasing."""
     league = init_league(params, instance)
     m = len(instance.vms)
     history: list[float] = []
     for home, away, draws, moves in _weeks(league, params):
-        if moves is not None:  # from week 2 on; week 1 is played with the initial formations
-            teams, proposed = moves[0], update_formation(league, moves, params, m)
-            del moves  # the week's step draws are not held while it is scored
-            fitness = league.evaluate(proposed)
-            league.evaluations += teams.size
-            first = int(np.argmin(fitness))  # the first minimum: the lowest team index wins ties
-            if fitness[first] < league.f_hat:
-                league.champion = int(teams[first])
-            better = fitness < league.best_fitness[teams]
-            league.current[teams], league.current_fitness[teams] = proposed, fitness
-            league.best[teams[better]] = proposed[better]
-            league.best_fitness[teams[better]] = fitness[better]
+        proposals, proposed = moves[0], update_formation(league, moves, params, m)
+        del moves  # the week's step draws are not held while it is scored
+        fitness = league.evaluate(proposed)
+        league.evaluations += proposals
+        first = int(np.argmin(fitness))  # the first minimum: the lowest team index wins ties
+        if fitness[first] < league.f_hat:
+            league.champion = first
+        better = fitness < league.best_fitness
+        league.current, league.current_fitness = proposed, fitness
+        league.best[better] = proposed[better]
+        league.best_fitness[better] = fitness[better]
         play_match(league, home, away, draws)
         history.append(league.f_hat)
     best_assignment = decode(league.best[league.champion], m)

@@ -103,7 +103,6 @@ def test_match_frequency():
         current_fitness=fitness,
         best=x,
         best_fitness=fitness,
-        last_opponent=np.full(2 * k + 1, -1),
         won=np.zeros(2 * k + 1, dtype=bool),
         champion=2 * k,
         rng=SplitMix64(777),

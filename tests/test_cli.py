@@ -104,6 +104,15 @@ def test_schedule_lca_runs(tmp_path, capsys):
     assert payload["makespan_s"] == 0.7  # optimal split of 1400 MI over two VMs
 
 
+def test_schedule_reads_a_trace_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    # Spreadsheet tools save UTF-8 with a BOM; it is not part of the first column's name.
+    trace = tmp_path / "t.csv"
+    write_trace(trace, [(0, 200), (1, 300), (2, 500)])
+    trace.write_text("\ufeff" + trace.read_text(), encoding="utf-8")
+    assert dispatch(["schedule", "--trace", str(trace), "--vms", "1", "--algo", "fcfs"]) == 0
+    assert capsys.readouterr().out == "makespan: 1.000000 s\n"
+
+
 def test_schedule_unknown_algo_is_usage_error(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     write_trace(trace, [(0, 200)])
@@ -219,6 +228,15 @@ def test_bench_matches_library_output(tmp_path):
     assert out.read_text() == sink.getvalue()
 
 
+def test_bench_reads_a_config_that_starts_with_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    plain.write_text(json.dumps(TINY_BENCH))
+    marked.write_text("\ufeff" + json.dumps(TINY_BENCH), encoding="utf-8")
+    for config in (plain, marked):
+        assert dispatch(["bench", "--config", str(config), "--out", str(tmp_path / f"{config.stem}.csv")]) == 0
+    assert (tmp_path / "marked.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
 def test_bench_rejects_unknown_config_keys(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"tasks": [4]}))
@@ -327,6 +345,17 @@ def test_plot_from_csv(tmp_path):
     svg_path = tmp_path / "chart.svg"
     assert dispatch(["plot", "--csv", str(csv_path), "--out", str(svg_path)]) == 0
     assert "<svg" in svg_path.read_text()
+
+
+def test_plot_reads_a_csv_that_starts_with_a_byte_order_mark(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY_BENCH))
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    dispatch(["bench", "--config", str(config), "--out", str(plain)])
+    marked.write_text("\ufeff" + plain.read_text(), encoding="utf-8")
+    for csv_path in (plain, marked):
+        assert dispatch(["plot", "--csv", str(csv_path), "--out", str(tmp_path / f"{csv_path.stem}.svg")]) == 0
+    assert (tmp_path / "marked.svg").read_bytes() == (tmp_path / "plain.svg").read_bytes()
 
 
 def test_plot_missing_csv(tmp_path):

@@ -162,6 +162,14 @@ def test_invalid_configs_rejected(overrides):
         tiny_config(**kwargs)
 
 
+def test_a_search_seed_in_the_grid_config_is_refused():
+    # Each LCA cell derives its search seed from master_seed, so a seed given here would be silently ignored.
+    with pytest.raises(ValueError, match=r"^lca_params\.seed must be 0: search seeds derive from master_seed, got 5$"):
+        tiny_config(lca_params=LcaParams(league_size=4, seasons=2, seed=5))
+    with pytest.raises(ValueError, match=r"^lca_params must be an LcaParams, got \{'seed': 5\}$"):
+        tiny_config(lca_params={"seed": 5})  # not an LcaParams: only its type is named
+
+
 def test_per_vm_speed_list_accepted():
     records = run_experiment(
         tiny_config(vm_speed_mips=(500.0, 1000.0, 2000.0), schedulers=(K.FCFS,))

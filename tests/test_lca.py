@@ -50,8 +50,9 @@ TOP = 2**64 - 1  # a SplitMix64 output that draws exactly 1.0
 #
 # The engine as it was written before weeks were batched and drawn a plan at a
 # time: one Python call per team, each making its own draws, and one scalar
-# draw per match. The planned update_formation and play_match, and whole runs,
-# must agree with it bit for bit.
+# draw per match, each team's last opponent kept in its own array as it plays.
+# The planned update_formation and play_match, and whole runs, must agree with
+# it bit for bit.
 
 
 def reference_win_probability(f_i, f_j, f_hat):
@@ -63,17 +64,17 @@ def reference_win_probability(f_i, f_j, f_hat):
     return (f_j - f_hat) / denom
 
 
-def reference_play_match(league, i, j):
+def reference_play_match(league, last_opponent, i, j):
     p_i = reference_win_probability(league.current_fitness[i], league.current_fitness[j], league.f_hat)
     u = league.rng.uniform()
     winner, loser = (i, j) if p_i > 0.0 and u <= p_i else (j, i)
-    league.last_opponent[i], league.last_opponent[j] = j, i
+    last_opponent[i], last_opponent[j] = j, i
     league.won[winner], league.won[loser] = True, False
     return winner, loser
 
 
-def reference_update_formation(league, team, upcoming, params, n_vms):
-    previous = league.last_opponent[team]
+def reference_update_formation(league, last_opponent, team, upcoming, params, n_vms):
+    previous = last_opponent[team]
     if previous == _BYE:
         raise RuntimeError(f"team {team} has no match history to update from")
     rng, p = league.rng, params.swap_probability
@@ -94,7 +95,7 @@ def reference_update_formation(league, team, upcoming, params, n_vms):
     r = rng.uniforms(2 * n)
     s_own = 1.0 if league.won[team] else -1.0
     step = params.w1 * s_own * r[:n] * (best - league.current[previous])
-    if upcoming != _BYE and league.last_opponent[upcoming] != _BYE:
+    if upcoming != _BYE and last_opponent[upcoming] != _BYE:
         s_next = 1.0 if league.won[upcoming] else -1.0
         step = step + params.w2 * s_next * r[n:] * (best - league.current[upcoming])
     return np.clip(best + mask * step, 0.0, n_vms - 1e-9)
@@ -104,13 +105,14 @@ def reference_run(params, instance):
     """A whole championship team by team: proposals first, then their commit, then one draw per fixture."""
     league = init_league(params, instance)
     m = len(instance.vms)
+    last_opponent = np.full(params.league_size, _BYE)
     history = []
     for season in range(1, params.seasons + 1):
         for pairs in season_fixtures(params.league_size, season):
             if history:
                 upcoming = dict(pairs) | {j: i for i, j in pairs}
-                teams = [t for t in range(params.league_size) if league.last_opponent[t] != _BYE]
-                proposed = [reference_update_formation(league, t, upcoming.get(t, _BYE), params, m)
+                teams = [t for t in range(params.league_size) if last_opponent[t] != _BYE]
+                proposed = [reference_update_formation(league, last_opponent, t, upcoming.get(t, _BYE), params, m)
                             for t in teams]
                 league.evaluations += len(teams)
                 for t, x in zip(teams, proposed):
@@ -121,7 +123,7 @@ def reference_run(params, instance):
                     if fitness < league.best_fitness[t]:
                         league.best[t], league.best_fitness[t] = x, fitness
             for i, j in pairs:
-                reference_play_match(league, i, j)
+                reference_play_match(league, last_opponent, i, j)
             history.append(league.f_hat)
     return history, decode(league.best[league.champion], m), league.evaluations
 
@@ -136,7 +138,7 @@ def _advanced(rng, draws):
     return (rng.state + draws * _GAMMA) & MASK64
 
 
-def _league(formations, fitness, rng, last_opponent=None, won=None):
+def _league(formations, fitness, rng, won=None):
     """A league whose teams hold the given formations as both current and best."""
     x = np.asarray(formations, dtype=float)
     f = np.asarray(fitness, dtype=float)
@@ -146,7 +148,6 @@ def _league(formations, fitness, rng, last_opponent=None, won=None):
         current_fitness=f,
         best=x.copy(),
         best_fitness=f.copy(),
-        last_opponent=np.array(last_opponent if last_opponent is not None else [-1] * size),
         won=np.array(won if won is not None else [False] * size),
         champion=int(np.argmin(f)),
         rng=rng,
@@ -155,23 +156,22 @@ def _league(formations, fitness, rng, last_opponent=None, won=None):
 
 
 def _proposer(formation, previous, won, rng, upcoming=None, upcoming_won=True):
-    """Team 0, last matched with team 1; team 2, if given, is its upcoming opponent."""
+    """Team 0, last matched with team 1; team 2, if given, is its upcoming opponent and has played too."""
     rows = [formation, previous] + ([upcoming] if upcoming is not None else [])
     return _league(
         rows,
         [5.0, 6.0, 6.0][: len(rows)],
         rng,
-        last_opponent=[1, 0, 1][: len(rows)],
         won=[won, not won, upcoming_won][: len(rows)],
     )
 
 
 def _propose(league, params, n_vms, upcoming=_BYE):
-    """Team 0's proposal when its opponent this week is `upcoming`: a plan of one week, its one row, no fixture."""
-    second = upcoming != _BYE and league.last_opponent[upcoming] != _BYE
-    rows = tuple(np.array([x]) for x in (0, 0, league.last_opponent[0], upcoming, second))
+    """Team 0's proposal (_proposer) when its opponent this week is `upcoming`: a plan of one week, its one
+    row, no fixture."""
+    rows = tuple(np.array([x]) for x in (0, 1, upcoming, upcoming != _BYE))
     ((draws, moves),) = _draw_plan(league.rng, params, league.best.shape[1], rows, np.array([0, 1]), 0)
-    assert draws.size == 0 and moves[0].tolist() == [0]
+    assert draws.size == 0 and moves[0] == 1
     return update_formation(league, moves, params, n_vms)[0]
 
 # ---------------------------------------------------------------- encoding
@@ -329,7 +329,6 @@ def test_play_match_certain_win():
         winners = play_match(league, np.array([0]), np.array([1]), league.rng.uniforms(1))
         assert winners.tolist() == [0]
         assert league.won.tolist() == [True, False]
-        assert league.last_opponent.tolist() == [1, 0]
 
 
 def test_play_match_certain_loss():
@@ -470,13 +469,27 @@ def test_update_swap_preserves_coordinate_multiset():
 
 def test_update_requires_match_history():
     # A team proposes only once it has played: nobody in week 1 of a league of five, then every team that has
-    # played, so the team with a bye in week 1 waits for its first match. A week nobody proposes in has no moves.
+    # played, so the team with a bye in week 1 waits for its first match. A week nobody proposes in has 0
+    # proposals and no step or swap rows.
     fixtures = np.array(season_fixtures(5, 1)).transpose(0, 2, 1)
-    starts, rows = _season_rows(np.full(5, _BYE), fixtures)
+    starts, rows, _ = _season_rows(np.full(5, _BYE), fixtures)
     for w in range(len(fixtures)):
         assert rows[0][starts[w] : starts[w + 1]].tolist() == sorted(set(fixtures[:w].ravel().tolist()))
     ((draws, moves),) = _draw_plan(SplitMix64(1), _params(league_size=5), 3, rows, np.array([0, 0]), 2)
-    assert moves is None and draws.size == 2
+    assert moves[0] == 0 and all(column.size == 0 for column in moves[1:]) and draws.size == 2
+
+
+@pytest.mark.parametrize("size", [4, 5, 6, 7])
+def test_the_carried_last_opponents_are_the_references_after_each_season(size):
+    # The run keeps no last opponents: each season's follow from the fixtures and the season before.
+    league = init_league(_params(league_size=size), _instance())
+    before, last_opponent = np.full(size, _BYE), np.full(size, _BYE)
+    for season in range(1, 2 * size + 1):
+        _, _, before = _season_rows(before, np.array(season_fixtures(size, season)).transpose(0, 2, 1))
+        for pairs in season_fixtures(size, season):
+            for i, j in pairs:
+                reference_play_match(league, last_opponent, i, j)
+        assert before.tolist() == last_opponent.tolist()
 
 
 def test_update_always_stays_in_vm_range():
@@ -492,23 +505,23 @@ def test_update_always_stays_in_vm_range():
 
 
 def _random_league(size, n, m, seed):
-    """A league mid-run: random formations and fitness, some teams not yet played."""
+    """A league mid-run and each team's last opponent: random formations and fitness, some teams not yet played."""
     rng = SplitMix64(seed)
     best_fitness = 1.0 + rng.uniforms(size) * 10.0
     current_fitness = best_fitness + rng.uniforms(size) * 5.0
     history = rng.uniforms(size)
     last_opponent = np.where(history < 0.2, _BYE, (np.arange(size) + 1 + (history * (size - 1)).astype(int)) % size)
-    return League(
+    league = League(
         current=rng.uniforms(size * n).reshape(size, n) * m,
         current_fitness=current_fitness,
         best=rng.uniforms(size * n).reshape(size, n) * m,
         best_fitness=best_fitness,
-        last_opponent=last_opponent,
         won=rng.uniforms(size) < 0.5,
         champion=int(np.argmin(best_fitness)),
         rng=SplitMix64(mix64(seed)),
         evaluate=None,
     )
+    return league, last_opponent
 
 
 @settings(max_examples=200, deadline=None)
@@ -523,31 +536,30 @@ def _random_league(size, n, m, seed):
     seed=st.integers(0, 2**64 - 1),
 )
 def test_batched_week_equals_the_per_team_reference(size, n, m, season, weeks, swap, change, seed):
-    # A plan of several weeks drawn at once: each week's proposals and fixture results, and the RNG state
-    # after the plan, agree bit for bit with proposing and playing team by team. Each week's proposals
-    # become the current formations, so the next week reads them.
+    # A plan of several weeks drawn at once: each week's proposals and fixture results, the last opponents
+    # after the plan, and the RNG state after it agree bit for bit with proposing and playing team by team.
+    # A team that has not played keeps its best. Each week's proposals become the current formations, so the
+    # next week reads them.
     params = LcaParams(league_size=size, swap_probability=swap, change_probability=change,
                        w1=1.5, w2=0.75)
-    batched, reference = _random_league(size, n, m, seed), _random_league(size, n, m, seed)
+    (batched, before), (reference, last_opponent) = _random_league(size, n, m, seed), _random_league(size, n, m, seed)
     fixtures = np.array(season_fixtures(size, season)).transpose(0, 2, 1)[:weeks]
-    starts, rows = _season_rows(batched.last_opponent, fixtures)
+    starts, rows, after = _season_rows(before, fixtures)
     plan = _draw_plan(batched.rng, params, n, rows, starts, fixtures.shape[2])
     for (home, away), (draws, moves) in zip(fixtures, plan):
         upcoming = np.full(size, _BYE)
         upcoming[home], upcoming[away] = away, home
-        teams = np.flatnonzero(reference.last_opponent != _BYE)
-        expected = [reference_update_formation(reference, t, upcoming[t], params, m) for t in teams]
-        if moves is None:
-            assert teams.size == 0
-        else:
-            assert moves[0].tolist() == teams.tolist()
-            proposed = update_formation(batched, moves, params, m)
-            assert proposed.tobytes() == np.array(expected).reshape(teams.size, n).tobytes()
-            batched.current[teams] = reference.current[teams] = proposed
+        teams = np.flatnonzero(last_opponent != _BYE)
+        expected = [reference_update_formation(reference, last_opponent, t, upcoming[t], params, m) for t in teams]
+        assert moves[0] == teams.size
+        proposed = update_formation(batched, moves, params, m)
+        assert proposed[teams].tobytes() == np.array(expected).reshape(teams.size, n).tobytes()
+        assert np.delete(proposed, teams, axis=0).tobytes() == np.delete(batched.best, teams, axis=0).tobytes()
+        batched.current[teams] = reference.current[teams] = proposed[teams]
         winners = play_match(batched, home, away, draws)
-        assert winners.tolist() == [reference_play_match(reference, i, j)[0] for i, j in zip(home, away)]
+        assert winners.tolist() == [reference_play_match(reference, last_opponent, i, j)[0] for i, j in zip(home, away)]
         assert batched.won.tolist() == reference.won.tolist()
-        assert batched.last_opponent.tolist() == reference.last_opponent.tolist()
+    assert after.tolist() == last_opponent.tolist()
     assert batched.rng.state == reference.rng.state
 
 
@@ -556,20 +568,19 @@ def test_a_large_week_is_drawn_as_one_span():
     # uniforms() call, with the same proposals, results and RNG state as proposing and playing team by team.
     size, n, m = 6, 3_000, 4
     params = LcaParams(league_size=size, swap_probability=0.0)
-    batched, reference = _random_league(size, n, m, 5), _random_league(size, n, m, 5)
-    for league in (batched, reference):
-        league.last_opponent = np.array([1, 0, 3, 2, 5, 4])
+    (batched, _), (reference, _) = _random_league(size, n, m, 5), _random_league(size, n, m, 5)
+    last_opponent = np.array([1, 0, 3, 2, 5, 4])
     home, away = np.array([0, 1, 2]), np.array([5, 4, 3])
-    starts, rows = _season_rows(batched.last_opponent, np.array([[home, away]]))
+    starts, rows, _ = _season_rows(last_opponent, np.array([[home, away]]))
     with mock.patch.object(SplitMix64, "uniforms", autospec=True, side_effect=SplitMix64.uniforms) as blocks:
         ((draws, moves),) = _draw_plan(batched.rng, params, n, rows, starts, 3)
     assert [call.args[1] for call in blocks.call_args_list] == [size * (1 + 3 * n) + 3]
     proposed = update_formation(batched, moves, params, m)
     upcoming = np.array([5, 4, 3, 2, 1, 0])
-    expected = [reference_update_formation(reference, t, upcoming[t], params, m) for t in range(size)]
+    expected = [reference_update_formation(reference, last_opponent, t, upcoming[t], params, m) for t in range(size)]
     assert proposed.tobytes() == np.array(expected).tobytes()
     winners = play_match(batched, home, away, draws)
-    assert winners.tolist() == [reference_play_match(reference, i, j)[0] for i, j in zip(home, away)]
+    assert winners.tolist() == [reference_play_match(reference, last_opponent, i, j)[0] for i, j in zip(home, away)]
     assert batched.rng.state == reference.rng.state
 
 
@@ -596,7 +607,6 @@ def test_init_league_global_best_is_min_fitness():
     assert league.f_hat == league.current_fitness.min() == league.best_fitness.min()
     assert league.champion == int(np.argmin(league.current_fitness))
     assert np.array_equal(league.best, league.current)
-    assert league.last_opponent.tolist() == [-1] * 6
     assert league.evaluations == 6
 
 
@@ -720,6 +730,30 @@ def test_run_handles_odd_league_with_byes():
     assert len(result.history) == 4 * 5  # padded to 6 slots: 5 weeks per season
     assert all(b <= a for a, b in zip(result.history, result.history[1:]))
     assert all(0 <= v < 3 for v in result.best_assignment.vm_of)
+
+
+@pytest.mark.parametrize("size", [5, 7])
+def test_a_team_that_has_not_played_fields_its_unchanged_best(size):
+    # Every week scores the whole league; a team that has not played yet (all in week 1, then the team with
+    # a bye in week 1) holds its starting formation as current and best, and its row of the block is that.
+    played, waiting = set(), []
+
+    def propose(league, moves, params, n_vms):
+        block = update_formation(league, moves, params, n_vms)
+        for t in sorted(set(range(size)) - played):
+            assert league.current[t].tobytes() == league.best[t].tobytes() == block[t].tobytes()
+            assert league.current_fitness[t] == league.best_fitness[t]
+            waiting.append(t)
+        return block
+
+    def match(league, home, away, draws):
+        played.update(home.tolist() + away.tolist())
+        return play_match(league, home, away, draws)
+
+    with mock.patch.object(lca, "update_formation", side_effect=propose), \
+            mock.patch.object(lca, "play_match", side_effect=match):
+        run(LcaParams(league_size=size, seasons=2, seed=3), _instance(n=8, m=3))
+    assert len(waiting) == size + 1  # week 1's teams, then week 2's team that had a bye
 
 
 def test_run_without_baseline_seeding_still_valid():
