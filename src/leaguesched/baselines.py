@@ -8,6 +8,7 @@ first) sorts ascending by length. No randomness is involved anywhere.
 
 from __future__ import annotations
 
+import heapq
 from enum import IntEnum
 
 from .model import Assignment, ProblemInstance
@@ -26,14 +27,15 @@ def _schedule_in_order(instance: ProblemInstance, order: list[int]) -> Assignmen
     """List-schedule the tasks at positions `order`, in that order, onto the least-loaded VM.
 
     "Least loaded" means smallest accumulated busy time in seconds; ties go to
-    the lowest VM index. The assignment is indexed by task position.
+    the lowest VM index. A heap of (load, VM index) finds it in O(log m), the
+    tuple order giving that tie-break. The assignment is indexed by task position.
     """
     lengths, speeds = instance.lengths.tolist(), instance.speeds.tolist()
-    loads = [0.0] * len(speeds)
+    free = [(0.0, v) for v in range(len(speeds))]  # sorted, so already a heap
     vm_of = [0] * len(lengths)
     for i in order:
-        v = min(range(len(speeds)), key=loads.__getitem__)
-        loads[v] += lengths[i] / speeds[v]
+        load, v = free[0]
+        heapq.heapreplace(free, (load + lengths[i] / speeds[v], v))
         vm_of[i] = v
     return Assignment(tuple(vm_of))
 

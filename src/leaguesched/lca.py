@@ -13,7 +13,11 @@ update reads only last week's league, so every week is one (L, n) block
 scored by one call of the loads kernel. Where each draw of the stream falls,
 and what it is, depends only on the seed, the fixtures and n, never on the
 league: SplitMix64 is a counter, so a plan of several weeks' draws is laid
-out and drawn at once (_draw_plan), and each week reads its slice of it.
+out and drawn at once (_draw_plan), and each week reads its slice of it. In
+the stream a swap takes its decision draw and two position draws; a step
+takes its decision draw, one draw for its change count q (Kashan's truncated
+geometric law), then q position, q r1 and q r2 draws. A plan is sized by the
+words its weeks actually take.
 
 Win probability for the side with fitness f_i against f_j, given the
 league-wide best f̂ (a lower bound on both):
@@ -26,6 +30,8 @@ weaker, and is 1/2 for equally fit sides.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +46,9 @@ _CLAMP_EPS = 1e-9
 # No team: a bye slot in the fixtures, or no opponent yet for a team that has not played.
 _BYE = -1
 
-# A week joins a plan (_weeks) while the plan's worst case, every row a masked step with one mask draw, fits in
-# this many draws; a plan is one week or more, within its season. 2**16 ran slower: long spans draw slowly.
-_PLAN_WORDS = 1 << 15
+# A week joins a plan (_draw_plan) while the plan's draws before it number fewer than this, so a plan is one
+# week or more, within its season; blocks much past 2**14 words draw more slowly per word.
+_PLAN_WORDS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -51,7 +57,7 @@ class LcaParams:
 
     league_size: int = 20  # L: number of teams
     seasons: int = 50  # S: each season is one full round robin
-    change_probability: float = 0.3  # per-coordinate Bernoulli mask rate
+    change_probability: float = 0.3  # p_c of a step's change count q, truncated geometric on [1, n]: mean ~1/p_c
     w1: float = 1.0  # step weight for the previous-opponent term
     w2: float = 1.0  # step weight for the upcoming-opponent term
     swap_probability: float = 0.5  # chance a week's proposal swaps two positions instead
@@ -185,34 +191,35 @@ def update_formation(league: League, moves: tuple, params: LcaParams, n_vms: int
     Both move classes anchor at the team's best formation B. With probability
     swap_probability the proposal is a fine rearrangement: two uniformly
     chosen coordinates of B exchange values (two players trade positions),
-    which rebalances a schedule without disturbing anything else. Otherwise a
-    Bernoulli(change_probability) mask picks which coordinates move (redrawn
-    until at least one is set) and the masked coordinates take two random
-    steps: away from the previous opponent's formation after a win, toward it
-    after a loss (a win confirms B's strengths; a loss exposes weaknesses),
-    and likewise relative to the upcoming opponent's current formation
-    depending on that opponent's last result. A team with a bye this week, or
-    whose upcoming opponent has not played yet, drops the second step. A team
-    that has not played keeps B, still its starting formation. The caller
-    evaluates the rows and commits them.
+    which rebalances a schedule without disturbing anything else. Otherwise
+    a step changes q distinct coordinates, q drawn from Kashan's truncated
+    geometric law with rate change_probability and the coordinates uniformly
+    at random. Each takes two random steps: away from the previous opponent's
+    formation after a win, toward it after a loss (a win confirms B's
+    strengths; a loss exposes weaknesses), and likewise relative to the
+    upcoming opponent's current formation depending on that opponent's last
+    result. A team with a bye this week, or whose upcoming opponent has not
+    played yet, drops the second step. A team that has not played keeps B,
+    still its starting formation. The caller evaluates the rows and commits
+    them.
 
     moves, the week's slice of its plan, is (proposals, own, previous, ahead,
-    mask, r1, r2, swap_i, swap_j): the count of proposing teams; each step
-    row's team, opponents, mask and step draws, r2 zero where the second step
-    is dropped; each swap's two positions in the flattened block. Only B,
-    the formations and the signs come from the league.
+    at, r1, r2, swap_i, swap_j): the count of proposing teams; for each moved
+    coordinate of a step, its team, that team's opponents, its position and
+    its step draws, r2 zero where the second step is dropped; each swap's two
+    positions in the flattened block. Only B, the formations and the signs
+    come from the league.
     """
-    _, own, previous, ahead, mask, r1, r2, swap_i, swap_j = moves
+    _, own, previous, ahead, at, r1, r2, swap_i, swap_j = moves
     proposed = league.best.copy()
-    best = proposed[own]
-    step = np.where(league.won[own], params.w1, -params.w1)[:, None] * r1
-    step *= best - league.current[previous]
-    toward_next = np.where(league.won[ahead], params.w2, -params.w2)[:, None] * r2
-    toward_next *= best - league.current[ahead]
+    best = proposed[own, at]
+    step = np.where(league.won[own], params.w1, -params.w1) * r1
+    step *= best - league.current[previous, at]
+    toward_next = np.where(league.won[ahead], params.w2, -params.w2) * r2
+    toward_next *= best - league.current[ahead, at]
     step += toward_next
-    step *= mask
     step += best
-    proposed[own] = np.clip(step, 0.0, n_vms - _CLAMP_EPS)
+    proposed[own, at] = np.clip(step, 0.0, n_vms - _CLAMP_EPS)
     flat = proposed.reshape(-1)
     flat[swap_i], flat[swap_j] = flat[swap_j], flat[swap_i]
     return proposed
@@ -237,50 +244,96 @@ def _season_rows(before: np.ndarray, fixtures: np.ndarray) -> tuple[np.ndarray, 
     return starts, (team, last[week, team], ahead, second), last[-1]
 
 
-def _draw_plan(rng: SplitMix64, params: LcaParams, n: int, rows: tuple, starts: np.ndarray,
+def _change_thresholds(p: float, n: int) -> list[float]:
+    """P(q <= Q) for Q = 1..n, q a step's change count: (1 - (1 - p)^Q) / (1 - (1 - p)^n), truncated geometric.
+
+    Computed through expm1 and log1p, so a tiny p keeps its precision and p = 1 puts every entry at 1 (q = 1)
+    without taking ln 0. The entries never decrease, and the last is exactly 1.
+    """
+    rate = math.log1p(-p) if p < 1.0 else -math.inf  # ln(1 - p)
+    tail = [math.expm1(q * rate) for q in range(1, n + 1)]
+    return [t / tail[-1] for t in tail]
+
+
+def _change_count(thresholds: list[float], r: float) -> int:
+    """A step's change count for its draw r in [0, 1]: the least Q >= 1 with r <= P(q <= Q), so 1 <= q <= n.
+
+    This is Kashan's q = ceil(ln(1 - (1 - (1 - p)^n) r) / ln(1 - p)) (with q0 = 1) in threshold form, which
+    needs no ln 0 at p = 1 and gives 1, not 0, on r = 0.
+    """
+    return bisect_left(thresholds, r) + 1
+
+
+def _positions(u: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
+    """Floyd's sample of counts[s] distinct positions in [0, n) for each step s, from one draw per position.
+
+    u holds each step's draws in turn, as many as its count q. Its k-th draw picks t uniformly in [0, j],
+    j = n - q + k (a draw of 1.0 gives j, as in the swap), and the step takes t unless it already holds it,
+    then j, which it cannot hold yet; every q-subset is equally likely. Steps go side by side, a rank k at a
+    time, so the loop runs max(counts) times; held marks what each step holds.
+    """
+    first = np.cumsum(counts) - counts
+    rank = np.arange(u.size) - np.repeat(first, counts)
+    top = n - np.repeat(counts, counts) + rank
+    picked = np.minimum((u * (top + 1)).astype(np.int64), top)
+    cell = np.repeat(np.arange(counts.size) * n, counts)
+    held = np.zeros(counts.size * n, dtype=bool)
+    for k in range(int(counts.max(initial=0))):
+        at = first[counts > k] + k
+        taken = at[held[cell[at] + picked[at]]]
+        picked[taken] = top[taken]
+        held[cell[at] + picked[at]] = True
+    return picked
+
+
+def _draw_plan(rng: SplitMix64, params: LcaParams, thresholds: list[float], rows: tuple, starts: np.ndarray,
                pairs: int) -> list[tuple[np.ndarray, tuple]]:
     """Draw a plan of whole weeks with one uniforms() call: (match draws, moves) per week.
 
     Week w's rows (_season_rows) are starts[w]..starts[w+1]-1, and its moves (update_formation) start with their
-    count, 0 in a week nobody proposes in. A week takes each row's draws, then one per fixture. A row's decision
-    draw, read with peek(), gives its length: 2 for a swap (none when n < 2), or k·n mask draws and 2n step
-    draws, second step or not, where k - 1 masks came up empty. On an empty mask that row's k goes one higher,
-    and the plan is walked and drawn again from its start, so later rows shift as they would week by week. As in
-    play_match, a probability of 1 is exact even on a draw of 1.0: a row swaps iff its decision draw is <=
-    swap_probability > 0, and a coordinate moves iff its mask draw is <= change_probability.
+    count, 0 in a week nobody proposes in. The plan takes weeks from the first while the draws before each
+    number fewer than _PLAN_WORDS. A week takes each row's draws, then one per fixture. A row's decision draw
+    and, for a step, its count draw, read with peek(), give its length: 2 more for a swap (none when n < 2), or
+    a count q (_change_count, thresholds from _change_thresholds for this n) and 3q more for a step, second
+    step or not. As in play_match, a probability of 1 is exact even on a draw of 1.0: a row swaps iff its
+    decision draw is <= swap_probability > 0.
     """
-    team, previous, ahead, second = (column[starts[0] : starts[-1]] for column in rows)
+    n, p = len(thresholds), params.swap_probability
+    swap_draws = 2 if n >= 2 else 0
     bounds = (starts - starts[0]).tolist()
-    p, swap_draws = params.swap_probability, 2 if n >= 2 else 0
-    k, start = [1] * team.size, rng.state
-    while True:
-        at, masked, match_at, cursor = [], [], [], 0
-        for a, b in zip(bounds, bounds[1:]):
-            for kr in k[a:b]:
-                step = not (p > 0.0 and rng.peek(cursor + 1) <= p)
-                at.append(cursor + (kr - 1) * n if step else cursor)  # before the last mask, or the swap draws
-                masked.append(step)
-                cursor += 1 + ((kr + 2) * n if step else swap_draws)
-            match_at.append(cursor)
-            cursor += pairs
-        span = rng.uniforms(cursor)
-        window = np.array([span[s + 1 : s + 1 + 3 * n] for s, x in zip(at, masked) if x]).reshape(-1, 3 * n)
-        mask = window[:, :n] <= params.change_probability
-        empty, steps = np.flatnonzero(~mask.any(axis=1)), np.flatnonzero(masked)
-        if not empty.size:
+    at, counts, match_at, cursor = [], [], [], 0
+    for a, b in zip(bounds, bounds[1:]):
+        if match_at and cursor >= _PLAN_WORDS:
             break
-        k[steps[empty[0]]] += 1
-        rng.state = start
-    r = window[:, n:].reshape(-1, 2, n)  # r1 and r2 of each step row
-    r[~second[steps], 1] = 0.0
-    swaps = np.flatnonzero(np.logical_not(masked)) if swap_draws else steps[:0]
-    u = span[np.array(at, dtype=np.int64)[swaps, None] + [1, 2]] * [n, n - 1]
+        for _ in range(a, b):
+            at.append(cursor)
+            if p > 0.0 and rng.peek(cursor + 1) <= p:
+                counts.append(0)
+                cursor += 1 + swap_draws
+            else:
+                counts.append(_change_count(thresholds, rng.peek(cursor + 2)))
+                cursor += 2 + 3 * counts[-1]
+        match_at.append(cursor)
+        cursor += pairs
+    span = rng.uniforms(cursor)
+    bounds = bounds[: len(match_at) + 1]
+    team, previous, ahead, second = (column[starts[0] : starts[0] + bounds[-1]] for column in rows)
+    at, counts = np.array(at, dtype=np.int64), np.array(counts, dtype=np.int64)
+    steps = np.flatnonzero(counts)
+    q = counts[steps]
+    first = np.cumsum(q) - q  # each step's first moved coordinate
+    draw = np.repeat(at[steps] + 2 - first, q) + np.arange(q.sum())  # each moved coordinate's position draw
+    gap = np.repeat(q, q)  # and its r1 draw comes gap later, its r2 draw 2 gap later
+    r2 = np.where(np.repeat(second[steps], q), span[draw + 2 * gap], 0.0)
+    swaps = np.flatnonzero(counts == 0) if swap_draws else steps[:0]
+    u = span[at[swaps, None] + [1, 2]] * [n, n - 1]
     i, j = np.minimum(u.astype(np.int64), [n - 1, n - 2]).T
     j += j >= i
     draws = span[np.array(match_at)[:, None] + np.arange(pairs)]
-    step_cols = (team[steps], previous[steps], ahead[steps], mask, r[:, 0], r[:, 1])
+    step_cols = (*(np.repeat(x[steps], q) for x in (team, previous, ahead)), _positions(span[draw], q, n),
+                 span[draw + gap], r2)
     swap_cols = (team[swaps] * n + i, team[swaps] * n + j)
-    cuts = [(np.searchsorted(steps, bounds).tolist(), step_cols),
+    cuts = [(np.append(first, q.sum())[np.searchsorted(steps, bounds)].tolist(), step_cols),
             (np.searchsorted(swaps, bounds).tolist(), swap_cols)]  # where each week starts in each group
     return [(draws[w], (b - a, *(x[edge[w] : edge[w + 1]] for edge, columns in cuts for x in columns)))
             for w, (a, b) in enumerate(zip(bounds, bounds[1:]))]
@@ -291,17 +344,16 @@ def _weeks(league: League, params: LcaParams):
 
     Each team's last opponent follows from the fixtures alone, carried from one season into the next."""
     n, size = league.best.shape[1], params.league_size
+    thresholds = _change_thresholds(params.change_probability, n)
     opening = np.array(season_fixtures(size, 1)).transpose(0, 2, 1)
     last_opponent = np.full(size, _BYE)
     for season in range(1, params.seasons + 1):
         fixtures = (opening + season - 1) % size  # season_fixtures(size, season): its teams relabelled
-        weeks, pairs = fixtures.shape[0], fixtures.shape[2]
         starts, rows, last_opponent = _season_rows(last_opponent, fixtures)
-        worst = starts * (1 + 3 * n) + np.arange(weeks + 1) * pairs
         first = 0
-        while first < weeks:
-            last = max(first + 1, int(np.searchsorted(worst, worst[first] + _PLAN_WORDS, "right")) - 1)
-            plan = _draw_plan(league.rng, params, n, rows, starts[first : last + 1], pairs)
+        while first < len(fixtures):
+            plan = _draw_plan(league.rng, params, thresholds, rows, starts[first:], fixtures.shape[2])
+            last = first + len(plan)
             for home, away in fixtures[first:last]:
                 yield home, away, *plan.pop(0)  # popped, so a week's moves are not held while it is scored
             first = last

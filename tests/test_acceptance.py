@@ -305,7 +305,7 @@ def test_default_grid_csv_is_pinned(bench):
     sink = io.StringIO()
     emit_csv(records, sink)
     digest = hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest()
-    assert digest == "0d6d9f86c60e2082f4ca322b02afe8ccb9eec69d1c246ceec42bc788cc5363e2"
+    assert digest == "1d28c4ab6d80e3b1545e0eb46d2c14dce71a1d10b3f955c85eefd1e244bfa64c"
 
 
 def test_league_history_never_increases(bench):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leaguesched import (
     InvalidInstanceError,
@@ -13,6 +15,7 @@ from leaguesched import (
     makespan,
 )
 from leaguesched import ProblemInstance
+from leaguesched.baselines import _schedule_in_order
 
 
 def _tasks(lengths):
@@ -165,3 +168,30 @@ def test_ljf_within_twice_the_optimum():
         inst = _random_instance(rng)
         _, optimum = brute_force_optimum(inst)
         assert makespan(inst, ljf(inst)).makespan_s <= 2.0 * optimum
+
+
+def reference_schedule_in_order(instance, order):
+    """The greedy core by a linear scan per task: the first VM of least load."""
+    lengths, speeds = instance.lengths.tolist(), instance.speeds.tolist()
+    loads = [0.0] * len(speeds)
+    vm_of = [0] * len(lengths)
+    for i in order:
+        v = min(range(len(speeds)), key=loads.__getitem__)
+        loads[v] += lengths[i] / speeds[v]
+        vm_of[i] = v
+    return vm_of
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    lengths=st.lists(st.sampled_from([100.0, 200.0, 300.0, 0.1, 1e6]), min_size=1, max_size=40),
+    speeds=st.sampled_from([[100.0], [100.0, 200.0], [0.3, 0.7, 1e3]]),
+    data=st.data(),
+)
+def test_heap_core_makes_the_scan_cores_choices_on_tie_heavy_instances(m, lengths, speeds, data):
+    # Few distinct lengths and speeds, so loads tie often: the heap takes the lowest index among equal loads.
+    vms = tuple(VirtualMachine(v, speeds[v % len(speeds)]) for v in range(m))
+    instance = ProblemInstance(tuple(_tasks(lengths)), vms)
+    order = data.draw(st.permutations(range(len(lengths))))
+    assert list(_schedule_in_order(instance, order).vm_of) == reference_schedule_in_order(instance, order)

@@ -37,7 +37,7 @@ from leaguesched import (
 PINS = [
     (
         {"task_counts": [20, 100, 180], "repetitions": 2, "lca_params": {"seasons": 10}},
-        "53d39f134af1f24558687cc351470171b38c541be15ce0ef1a7284cd33ebcaed",
+        "403268a65cf2b276a5a2bf5fc2194ba918a162fbb878f670552f6a82fd47437a",
     ),
     (
         {
@@ -48,7 +48,7 @@ PINS = [
             "repetitions": 2,
             "lca_params": {"seasons": 10},
         },
-        "e68c464911f56d83972d16eb045295bd01a29b23fca3f425de39413ff68d13be",
+        "bdd5fa546e3cc83c0dd4802601d9a81b91cf0e9c217a8872434838eef1bd09f8",
     ),
 ]
 
@@ -62,7 +62,7 @@ def test_small_grid_csv_is_pinned(config, sha256):
 
 SVG_PINS = [
     "3c80214bf3a2998c6bf463431d834cffd0ad9c7dfdd79e6146364d7c476efc28",
-    "11db222cca3cc690d2252c167682d7181a63e777a4e8f6455a16f9638bb5bdac",
+    "be60149473b9f66398a75076c85d4664dbeb4cb301e74da9d4cbdb81e1996842",
 ]
 
 
@@ -99,29 +99,29 @@ RUN_PINS = {
     "odd_league_with_byes": (
         dict(league_size=5, seasons=6, seed=4),
         (24, UNEQUAL, 8, False),
-        "d85caa0de000601e08a6e70c878e739f7bbd32810e65248a026e8ca14a1bb6dd",
-        "3eef12909f92903a3a231c1a9eee791fc809f614f624e49fbce02d67866dfb4a",
+        "09563618c38c4c5ac8ec1f73d8c4bf4210475eb7896c10b68b413e2179f4182e",
+        "fa160a552fd124057b4aac8799f242e66f5bc40ce259a23d58fc35f437ea332d",
         149,
     ),
     "random_start": (
         dict(league_size=6, seasons=6, seed=4, seed_with_baselines=False),
         (24, EQUAL, 8, False),
-        "0449be81a4f4f111e5b1afb3dd71aa4bd4a2eda093450d0ca941ee593601287f",
-        "acf6ac27302e284ff480d4810f5bd56c99e676dcd232222dc6fb7bbd1731392d",
+        "3657d5c0b8526f4c38b3012756bf3336fb81a1764b76ac749b84c8863c12e858",
+        "87df5ed7151d24552493184d0935133088697f4fcc30fa490cc9f94d48f99ff4",
         180,
     ),
     "unequal_speeds_permuted_arrival": (
         dict(league_size=8, seasons=5, seed=5),
         (40, UNEQUAL, 9, True),
-        "977f5fcec872b68310cbca2bc5e23658a4c2d1761b921efdfdb119255b525969",
-        "175f1550853f83d6dba7bb56cbcae23fe6a7f4b10dc975e4ac882d668e123835",
+        "ff0038a6d06ee2222903119245e6acc01cf97f47aacbd5b12803a3c18e342644",
+        "a63fb3df911a47916020ac8fc8b66d64f123a366b704d81b993ceb8abd7aef1f",
         280,
     ),
     "steps_only": (
         dict(league_size=6, seasons=6, seed=6, swap_probability=0.0, seed_with_baselines=False),
         (30, UNEQUAL, 10, True),
-        "d161fdcaf3a797544e1aaf8afa6e5ebca506dc18665487f05a3d3414f1b683eb",
-        "f9104ac58353cd884d5f2a1044cfe6981c08a062b74f6fc6126193a9209d82f7",
+        "6f1b8afd75367bb3dc29bc1b62a16a09fe1beb881397f6eb04e502ec965252de",
+        "107b6074a6426aeea200a0e191f916e62513f50394461095284f8c968b642bf1",
         180,
     ),
     "swaps_only": (
@@ -138,7 +138,7 @@ RUN_PINS = {
         dict(league_size=5, seasons=3, seed=3, swap_probability=0.0, seed_with_baselines=False),
         (8, THREE_EQUAL, 3, False, (300.0, 300.0)),
         "530ccc98a1eaed0b926186c61eb8bfc2525f5eb58547a712035101bde14096be",
-        "8f1ec7ac1043bb7794ca81eee6dcdaca20df7fa994f1146c6364ec3a5b10ffc8",
+        "86f0cfe89d436cfa41689fcadd8755bfd715fd4b7634136839ca26f366816e94",
         74,
     ),
     "seeded_ties": (

@@ -1,11 +1,14 @@
+import decimal
 import itertools
 import math
+from collections import Counter
+from decimal import Decimal
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_rng import _seed_for_next_output
 
@@ -31,7 +34,10 @@ from leaguesched import (
 from leaguesched import lca
 from leaguesched.lca import (
     League,
+    _change_count,
+    _change_thresholds,
     _draw_plan,
+    _positions,
     _season_rows,
     _vm_index,
     init_league,
@@ -48,11 +54,12 @@ TOP = 2**64 - 1  # a SplitMix64 output that draws exactly 1.0
 
 # ---------------------------------------------------------------- the per-team reference
 #
-# The engine as it was written before weeks were batched and drawn a plan at a
-# time: one Python call per team, each making its own draws, and one scalar
-# draw per match, each team's last opponent kept in its own array as it plays.
-# The planned update_formation and play_match, and whole runs, must agree with
-# it bit for bit.
+# The engine written team by team: one Python call per team, each making its
+# own draws (a step's change count by a scan of Kashan's thresholds, its
+# positions by Floyd's algorithm), and one scalar draw per match, each team's
+# last opponent kept in its own array as it plays. The planned
+# update_formation and play_match, and whole runs, must agree with it bit for
+# bit.
 
 
 def reference_win_probability(f_i, f_j, f_hat):
@@ -73,6 +80,25 @@ def reference_play_match(league, last_opponent, i, j):
     return winner, loser
 
 
+def reference_change_count(r, p, n):
+    """Kashan's change count in threshold form, by a linear scan: the least Q >= 1 with r <= P(q <= Q)."""
+    rate = math.log1p(-p) if p < 1.0 else -math.inf
+    q = 1
+    while q < n and r > math.expm1(q * rate) / math.expm1(n * rate):
+        q += 1
+    return q
+
+
+def reference_positions(draws, n):
+    """Floyd's algorithm, one scalar draw per position: t uniform in [0, j], else j when t is already held."""
+    held = []
+    for k, u in enumerate(draws):
+        j = n - len(draws) + k
+        t = min(int(u * (j + 1)), j)
+        held.append(j if t in held else t)
+    return held
+
+
 def reference_update_formation(league, last_opponent, team, upcoming, params, n_vms):
     previous = last_opponent[team]
     if previous == _BYE:
@@ -80,25 +106,24 @@ def reference_update_formation(league, last_opponent, team, upcoming, params, n_
     rng, p = league.rng, params.swap_probability
     best = league.best[team]
     n = best.shape[0]
+    new_x = best.copy()
     if rng.uniform() <= p and p > 0.0:
-        new_x = best.copy()
         if n >= 2:
             i = min(int(rng.uniform() * n), n - 1)
             j = min(int(rng.uniform() * (n - 1)), n - 2)
             j += j >= i
             new_x[i], new_x[j] = new_x[j], new_x[i]
         return new_x
-    while True:
-        mask = rng.uniforms(n) <= params.change_probability
-        if mask.any():
-            break
-    r = rng.uniforms(2 * n)
+    q = reference_change_count(rng.uniform(), params.change_probability, n)
+    at = reference_positions([rng.uniform() for _ in range(q)], n)
+    r1, r2 = rng.uniforms(q), rng.uniforms(q)
     s_own = 1.0 if league.won[team] else -1.0
-    step = params.w1 * s_own * r[:n] * (best - league.current[previous])
+    step = params.w1 * s_own * r1 * (best[at] - league.current[previous][at])
     if upcoming != _BYE and last_opponent[upcoming] != _BYE:
         s_next = 1.0 if league.won[upcoming] else -1.0
-        step = step + params.w2 * s_next * r[n:] * (best - league.current[upcoming])
-    return np.clip(best + mask * step, 0.0, n_vms - 1e-9)
+        step = step + params.w2 * s_next * r2 * (best[at] - league.current[upcoming][at])
+    new_x[at] = np.clip(best[at] + step, 0.0, n_vms - 1e-9)
+    return new_x
 
 
 def reference_run(params, instance):
@@ -170,7 +195,8 @@ def _propose(league, params, n_vms, upcoming=_BYE):
     """Team 0's proposal (_proposer) when its opponent this week is `upcoming`: a plan of one week, its one
     row, no fixture."""
     rows = tuple(np.array([x]) for x in (0, 1, upcoming, upcoming != _BYE))
-    ((draws, moves),) = _draw_plan(league.rng, params, league.best.shape[1], rows, np.array([0, 1]), 0)
+    thresholds = _change_thresholds(params.change_probability, league.best.shape[1])
+    ((draws, moves),) = _draw_plan(league.rng, params, thresholds, rows, np.array([0, 1]), 0)
     assert draws.size == 0 and moves[0] == 1
     return update_formation(league, moves, params, n_vms)[0]
 
@@ -367,13 +393,14 @@ def test_update_zero_weights_returns_best_exactly():
 
 def _hand_example(won):
     # B=[1.0], previous opponent at [2.0], upcoming opponent at [0.0], which won
-    # last week; unit weights, mask certain, no swap, 3 VMs. Draws: decision,
-    # mask, r1, r2. Returns the proposal with r1 and r2.
+    # last week; unit weights, no swap, 3 VMs, one coordinate, so q = 1 and its
+    # position is 0. Draws: decision, count, position, r1, r2. Returns the
+    # proposal with r1 and r2.
     rng = SplitMix64(5)
-    r1, r2 = rng.peek(3), rng.peek(4)
+    r1, r2 = rng.peek(4), rng.peek(5)
     league = _proposer([1.0], [2.0], won, rng, upcoming=[0.0], upcoming_won=True)
-    out = _propose(league, _params(change_probability=1.0, swap_probability=0.0), 3, upcoming=2)
-    assert league.rng.state == _advanced(SplitMix64(5), 4)
+    out = _propose(league, _params(change_probability=0.3, swap_probability=0.0), 3, upcoming=2)
+    assert league.rng.state == _advanced(SplitMix64(5), 5)
     return out.tolist(), r1, r2
 
 
@@ -389,18 +416,33 @@ def test_update_loss_flips_step_direction():
     assert out == [1.0 + (-r1 * -1.0 + r2 * 1.0)]
 
 
-def test_update_mask_redrawn_until_nonempty():
-    # One coordinate and change_probability 0.05: a mask draw of 1.0 is empty,
-    # so the mask is drawn again until a draw is <= 0.05, then r1 and r2 follow.
+def _moved(out, best):
+    return [k for k, (x, b) in enumerate(zip(out, best)) if x != b]
+
+
+def test_update_change_count_draw_of_zero_moves_one_coordinate():
+    # A count draw of 0.0 gives q = 1 (the closed form would give 0): one position draw, then r1 and r2.
+    rng = _rng_drawing(2, 0)
+    start = SplitMix64(rng.state)
+    assert rng.peek(2) == 0.0
+    t, r1 = min(int(rng.peek(3) * 5), 4), rng.peek(4)
+    best = [0.2, 0.4, 0.6, 0.8, 1.0]
+    league = _proposer(best, [0.0] * 5, True, rng)
+    out = _propose(league, _params(change_probability=0.3, swap_probability=0.0), 3)
+    assert _moved(out, best) == [t] and out[t] == best[t] + r1 * best[t]  # away from 0: B + r1 (B - 0)
+    assert league.rng.state == _advanced(start, 2 + 3 * 1)
+
+
+def test_update_change_count_draw_of_one_moves_every_coordinate_of_a_short_row():
+    # A count draw of 1.0 reaches the last threshold, exactly 1, so q = n when n is small: every
+    # coordinate moves, and the row takes 2 + 3n draws.
     rng = _rng_drawing(2, TOP)
     start = SplitMix64(rng.state)
-    k = next(t for t in itertools.count(3) if rng.peek(t) <= 0.05) - 1  # mask draws made
-    r1 = rng.peek(k + 2)
-    league = _proposer([1.0], [2.0], True, rng)
-    out = _propose(league, _params(change_probability=0.05, swap_probability=0.0), 3)
-    assert k >= 2
-    assert out.tolist() == [max(0.0, 1.0 + r1 * -1.0)]  # only the retrospective step
-    assert league.rng.state == _advanced(start, 1 + k + 2)
+    best = [0.5, 1.0, 1.5, 2.0, 2.5]
+    league = _proposer(best, [0.0] * 5, True, rng)
+    out = _propose(league, _params(change_probability=0.3, swap_probability=0.0), 3)
+    assert _moved(out, best) == [0, 1, 2, 3, 4]
+    assert league.rng.state == _advanced(start, 2 + 3 * 5)
 
 
 def _swapped(values, i, j):
@@ -443,22 +485,25 @@ def test_update_swap_probability_zero_never_swaps_on_a_draw_of_zero():
     rng = _rng_drawing(1, 0)
     start = SplitMix64(rng.state)
     assert rng.peek(1) == 0.0
-    r1 = [rng.peek(t) for t in (5, 6, 7)]
-    league = _proposer([0.5, 1.0, 1.25], [0.0, 0.0, 0.0], True, rng)
+    t, r1 = min(int(rng.peek(3) * 3), 2), rng.peek(4)
+    best = [0.5, 1.0, 1.25]
+    league = _proposer(best, [0.0, 0.0, 0.0], True, rng)
     out = _propose(league, _params(swap_probability=0.0, change_probability=1.0), 3)
-    assert out.tolist() == [b + r * b for b, r in zip([0.5, 1.0, 1.25], r1)]  # the masked step: B + r1 (B - 0)
-    assert league.rng.state == _advanced(start, 1 + 3 * 3)
+    assert _moved(out, best) == [t] and out[t] == best[t] + r1 * best[t]  # the step: B + r1 (B - 0)
+    assert league.rng.state == _advanced(start, 2 + 3 * 1)
 
 
-def test_update_change_probability_one_masks_a_draw_of_one():
-    rng = _rng_drawing(3, TOP)  # the second coordinate's mask draw is 1.0
+def test_update_change_probability_one_moves_one_coordinate_on_a_draw_of_one():
+    # p_c = 1 puts every threshold at 1, so q = 1 even on a count draw of 1.0, with no ln 0 taken.
+    rng = _rng_drawing(2, TOP)
     start = SplitMix64(rng.state)
-    assert rng.peek(3) == 1.0
-    r1 = [rng.peek(t) for t in (5, 6, 7)]
-    league = _proposer([0.5, 1.0, 1.25], [0.0, 0.0, 0.0], True, rng)
+    assert rng.peek(2) == 1.0
+    t, r1 = min(int(rng.peek(3) * 3), 2), rng.peek(4)
+    best = [0.5, 1.0, 1.25]
+    league = _proposer(best, [0.0, 0.0, 0.0], True, rng)
     out = _propose(league, _params(swap_probability=0.0, change_probability=1.0), 3)
-    assert out.tolist() == [b + r * b for b, r in zip([0.5, 1.0, 1.25], r1)]  # all three coordinates move
-    assert league.rng.state == _advanced(start, 1 + 3 * 3)
+    assert _moved(out, best) == [t] and out[t] == best[t] + r1 * best[t]
+    assert league.rng.state == _advanced(start, 2 + 3 * 1)
 
 
 def test_update_swap_preserves_coordinate_multiset():
@@ -475,7 +520,8 @@ def test_update_requires_match_history():
     starts, rows, _ = _season_rows(np.full(5, _BYE), fixtures)
     for w in range(len(fixtures)):
         assert rows[0][starts[w] : starts[w + 1]].tolist() == sorted(set(fixtures[:w].ravel().tolist()))
-    ((draws, moves),) = _draw_plan(SplitMix64(1), _params(league_size=5), 3, rows, np.array([0, 0]), 2)
+    ((draws, moves),) = _draw_plan(SplitMix64(1), _params(league_size=5), _change_thresholds(0.3, 3), rows,
+                                   np.array([0, 0]), 2)
     assert moves[0] == 0 and all(column.size == 0 for column in moves[1:]) and draws.size == 2
 
 
@@ -545,7 +591,8 @@ def test_batched_week_equals_the_per_team_reference(size, n, m, season, weeks, s
     (batched, before), (reference, last_opponent) = _random_league(size, n, m, seed), _random_league(size, n, m, seed)
     fixtures = np.array(season_fixtures(size, season)).transpose(0, 2, 1)[:weeks]
     starts, rows, after = _season_rows(before, fixtures)
-    plan = _draw_plan(batched.rng, params, n, rows, starts, fixtures.shape[2])
+    plan = _draw_plan(batched.rng, params, _change_thresholds(change, n), rows, starts, fixtures.shape[2])
+    assert len(plan) == len(fixtures)
     for (home, away), (draws, moves) in zip(fixtures, plan):
         upcoming = np.full(size, _BYE)
         upcoming[home], upcoming[away] = away, home
@@ -564,24 +611,105 @@ def test_batched_week_equals_the_per_team_reference(size, n, m, season, weeks, s
 
 
 def test_a_large_week_is_drawn_as_one_span():
-    # Six masked steps of 1 + 3 * 3,000 draws each, then three match draws: the week of 54,009 draws is one
-    # uniforms() call, with the same proposals, results and RNG state as proposing and playing team by team.
+    # Six steps over 3,000 coordinates at change_probability 0.001, so each moves hundreds of coordinates
+    # (2 + 3q draws), then three match draws: the week is one uniforms() call, past _PLAN_WORDS, with the same
+    # proposals, results and RNG state as proposing and playing team by team.
     size, n, m = 6, 3_000, 4
-    params = LcaParams(league_size=size, swap_probability=0.0)
+    params = LcaParams(league_size=size, swap_probability=0.0, change_probability=0.001)
     (batched, _), (reference, _) = _random_league(size, n, m, 5), _random_league(size, n, m, 5)
     last_opponent = np.array([1, 0, 3, 2, 5, 4])
     home, away = np.array([0, 1, 2]), np.array([5, 4, 3])
     starts, rows, _ = _season_rows(last_opponent, np.array([[home, away]]))
+    start = batched.rng.state
     with mock.patch.object(SplitMix64, "uniforms", autospec=True, side_effect=SplitMix64.uniforms) as blocks:
-        ((draws, moves),) = _draw_plan(batched.rng, params, n, rows, starts, 3)
-    assert [call.args[1] for call in blocks.call_args_list] == [size * (1 + 3 * n) + 3]
+        ((draws, moves),) = _draw_plan(batched.rng, params, _change_thresholds(0.001, n), rows, starts, 3)
+    ((_, words),) = (call.args for call in blocks.call_args_list)
+    assert batched.rng.state == (start + words * _GAMMA) & MASK64 and words > lca._PLAN_WORDS
     proposed = update_formation(batched, moves, params, m)
     upcoming = np.array([5, 4, 3, 2, 1, 0])
     expected = [reference_update_formation(reference, last_opponent, t, upcoming[t], params, m) for t in range(size)]
     assert proposed.tobytes() == np.array(expected).tobytes()
+    assert words == size * 2 + 3 * moves[4].size + 3
     winners = play_match(batched, home, away, draws)
     assert winners.tolist() == [reference_play_match(reference, last_opponent, i, j)[0] for i, j in zip(home, away)]
     assert batched.rng.state == reference.rng.state
+
+
+# ---------------------------------------------------------------- change count and positions
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.floats(0.0, 1.0, exclude_min=True), n=st.integers(1, 3000), r=st.floats(0.0, 1.0))
+@example(p=1.0, n=1500, r=1.0)
+@example(p=1.0, n=1500, r=0.0)
+@example(p=0.3, n=1500, r=1.0)
+@example(p=5e-324, n=3000, r=1.0)
+@example(p=0.3, n=1, r=0.5)
+def test_change_count_stays_between_one_and_n(p, n, r):
+    thresholds = _change_thresholds(p, n)
+    assert all(0.0 < t <= 1.0 for t in thresholds) and thresholds[-1] == 1.0
+    assert thresholds == sorted(thresholds)
+    q = _change_count(thresholds, r)
+    assert 1 <= q <= n
+    assert q == reference_change_count(r, p, n)
+    if p == 1.0 or r == 0.0 or n == 1:
+        assert q == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.floats(1e-6, 1.0, exclude_max=True), n=st.integers(1, 2000), r=st.floats(0.0, 1.0, exclude_min=True))
+@example(p=0.3, n=1500, r=1.0 - 2.0**-53)
+@example(p=0.3, n=20, r=1.0)
+def test_change_count_is_kashans_closed_form_away_from_thresholds(p, n, r):
+    # q = ceil(ln(1 - (1 - (1 - p)^n) r) / ln(1 - p)), q0 = 1, worked to 60 digits more than r's exponent; the
+    # float thresholds may only disagree with it where r lies within a few ulps of the threshold between the two.
+    with decimal.localcontext(decimal.Context(prec=60 - min(0, Decimal(r).adjusted()))):
+        keep = 1 - Decimal(p)
+        scale = 1 - keep**n
+        kashan = math.ceil((1 - Decimal(r) + Decimal(r) * keep**n).ln() / keep.ln())  # 1 - scale r, no cancelling
+        q = _change_count(_change_thresholds(p, n), r)
+        if q != kashan:
+            threshold = (1 - keep ** min(q, kashan)) / scale
+            assert abs(Decimal(r) - threshold) <= 8 * Decimal(math.ulp(r))
+
+
+@pytest.mark.parametrize("p, n", [(0.3, 1500), (0.3, 5), (0.05, 100), (0.9, 2), (0.001, 50), (1.0, 40)])
+def test_change_count_mean_is_the_truncated_geometric_mean(p, n):
+    # 40,000 counts from one stream: their mean is within 4 standard errors of the law's mean.
+    keep = 1.0 - p
+    mass = [p * keep ** (q - 1) / (1.0 - keep**n) for q in range(1, n + 1)]
+    mean = sum(q * w for q, w in enumerate(mass, 1))
+    sd = math.sqrt(sum((q - mean) ** 2 * w for q, w in enumerate(mass, 1)))
+    thresholds = _change_thresholds(p, n)
+    draws = SplitMix64(2026).uniforms(40_000).tolist()
+    counts = [_change_count(thresholds, r) for r in draws]
+    assert abs(np.mean(counts) - mean) <= 4 * sd / math.sqrt(len(counts)) + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 60), data=st.data())
+def test_positions_are_floyds_distinct_positions_in_range(n, data):
+    # Steps side by side, each of its own count: the same positions as Floyd's algorithm step by step.
+    counts = data.draw(st.lists(st.integers(1, n), max_size=8))
+    u = data.draw(st.lists(st.floats(0.0, 1.0), min_size=sum(counts), max_size=sum(counts)))
+    got = _positions(np.array(u, dtype=np.float64), np.array(counts, dtype=np.int64), n).tolist()
+    edges = np.cumsum([0] + counts).tolist()
+    for a, b in zip(edges, edges[1:]):
+        step = got[a:b]
+        assert len(set(step)) == len(step) and all(0 <= x < n for x in step)
+        assert step == reference_positions(u[a:b], n)
+
+
+@pytest.mark.parametrize("n, q", [(4, 2), (5, 3), (3, 3), (6, 1)])
+def test_positions_make_every_subset_equally_likely(n, q):
+    # Every combination of Floyd's integer picks (t uniform in [0, j] at rank k, j = n - q + k), fed as draws
+    # at the middle of each pick's interval, as one call: each q-subset comes out equally often.
+    picks = list(itertools.product(*(range(n - q + k + 1) for k in range(q))))
+    u = [(t + 0.5) / (n - q + k + 1) for combo in picks for k, t in enumerate(combo)]
+    got = _positions(np.array(u), np.full(len(picks), q), n).reshape(-1, q)
+    subsets = Counter(frozenset(row) for row in got.tolist())
+    assert set(subsets) == {frozenset(c) for c in itertools.combinations(range(n), q)}
+    assert len(set(subsets.values())) == 1
 
 
 # ---------------------------------------------------------------- league init
@@ -772,11 +900,11 @@ def test_a_default_run_draws_each_week_in_at_most_two_blocks():
             mock.patch.object(SplitMix64, "uniform", autospec=True, side_effect=SplitMix64.uniform) as scalars:
         run(params, instance)
     weeks = params.seasons * (params.league_size - 1)
-    # At n = 100 a week takes at most 20 * (1 + 3 * 100) + 10 = 6,030 draws, so a plan holds 5 weeks, or 6
-    # when it starts with week 1, which nobody proposes in. init_league draws every random start as one block,
-    # then each season of 19 weeks is four plans: 1 + 4 * 50 blocks for the 950 weeks.
+    # A week's draws no longer grow with n: a swap takes 3 and a step 2 + 3q, q about 3.3 at p_c = 0.3, so a
+    # season of 19 weeks takes about 3,100 draws and is one plan. init_league draws every random start as one
+    # block, then one block per season: 1 + 50 blocks for the 950 weeks.
     assert scalars.call_count == 0
-    assert blocks.call_count == 1 + 4 * params.seasons == 201 < 2 * weeks
+    assert blocks.call_count == 1 + params.seasons == 51 < 2 * weeks
 
 
 _REFERENCE_RUNS = dict(
