@@ -14,6 +14,7 @@ import dataclasses
 import io
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import IO, Callable
 
@@ -115,10 +116,20 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     return 0
 
 
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members, refusing by name a key given more than once, which json would keep the last of."""
+    counts = Counter(key for key, _ in pairs)
+    repeated = [f"{key} must be given once, got {count} values" for key, count in counts.items() if count > 1]
+    if repeated:
+        raise ValueError("; ".join(repeated))
+    return dict(pairs)
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     config = ExperimentConfig()
     if args.config:
-        config = config_from_dict(json.loads(Path(args.config).read_text(encoding="utf-8-sig")))
+        text = Path(args.config).read_text(encoding="utf-8-sig")
+        config = config_from_dict(json.loads(text, object_pairs_hook=_json_object))
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
     records = run_experiment(config, measure_wall_time=args.time)

@@ -9,8 +9,12 @@ week's fixtures are then resolved stochastically, with win probability driven
 by the two sides' fitness relative to the best value found anywhere in the
 league. Fitness is makespan, so lower means stronger, and a season is one
 full round robin. The league is held as arrays, one row per team, and every
-update reads only last week's league, so every week is one (L, n) block
-scored by one call of the loads kernel. Where each draw of the stream falls,
+update reads only last week's league, so every week is one (L, n) block. A
+week's block differs from the team bests only where its proposals moved a
+coordinate, about 3 per step and 2 per swap, so it is scored by patching
+those cells into the kept cells of the bests and tallying them once
+(_FitnessEvaluator), bit-identical to a fresh call of the loads kernel
+on the whole block. Where each draw of the stream falls,
 and what it is, depends only on the seed, the fixtures and n, never on the
 league: SplitMix64 is a counter, so a plan of several weeks' draws is laid
 out and drawn at once (_draw_plan), and each week reads its slice of it. In
@@ -204,13 +208,14 @@ def update_formation(league: League, moves: tuple, params: LcaParams, n_vms: int
     them.
 
     moves, the week's slice of its plan, is (proposals, own, previous, ahead,
-    at, r1, r2, swap_i, swap_j): the count of proposing teams; for each moved
-    coordinate of a step, its team, that team's opponents, its position and
-    its step draws, r2 zero where the second step is dropped; each swap's two
-    positions in the flattened block. Only B, the formations and the signs
-    come from the league.
+    at, r1, r2, swap_i, swap_j, *moved): the count of proposing teams; for
+    each moved coordinate of a step, its team, that team's opponents, its
+    position and its step draws, r2 zero where the second step is dropped;
+    each swap's two positions in the flattened block; then where every moved
+    coordinate falls (_FitnessEvaluator.moved_cells), which only the scoring
+    reads. Only B, the formations and the signs come from the league.
     """
-    _, own, previous, ahead, at, r1, r2, swap_i, swap_j = moves
+    _, own, previous, ahead, at, r1, r2, swap_i, swap_j, *_ = moves
     proposed = league.best.copy()
     best = proposed[own, at]
     step = np.where(league.won[own], params.w1, -params.w1) * r1
@@ -287,7 +292,7 @@ def _positions(u: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
 
 
 def _draw_plan(rng: SplitMix64, params: LcaParams, thresholds: list[float], rows: tuple, starts: np.ndarray,
-               pairs: int) -> list[tuple[np.ndarray, tuple]]:
+               pairs: int, evaluate: _FitnessEvaluator) -> list[tuple[np.ndarray, tuple]]:
     """Draw a plan of whole weeks with one uniforms() call: (match draws, moves) per week.
 
     Week w's rows (_season_rows) are starts[w]..starts[w+1]-1, and its moves (update_formation) start with their
@@ -296,7 +301,8 @@ def _draw_plan(rng: SplitMix64, params: LcaParams, thresholds: list[float], rows
     and, for a step, its count draw, read with peek(), give its length: 2 more for a swap (none when n < 2), or
     a count q (_change_count, thresholds from _change_thresholds for this n) and 3q more for a step, second
     step or not. As in play_match, a probability of 1 is exact even on a draw of 1.0: a row swaps iff its
-    decision draw is <= swap_probability > 0.
+    decision draw is <= swap_probability > 0. Each week's moves end with its moved cells, a step's coordinates
+    and a swap's two, placed by evaluate.moved_cells once for the whole plan.
     """
     n, p = len(thresholds), params.swap_probability
     swap_draws = 2 if n >= 2 else 0
@@ -330,11 +336,16 @@ def _draw_plan(rng: SplitMix64, params: LcaParams, thresholds: list[float], rows
     i, j = np.minimum(u.astype(np.int64), [n - 1, n - 2]).T
     j += j >= i
     draws = span[np.array(match_at)[:, None] + np.arange(pairs)]
-    step_cols = (*(np.repeat(x[steps], q) for x in (team, previous, ahead)), _positions(span[draw], q, n),
-                 span[draw + gap], r2)
+    positions = _positions(span[draw], q, n)
+    step_cols = (*(np.repeat(x[steps], q) for x in (team, previous, ahead)), positions, span[draw + gap], r2)
     swap_cols = (team[swaps] * n + i, team[swaps] * n + j)
-    cuts = [(np.append(first, q.sum())[np.searchsorted(steps, bounds)].tolist(), step_cols),
-            (np.searchsorted(swaps, bounds).tolist(), swap_cols)]  # where each week starts in each group
+    moved_row = np.concatenate([np.repeat(steps, q), swaps, swaps])
+    by_row = np.argsort(moved_row, kind="stable")
+    moved_cols = evaluate.moved_cells(np.concatenate([step_cols[0], team[swaps], team[swaps]])[by_row],
+                                      np.concatenate([positions, i, j])[by_row])
+    cuts = [(np.append(first, q.sum())[np.searchsorted(steps, bounds)].tolist(), step_cols),  # where each week
+            (np.searchsorted(swaps, bounds).tolist(), swap_cols),  # starts in each group
+            (np.searchsorted(moved_row[by_row], bounds).tolist(), moved_cols)]
     return [(draws[w], (b - a, *(x[edge[w] : edge[w + 1]] for edge, columns in cuts for x in columns)))
             for w, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
@@ -352,7 +363,8 @@ def _weeks(league: League, params: LcaParams):
         starts, rows, last_opponent = _season_rows(last_opponent, fixtures)
         first = 0
         while first < len(fixtures):
-            plan = _draw_plan(league.rng, params, thresholds, rows, starts[first:], fixtures.shape[2])
+            plan = _draw_plan(league.rng, params, thresholds, rows, starts[first:], fixtures.shape[2],
+                              league.evaluate)
             last = first + len(plan)
             for home, away in fixtures[first:last]:
                 yield home, away, *plan.pop(0)  # popped, so a week's moves are not held while it is scored
@@ -360,18 +372,56 @@ def _weeks(league: League, params: LcaParams):
 
 
 class _FitnessEvaluator:
-    """Makespan of each formation: the instance's loads kernel on its decoded VM indices.
+    """The run's scoring workspace: each formation's makespan, by the instance's loads kernel in two steps.
 
-    Takes one (n,) formation or an (rows, n) block, one makespan per row, each
-    bit-identical to model.makespan for the decoded assignment.
+    It keeps the cells (ProblemInstance.cells) of the team bests. A dense call, evaluate(formations), scores one
+    (n,) formation or an (rows, n) block whole and keeps its cells. A week call, evaluate(proposed, moved),
+    scores a block that differs from the kept one only at the moved cells (moved_cells): it writes them over
+    the kept cells, holding the old ones, and tallies; keep(rows) then commits those rows and puts the rest
+    back. Either way each makespan is bit-identical to model.makespan of the decoded assignment: a duration is
+    one exactly rounded quotient wherever it is computed, and the cells stay in arrival order, so every bin
+    adds the same values in the same sequence.
     """
 
     def __init__(self, instance: ProblemInstance) -> None:
-        self._loads = instance.loads
+        self._instance = instance
         self._m = len(instance.vms)
+        self._slot = np.argsort(instance.arrival)  # each position's slot in arrival order
 
-    def __call__(self, formations: np.ndarray) -> np.ndarray:
-        return self._loads(_vm_index(formations, self._m)).max(axis=-1)
+    def __call__(self, formations: np.ndarray, moved: tuple | None = None) -> np.ndarray:
+        if moved is None:
+            # Copied in C order: a reordered block's cells are not C-contiguous, and a week call's scatter
+            # through reshape(-1) of such an array would land in a copy.
+            self._keys, self._durations = (x.copy(order="C") for x in
+                                           self._instance.cells(_vm_index(formations, self._m)))
+        else:
+            cell, slot, offset, length = moved
+            keys, durations = self._keys.reshape(-1), self._durations.reshape(-1)
+            self._held = slot, keys[slot], durations[slot]
+            vm = _vm_index(formations.reshape(-1)[cell], self._m)
+            keys[slot] = vm + offset
+            durations[slot] = length / self._instance.speeds[vm]
+        return self._instance.tally(self._keys, self._durations).max(axis=-1).reshape(formations.shape[:-1])
+
+    def keep(self, rows: list[int]) -> None:
+        """Commit these rows of the last week call, whose teams' bests are now its formations; undo the rest."""
+        slot, keys, durations = self._held
+        if rows:  # a few rows, often none
+            back = np.ones(len(self._keys), dtype=bool)
+            back[rows] = False
+            back = back[slot // self._slot.size]
+            slot, keys, durations = slot[back], keys[back], durations[back]
+        self._keys.reshape(-1)[slot] = keys
+        self._durations.reshape(-1)[slot] = durations
+
+    def moved_cells(self, team: np.ndarray, position: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Where the moved coordinates (team, position) fall: (cell, slot, offset, length).
+
+        cell is the coordinate in the flattened (L, n) formation block, slot its place in the flattened
+        arrival-ordered cells, offset the team's key offset and length its task's length.
+        """
+        row = team * self._slot.size
+        return row + position, row + self._slot[position], team * self._m, self._instance.lengths[position]
 
 
 def init_league(params: LcaParams, instance: ProblemInstance) -> League:
@@ -412,17 +462,19 @@ def run(params: LcaParams, instance: ProblemInstance) -> RunResult:
     m = len(instance.vms)
     history: list[float] = []
     for home, away, draws, moves in _weeks(league, params):
-        proposals, proposed = moves[0], update_formation(league, moves, params, m)
+        proposals, moved = moves[0], moves[9:]  # the count, and where each moved coordinate falls
+        proposed = update_formation(league, moves, params, m)
         del moves  # the week's step draws are not held while it is scored
-        fitness = league.evaluate(proposed)
+        fitness = league.evaluate(proposed, moved)
         league.evaluations += proposals
         first = int(np.argmin(fitness))  # the first minimum: the lowest team index wins ties
         if fitness[first] < league.f_hat:
             league.champion = first
-        better = fitness < league.best_fitness
+        improved = np.flatnonzero(fitness < league.best_fitness).tolist()  # a team or two a week, often none
         league.current, league.current_fitness = proposed, fitness
-        league.best[better] = proposed[better]
-        league.best_fitness[better] = fitness[better]
+        for team in improved:
+            league.best[team], league.best_fitness[team] = proposed[team], fitness[team]
+        league.evaluate.keep(improved)
         play_match(league, home, away, draws)
         history.append(league.f_hat)
     best_assignment = decode(league.best[league.champion], m)

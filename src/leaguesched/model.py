@@ -179,21 +179,33 @@ class ProblemInstance:
             raise InvalidInstanceError("loads overflow: all tasks on the slowest VM take inf s")
 
     def loads(self, vm_index: np.ndarray) -> np.ndarray:
-        """Per-VM busy seconds: the one evaluation kernel behind every objective.
+        """Per-VM busy seconds: the one evaluation kernel behind every objective, its cells then their tally.
 
         vm_index is one VM-index vector of shape (n,), giving shape (m,), or a
         block of shape (rows, n), giving (rows, m). Indices must lie in [0, m).
-        np.bincount adds each VM's durations one by one in arrival order, so
-        every load is bit-identical to a sequential sum over the tasks.
+        The tally adds each VM's durations one by one in arrival order, so
+        every load is bit-identical to a sequential sum over the tasks, and a
+        caller that keeps the cells and rewrites some of them (lca's scoring
+        workspace) tallies the same loads as a fresh call on the new block.
+        """
+        return self.tally(*self.cells(vm_index)).reshape(vm_index.shape[:-1] + (self.speeds.shape[0],))
+
+    def cells(self, vm_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (rows, n) cells of a VM-index vector or block, in arrival order: (keys, durations).
+
+        A task's key is its VM index plus m times its row, and its duration is its length over its VM's speed.
         """
         m = self.speeds.shape[0]
         block = np.atleast_2d(vm_index)  # an (n,) vector is one row
         durations = self.lengths / self.speeds[block]
         if self._reordered:
             block, durations = block[:, self.arrival], durations[:, self.arrival]
-        keys = block + m * np.arange(len(block))[:, None]  # row r counts into bins [r*m, (r+1)*m)
-        loads = np.bincount(keys.ravel(), weights=durations.ravel(), minlength=len(block) * m)
-        return loads.reshape(vm_index.shape[:-1] + (m,))
+        return block + m * np.arange(len(block))[:, None], durations  # row r counts into bins [r*m, (r+1)*m)
+
+    def tally(self, keys: np.ndarray, durations: np.ndarray) -> np.ndarray:
+        """The (rows, m) loads of cells: np.bincount adds each bin's durations one by one in the cells' order."""
+        rows, m = len(keys), self.speeds.shape[0]
+        return np.bincount(keys.reshape(-1), weights=durations.reshape(-1), minlength=rows * m).reshape(rows, m)
 
 
 @dataclass(frozen=True)

@@ -244,6 +244,26 @@ def test_bench_rejects_unknown_config_keys(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"n_vms": 2, "n_vms": 3}', "n_vms"),
+        ('{"lca_params": {"seasons": 1, "league_size": 4, "seasons": 2}}', "seasons"),
+        ('{"n_vms": 2, "lca_params": {}, "lca_params": {"seasons": 1}}', "lca_params"),
+    ],
+    ids=["top_level", "in_lca_params", "lca_params_itself"],
+)
+def test_bench_refuses_a_repeated_config_key_by_name(tmp_path, capsys, text, field):
+    # json.loads alone keeps the last of a repeated key, so the config would run with a value the file also
+    # contradicts.
+    config, out = tmp_path / "config.json", tmp_path / "results.csv"
+    config.write_text(text)
+    assert dispatch(["bench", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {field} must be given once, got 2 values\n"
+    assert not out.exists()
+
+
 def test_bench_rejects_malformed_json(tmp_path):
     config = tmp_path / "config.json"
     config.write_text("{not json")

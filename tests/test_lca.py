@@ -37,6 +37,7 @@ from leaguesched.lca import (
     _change_count,
     _change_thresholds,
     _draw_plan,
+    _FitnessEvaluator,
     _positions,
     _season_rows,
     _vm_index,
@@ -191,12 +192,18 @@ def _proposer(formation, previous, won, rng, upcoming=None, upcoming_won=True):
     )
 
 
+def _cells(n, m):
+    """A scoring workspace for n tasks on m VMs, which places a plan's moved cells."""
+    return _FitnessEvaluator(_instance(n=n, m=m))
+
+
 def _propose(league, params, n_vms, upcoming=_BYE):
     """Team 0's proposal (_proposer) when its opponent this week is `upcoming`: a plan of one week, its one
     row, no fixture."""
     rows = tuple(np.array([x]) for x in (0, 1, upcoming, upcoming != _BYE))
     thresholds = _change_thresholds(params.change_probability, league.best.shape[1])
-    ((draws, moves),) = _draw_plan(league.rng, params, thresholds, rows, np.array([0, 1]), 0)
+    ((draws, moves),) = _draw_plan(league.rng, params, thresholds, rows, np.array([0, 1]), 0,
+                                   _cells(len(thresholds), n_vms))
     assert draws.size == 0 and moves[0] == 1
     return update_formation(league, moves, params, n_vms)[0]
 
@@ -521,7 +528,7 @@ def test_update_requires_match_history():
     for w in range(len(fixtures)):
         assert rows[0][starts[w] : starts[w + 1]].tolist() == sorted(set(fixtures[:w].ravel().tolist()))
     ((draws, moves),) = _draw_plan(SplitMix64(1), _params(league_size=5), _change_thresholds(0.3, 3), rows,
-                                   np.array([0, 0]), 2)
+                                   np.array([0, 0]), 2, _cells(3, 2))
     assert moves[0] == 0 and all(column.size == 0 for column in moves[1:]) and draws.size == 2
 
 
@@ -591,7 +598,8 @@ def test_batched_week_equals_the_per_team_reference(size, n, m, season, weeks, s
     (batched, before), (reference, last_opponent) = _random_league(size, n, m, seed), _random_league(size, n, m, seed)
     fixtures = np.array(season_fixtures(size, season)).transpose(0, 2, 1)[:weeks]
     starts, rows, after = _season_rows(before, fixtures)
-    plan = _draw_plan(batched.rng, params, _change_thresholds(change, n), rows, starts, fixtures.shape[2])
+    plan = _draw_plan(batched.rng, params, _change_thresholds(change, n), rows, starts, fixtures.shape[2],
+                      _cells(n, m))
     assert len(plan) == len(fixtures)
     for (home, away), (draws, moves) in zip(fixtures, plan):
         upcoming = np.full(size, _BYE)
@@ -620,9 +628,9 @@ def test_a_large_week_is_drawn_as_one_span():
     last_opponent = np.array([1, 0, 3, 2, 5, 4])
     home, away = np.array([0, 1, 2]), np.array([5, 4, 3])
     starts, rows, _ = _season_rows(last_opponent, np.array([[home, away]]))
-    start = batched.rng.state
+    start, cells = batched.rng.state, _cells(n, m)
     with mock.patch.object(SplitMix64, "uniforms", autospec=True, side_effect=SplitMix64.uniforms) as blocks:
-        ((draws, moves),) = _draw_plan(batched.rng, params, _change_thresholds(0.001, n), rows, starts, 3)
+        ((draws, moves),) = _draw_plan(batched.rng, params, _change_thresholds(0.001, n), rows, starts, 3, cells)
     ((_, words),) = (call.args for call in blocks.call_args_list)
     assert batched.rng.state == (start + words * _GAMMA) & MASK64 and words > lca._PLAN_WORDS
     proposed = update_formation(batched, moves, params, m)

@@ -264,6 +264,53 @@ def test_engine_reports_the_schedule_it_found(instance, size, seasons, swap, see
     assert evaluate.call_count == weeks + 1  # the initial league, then one block per week
 
 
+@st.composite
+def league_instances(draw):
+    """Instances for whole runs: n of 1 and 2 among others, reordered arrivals, often tied lengths and speeds."""
+    n = draw(st.sampled_from([1, 2, 3, 7, 12]))
+    m = draw(st.integers(1, 4))
+    arrival = draw(st.permutations(range(n)))
+    tasks = tuple(Task(k, draw(lengths), arrival[k]) for k in range(n))
+    vm_speeds = [draw(speeds)] * m if draw(st.booleans()) else [draw(speeds) for _ in range(m)]
+    return ProblemInstance(tasks, tuple(VirtualMachine(v, s) for v, s in enumerate(vm_speeds)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    league_instances(),
+    st.integers(4, 9),
+    st.integers(1, 2),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.sampled_from([0.05, 0.3, 1.0]),
+    st.integers(0, 2**64 - 1),
+)
+def test_patched_weeks_score_and_keep_what_the_dense_kernel_does(instance, size, seasons, swap, change, seed):
+    # Every call of a run's evaluator, the starting league and then each week's patched block, gives the
+    # makespans a fresh evaluator gives on the same block, bit for bit; after every keep the kept cells are the
+    # cells of the team bests.
+    params = LcaParams(league_size=size, seasons=seasons, swap_probability=swap, change_probability=change,
+                       seed=seed)
+    dense, leagues, m = _FitnessEvaluator(instance), [], len(instance.vms)
+    score, keep, start = _FitnessEvaluator.__call__, _FitnessEvaluator.keep, lca.init_league
+
+    def scored(evaluate, formations, moved=None):
+        fitness = score(evaluate, formations, moved)
+        assert fitness.tobytes() == score(dense, formations).tobytes()  # the unpatched call, dense
+        return fitness
+
+    def kept(evaluate, rows):
+        keep(evaluate, rows)
+        keys, durations = instance.cells(lca._vm_index(leagues[0].best, m))
+        assert evaluate._keys.tobytes() == keys.tobytes()
+        assert evaluate._durations.tobytes() == durations.tobytes()
+
+    with mock.patch.object(lca, "init_league", side_effect=lambda *args: leagues.append(start(*args)) or leagues[0]), \
+            mock.patch.object(_FitnessEvaluator, "__call__", autospec=True, side_effect=scored), \
+            mock.patch.object(_FitnessEvaluator, "keep", autospec=True, side_effect=kept) as keeps:
+        result = run(params, instance)
+    assert keeps.call_count == len(result.history)
+
+
 @pytest.mark.parametrize(
     "config_type, required",
     [(LcaParams, {}), (WorkloadSpec, {"n_tasks": 5}), (ExperimentConfig, {})],
