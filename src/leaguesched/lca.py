@@ -16,12 +16,13 @@ those cells into the kept cells of the bests and tallying them once
 (_FitnessEvaluator), bit-identical to a fresh call of the loads kernel
 on the whole block. Where each draw of the stream falls,
 and what it is, depends only on the seed, the fixtures and n, never on the
-league: SplitMix64 is a counter, so a plan of several weeks' draws is laid
-out and drawn at once (_draw_plan), and each week reads its slice of it. In
-the stream a swap takes its decision draw and two position draws; a step
+league: SplitMix64 is a counter, and every proposing row owns a slot of
+2 + 3n draws whatever it uses of them, so a plan of several weeks reads all
+its draws at computed offsets (_draw_plan), and each week takes its slice.
+In its slot a swap takes its decision draw and two position draws; a step
 takes its decision draw, one draw for its change count q (Kashan's truncated
-geometric law), then q position, q r1 and q r2 draws. A plan is sized by the
-words its weeks actually take.
+geometric law), then q position, q r1 and q r2 draws. A week's fixtures take
+one draw each after its rows.
 
 Win probability for the side with fitness f_i against f_j, given the
 league-wide best f̂ (a lower bound on both):
@@ -35,7 +36,6 @@ weaker, and is 1/2 for equally fit sides.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +50,10 @@ _CLAMP_EPS = 1e-9
 # No team: a bye slot in the fixtures, or no opponent yet for a team that has not played.
 _BYE = -1
 
-# A week joins a plan (_draw_plan) while the plan's draws before it number fewer than this, so a plan is one
-# week or more, within its season; blocks much past 2**14 words draw more slowly per word.
-_PLAN_WORDS = 1 << 14
+# A plan (_draw_plan) is max(1, _PLAN_ROWS // L) whole weeks of a season, so it holds at most this many rows
+# or one week. A cap, not a whole season: a season's plan at L = 400, n = 100 held its moved cells and step
+# draws for 160,000 rows and peaked at 71 MB under tracemalloc for one season, against 13 MB with the cap.
+_PLAN_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -249,7 +250,7 @@ def _season_rows(before: np.ndarray, fixtures: np.ndarray) -> tuple[np.ndarray, 
     return starts, (team, last[week, team], ahead, second), last[-1]
 
 
-def _change_thresholds(p: float, n: int) -> list[float]:
+def _change_thresholds(p: float, n: int) -> np.ndarray:
     """P(q <= Q) for Q = 1..n, q a step's change count: (1 - (1 - p)^Q) / (1 - (1 - p)^n), truncated geometric.
 
     Computed through expm1 and log1p, so a tiny p keeps its precision and p = 1 puts every entry at 1 (q = 1)
@@ -257,16 +258,16 @@ def _change_thresholds(p: float, n: int) -> list[float]:
     """
     rate = math.log1p(-p) if p < 1.0 else -math.inf  # ln(1 - p)
     tail = [math.expm1(q * rate) for q in range(1, n + 1)]
-    return [t / tail[-1] for t in tail]
+    return np.array([t / tail[-1] for t in tail])
 
 
-def _change_count(thresholds: list[float], r: float) -> int:
-    """A step's change count for its draw r in [0, 1]: the least Q >= 1 with r <= P(q <= Q), so 1 <= q <= n.
+def _change_count(thresholds: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """A step's change count for each draw r in [0, 1]: the least Q >= 1 with r <= P(q <= Q), so 1 <= q <= n.
 
     This is Kashan's q = ceil(ln(1 - (1 - (1 - p)^n) r) / ln(1 - p)) (with q0 = 1) in threshold form, which
     needs no ln 0 at p = 1 and gives 1, not 0, on r = 0.
     """
-    return bisect_left(thresholds, r) + 1
+    return np.searchsorted(thresholds, r) + 1
 
 
 def _positions(u: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
@@ -291,58 +292,47 @@ def _positions(u: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
     return picked
 
 
-def _draw_plan(rng: SplitMix64, params: LcaParams, thresholds: list[float], rows: tuple, starts: np.ndarray,
+def _draw_plan(rng: SplitMix64, params: LcaParams, thresholds: np.ndarray, rows: tuple, starts: np.ndarray,
                pairs: int, evaluate: _FitnessEvaluator) -> list[tuple[np.ndarray, tuple]]:
-    """Draw a plan of whole weeks with one uniforms() call: (match draws, moves) per week.
+    """Read a plan of whole weeks, week w's rows (_season_rows) being starts[w]..starts[w+1]-1: (match draws,
+    moves) per week, its moves (update_formation) starting with its count of rows.
 
-    Week w's rows (_season_rows) are starts[w]..starts[w+1]-1, and its moves (update_formation) start with their
-    count, 0 in a week nobody proposes in. The plan takes weeks from the first while the draws before each
-    number fewer than _PLAN_WORDS. A week takes each row's draws, then one per fixture. A row's decision draw
-    and, for a step, its count draw, read with peek(), give its length: 2 more for a swap (none when n < 2), or
-    a count q (_change_count, thresholds from _change_thresholds for this n) and 3q more for a step, second
-    step or not. As in play_match, a probability of 1 is exact even on a draw of 1.0: a row swaps iff its
-    decision draw is <= swap_probability > 0. Each week's moves end with its moved cells, a step's coordinates
-    and a swap's two, placed by evaluate.moved_cells once for the whole plan.
+    Each row owns slot = 2 + 3n draws and each fixture one. With starts counted from the plan's first row, row
+    r of week w starts after r·slot + w·pairs draws and the week's match draws after starts[w+1]·slot + w·pairs;
+    the plan moves the stream past rows·slot + weeks·pairs. So it is three vector reads whatever its size: each
+    row's first three draws, every moved coordinate's position, r1 and r2 draws, and the fixtures'. A row swaps
+    iff its decision draw is <= swap_probability > 0 (a probability of 1 is exact even on a draw of 1.0), at
+    positions from its next two draws (none when n < 2); else it steps, its count q (_change_count) from its
+    second draw, r2 zero where the second step is dropped. Each week's moves end with its moved cells (a step's
+    coordinates and a swap's two), placed by evaluate.moved_cells once for the whole plan.
     """
-    n, p = len(thresholds), params.swap_probability
-    swap_draws = 2 if n >= 2 else 0
-    bounds = (starts - starts[0]).tolist()
-    at, counts, match_at, cursor = [], [], [], 0
-    for a, b in zip(bounds, bounds[1:]):
-        if match_at and cursor >= _PLAN_WORDS:
-            break
-        for _ in range(a, b):
-            at.append(cursor)
-            if p > 0.0 and rng.peek(cursor + 1) <= p:
-                counts.append(0)
-                cursor += 1 + swap_draws
-            else:
-                counts.append(_change_count(thresholds, rng.peek(cursor + 2)))
-                cursor += 2 + 3 * counts[-1]
-        match_at.append(cursor)
-        cursor += pairs
-    span = rng.uniforms(cursor)
-    bounds = bounds[: len(match_at) + 1]
-    team, previous, ahead, second = (column[starts[0] : starts[0] + bounds[-1]] for column in rows)
-    at, counts = np.array(at, dtype=np.int64), np.array(counts, dtype=np.int64)
-    steps = np.flatnonzero(counts)
-    q = counts[steps]
+    n, p, slot = thresholds.size, params.swap_probability, 2 + 3 * thresholds.size
+    bounds = starts - starts[0]
+    weeks = np.arange(bounds.size - 1)
+    team, previous, ahead, second = (column[starts[0] : starts[-1]] for column in rows)
+    before = np.arange(bounds[-1]) * slot + np.repeat(weeks, np.diff(bounds)) * pairs  # draws before each row
+    head = rng.peek(before[:, None] + [1, 2, 3])
+    swapping = (head[:, 0] <= p) & (p > 0.0)
+    steps = np.flatnonzero(~swapping)
+    q = _change_count(thresholds, head[steps, 1])
     first = np.cumsum(q) - q  # each step's first moved coordinate
-    draw = np.repeat(at[steps] + 2 - first, q) + np.arange(q.sum())  # each moved coordinate's position draw
+    draw = np.repeat(before[steps] + 3 - first, q) + np.arange(q.sum())  # each moved coordinate's position draw
     gap = np.repeat(q, q)  # and its r1 draw comes gap later, its r2 draw 2 gap later
-    r2 = np.where(np.repeat(second[steps], q), span[draw + 2 * gap], 0.0)
-    swaps = np.flatnonzero(counts == 0) if swap_draws else steps[:0]
-    u = span[at[swaps, None] + [1, 2]] * [n, n - 1]
-    i, j = np.minimum(u.astype(np.int64), [n - 1, n - 2]).T
+    picks, r1, r2 = rng.peek(np.stack([draw, draw + gap, draw + 2 * gap]))
+    r2[~np.repeat(second[steps], q)] = 0.0
+    swaps = np.flatnonzero(swapping) if n >= 2 else steps[:0]
+    i, j = np.minimum((head[swaps, 1:] * [n, n - 1]).astype(np.int64), [n - 1, n - 2]).T
     j += j >= i
-    draws = span[np.array(match_at)[:, None] + np.arange(pairs)]
-    positions = _positions(span[draw], q, n)
-    step_cols = (*(np.repeat(x[steps], q) for x in (team, previous, ahead)), positions, span[draw + gap], r2)
+    draws = rng.peek((bounds[1:] * slot + weeks * pairs)[:, None] + np.arange(1, pairs + 1))
+    rng.skip(bounds[-1] * slot + weeks.size * pairs)
+    positions = _positions(picks, q, n)
+    step_cols = (*(np.repeat(x[steps], q) for x in (team, previous, ahead)), positions, r1, r2)
     swap_cols = (team[swaps] * n + i, team[swaps] * n + j)
     moved_row = np.concatenate([np.repeat(steps, q), swaps, swaps])
     by_row = np.argsort(moved_row, kind="stable")
     moved_cols = evaluate.moved_cells(np.concatenate([step_cols[0], team[swaps], team[swaps]])[by_row],
                                       np.concatenate([positions, i, j])[by_row])
+    bounds = bounds.tolist()
     cuts = [(np.append(first, q.sum())[np.searchsorted(steps, bounds)].tolist(), step_cols),  # where each week
             (np.searchsorted(swaps, bounds).tolist(), swap_cols),  # starts in each group
             (np.searchsorted(moved_row[by_row], bounds).tolist(), moved_cols)]
@@ -356,19 +346,17 @@ def _weeks(league: League, params: LcaParams):
     Each team's last opponent follows from the fixtures alone, carried from one season into the next."""
     n, size = league.best.shape[1], params.league_size
     thresholds = _change_thresholds(params.change_probability, n)
+    per_plan = max(1, _PLAN_ROWS // size)
     opening = np.array(season_fixtures(size, 1)).transpose(0, 2, 1)
     last_opponent = np.full(size, _BYE)
     for season in range(1, params.seasons + 1):
         fixtures = (opening + season - 1) % size  # season_fixtures(size, season): its teams relabelled
         starts, rows, last_opponent = _season_rows(last_opponent, fixtures)
-        first = 0
-        while first < len(fixtures):
-            plan = _draw_plan(league.rng, params, thresholds, rows, starts[first:], fixtures.shape[2],
-                              league.evaluate)
-            last = first + len(plan)
-            for home, away in fixtures[first:last]:
+        for first in range(0, len(fixtures), per_plan):
+            plan = _draw_plan(league.rng, params, thresholds, rows, starts[first : first + per_plan + 1],
+                              fixtures.shape[2], league.evaluate)
+            for home, away in fixtures[first : first + per_plan]:
                 yield home, away, *plan.pop(0)  # popped, so a week's moves are not held while it is scored
-            first = last
 
 
 class _FitnessEvaluator:

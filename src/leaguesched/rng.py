@@ -34,10 +34,10 @@ def mix64(x: int) -> int:
 
 
 class SplitMix64:
-    """Sequential SplitMix64 stream with an exact vectorized block draw.
+    """Sequential SplitMix64 stream with exact vectorized reads.
 
     The state is a counter: the t-th draw from here is the finalizer applied to
-    state + t * gamma, so a draw can be read ahead without making it.
+    state + t * gamma, so any draws ahead can be read without making them.
     """
 
     __slots__ = ("state",)
@@ -56,35 +56,46 @@ class SplitMix64:
         """
         return self.next_u64() / _TWO64
 
-    def peek(self, t: int) -> float:
-        """The uniform the t-th draw from now will give, without drawing it; t is any integer >= 1."""
-        t = operator.index(t)
-        if t < 1:
-            raise ValueError(f"t must be an integer >= 1, got {t}")
-        return mix64(self.state + t * _GAMMA) / _TWO64
+    def peek(self, t: int | np.ndarray) -> float | np.ndarray:
+        """The uniform the t-th draw from now will give, without drawing it; for an integer array, one per entry.
 
-    def uniforms(self, k: int) -> np.ndarray:
-        """k uniforms in [0, 1] at once; values identical to k successive uniform() calls.
-
-        The block is the finalizer applied to state + gamma * [1..k], computed in
-        place on one buffer with wrapping uint64 math, then cast as two exact 32-bit
-        halves whose sum is rounded once (_split_cast): the floats of the plain
-        uint64 cast bit for bit. k is any integer >= 0; a refused k raises and
-        leaves the state as it was.
+        Every t must be an integer >= 1; a refused t raises naming it and leaves the state as it was. The values
+        are those uniforms() gives, by the same finalizer (_uniforms_at).
         """
+        offsets = np.atleast_1d(t)
+        if offsets.dtype.kind not in "iu":
+            raise TypeError(f"t must be an integer or an integer array, got {offsets.dtype}")
+        if (offsets < 1).any():
+            raise ValueError(f"t must be an integer >= 1, got {offsets.min()}")
+        u = _uniforms_at(self.state, offsets.astype(np.uint64))
+        return u if np.ndim(t) else float(u[0])
+
+    def skip(self, k: int) -> None:
+        """Move the stream past its next k draws without making them; k is any integer >= 0."""
         k = operator.index(k)
         if k < 0:
             raise ValueError(f"k must be an integer >= 0, got {k}")
-        z = np.arange(1, k + 1, dtype=np.uint64)
-        z *= np.uint64(_GAMMA)
-        z += np.uint64(self.state)
         self.state = (self.state + k * _GAMMA) & MASK64
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_MULT1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_MULT2)
-        z ^= z >> np.uint64(31)
-        return _split_cast(z)
+
+    def uniforms(self, k: int) -> np.ndarray:
+        """k uniforms in [0, 1] at once, draws 1..k from here (_uniforms_at): k successive uniform() calls bit
+        for bit. k is any integer >= 0; a refused k raises and leaves the state as it was."""
+        start = self.state
+        self.skip(k)
+        return _uniforms_at(start, np.arange(1, k + 1, dtype=np.uint64))
+
+
+def _uniforms_at(state: int, z: np.ndarray) -> np.ndarray:
+    """The uniforms of draws z (uint64 offsets, overwritten) of a stream at state: the finalizer of
+    state + z * gamma in place with wrapping uint64 math, then z / 2**64 (_split_cast)."""
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(state)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MULT1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MULT2)
+    z ^= z >> np.uint64(31)
+    return _split_cast(z)
 
 
 def _split_cast(z: np.ndarray) -> np.ndarray:

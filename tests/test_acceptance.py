@@ -305,7 +305,7 @@ def test_default_grid_csv_is_pinned(bench):
     sink = io.StringIO()
     emit_csv(records, sink)
     digest = hashlib.sha256(sink.getvalue().encode("utf-8")).hexdigest()
-    assert digest == "1d28c4ab6d80e3b1545e0eb46d2c14dce71a1d10b3f955c85eefd1e244bfa64c"
+    assert digest == "94120841e188dd75f434639d64efb1793a34767dc9cee4ce2df166ba3e7e03d9"
 
 
 def test_league_history_never_increases(bench):

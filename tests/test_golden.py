@@ -37,7 +37,7 @@ from leaguesched import (
 PINS = [
     (
         {"task_counts": [20, 100, 180], "repetitions": 2, "lca_params": {"seasons": 10}},
-        "403268a65cf2b276a5a2bf5fc2194ba918a162fbb878f670552f6a82fd47437a",
+        "eefc5177d2119ed2381656aee9db60825c2caa5e3792417842d17687c2c2eb7f",
     ),
     (
         {
@@ -48,7 +48,7 @@ PINS = [
             "repetitions": 2,
             "lca_params": {"seasons": 10},
         },
-        "bdd5fa546e3cc83c0dd4802601d9a81b91cf0e9c217a8872434838eef1bd09f8",
+        "d01001ad9b21db96a2f610c49171cebfb532527906b34d8bff4f341c3f82e490",
     ),
 ]
 
@@ -62,7 +62,7 @@ def test_small_grid_csv_is_pinned(config, sha256):
 
 SVG_PINS = [
     "3c80214bf3a2998c6bf463431d834cffd0ad9c7dfdd79e6146364d7c476efc28",
-    "be60149473b9f66398a75076c85d4664dbeb4cb301e74da9d4cbdb81e1996842",
+    "283ee70990391117956ac2f769016b09cf87f5e71cd9fbdd233bf8e1553923b4",
 ]
 
 
@@ -99,15 +99,15 @@ RUN_PINS = {
     "odd_league_with_byes": (
         dict(league_size=5, seasons=6, seed=4),
         (24, UNEQUAL, 8, False),
-        "09563618c38c4c5ac8ec1f73d8c4bf4210475eb7896c10b68b413e2179f4182e",
-        "fa160a552fd124057b4aac8799f242e66f5bc40ce259a23d58fc35f437ea332d",
+        "b3bd65ab91fb76c93dff9a3df985cc680ffea6249ef3ba3d5c1233804ece0e86",
+        "2391d7af48259056f80498e72af421f41341be2ed7380c632acaaa5a28b3da0b",
         149,
     ),
     "random_start": (
         dict(league_size=6, seasons=6, seed=4, seed_with_baselines=False),
         (24, EQUAL, 8, False),
-        "3657d5c0b8526f4c38b3012756bf3336fb81a1764b76ac749b84c8863c12e858",
-        "87df5ed7151d24552493184d0935133088697f4fcc30fa490cc9f94d48f99ff4",
+        "9f9eae61ba05f2a9d4b3e29e49324d8674f72434329b15ec6b999f08eea31640",
+        "57d62e2f8664a02872cd883f3410882802535881697d14330da86a28bb76b92d",
         180,
     ),
     "unequal_speeds_permuted_arrival": (
@@ -120,15 +120,15 @@ RUN_PINS = {
     "steps_only": (
         dict(league_size=6, seasons=6, seed=6, swap_probability=0.0, seed_with_baselines=False),
         (30, UNEQUAL, 10, True),
-        "6f1b8afd75367bb3dc29bc1b62a16a09fe1beb881397f6eb04e502ec965252de",
-        "107b6074a6426aeea200a0e191f916e62513f50394461095284f8c968b642bf1",
+        "259aa803ce3c583a4a0c5dc21316efbeec5db7e17c5e1a4c090676cc0c88dc23",
+        "c0ced2e01dee37a5d9e47c7c3fe16d4d328c29a7402f38748e20f04b3c46ac03",
         180,
     ),
     "swaps_only": (
         dict(league_size=7, seasons=6, seed=7, swap_probability=1.0),
         (30, UNEQUAL, 11, True),
-        "83f50bda82fc5c1075d26bd855fbdebb9bf51d7a8d16008e6e9d151f922f1001",
-        "58156e46f9fbff24e25f00385f830717ed544b92540fac8ca619ca3d8691a855",
+        "ab5fca3c46f2a03c80cf214f9a5757d0fed11e961e58fc0cdfe09ff9e90604b1",
+        "ddeedeb05903021fcf6c85d9f974009b08838e925735967b62cca2870f92dd17",
         293,
     ),
     # Every task 300 MI on equal VMs: fitness ties are everywhere, so these two
@@ -137,8 +137,8 @@ RUN_PINS = {
     "equal_lengths_ties": (
         dict(league_size=5, seasons=3, seed=3, swap_probability=0.0, seed_with_baselines=False),
         (8, THREE_EQUAL, 3, False, (300.0, 300.0)),
-        "530ccc98a1eaed0b926186c61eb8bfc2525f5eb58547a712035101bde14096be",
-        "86f0cfe89d436cfa41689fcadd8755bfd715fd4b7634136839ca26f366816e94",
+        "4e87bdcc4b3f354f4da6005bf6eaaa94ac1f3904420c7d64f955d2e17febad77",
+        "7d305ca4e4f9c03dc4bb4926a1cbd917c17feba7b2939274387a1ff2e0410d9e",
         74,
     ),
     "seeded_ties": (

@@ -57,8 +57,9 @@ TOP = 2**64 - 1  # a SplitMix64 output that draws exactly 1.0
 #
 # The engine written team by team: one Python call per team, each making its
 # own draws (a step's change count by a scan of Kashan's thresholds, its
-# positions by Floyd's algorithm), and one scalar draw per match, each team's
-# last opponent kept in its own array as it plays. The planned
+# positions by Floyd's algorithm) and then moving the stream to the end of its
+# slot of 2 + 3n draws, and one scalar draw per match after the week's rows,
+# each team's last opponent kept in its own array as it plays. The planned
 # update_formation and play_match, and whole runs, must agree with it bit for
 # bit.
 
@@ -107,6 +108,7 @@ def reference_update_formation(league, last_opponent, team, upcoming, params, n_
     rng, p = league.rng, params.swap_probability
     best = league.best[team]
     n = best.shape[0]
+    end = _advanced(rng, _slot(n))
     new_x = best.copy()
     if rng.uniform() <= p and p > 0.0:
         if n >= 2:
@@ -114,16 +116,17 @@ def reference_update_formation(league, last_opponent, team, upcoming, params, n_
             j = min(int(rng.uniform() * (n - 1)), n - 2)
             j += j >= i
             new_x[i], new_x[j] = new_x[j], new_x[i]
-        return new_x
-    q = reference_change_count(rng.uniform(), params.change_probability, n)
-    at = reference_positions([rng.uniform() for _ in range(q)], n)
-    r1, r2 = rng.uniforms(q), rng.uniforms(q)
-    s_own = 1.0 if league.won[team] else -1.0
-    step = params.w1 * s_own * r1 * (best[at] - league.current[previous][at])
-    if upcoming != _BYE and last_opponent[upcoming] != _BYE:
-        s_next = 1.0 if league.won[upcoming] else -1.0
-        step = step + params.w2 * s_next * r2 * (best[at] - league.current[upcoming][at])
-    new_x[at] = np.clip(best[at] + step, 0.0, n_vms - 1e-9)
+    else:
+        q = reference_change_count(rng.uniform(), params.change_probability, n)
+        at = reference_positions([rng.uniform() for _ in range(q)], n)
+        r1, r2 = rng.uniforms(q), rng.uniforms(q)
+        s_own = 1.0 if league.won[team] else -1.0
+        step = params.w1 * s_own * r1 * (best[at] - league.current[previous][at])
+        if upcoming != _BYE and last_opponent[upcoming] != _BYE:
+            s_next = 1.0 if league.won[upcoming] else -1.0
+            step = step + params.w2 * s_next * r2 * (best[at] - league.current[upcoming][at])
+        new_x[at] = np.clip(best[at] + step, 0.0, n_vms - 1e-9)
+    rng.state = end
     return new_x
 
 
@@ -162,6 +165,11 @@ def _rng_drawing(t, output):
 def _advanced(rng, draws):
     """The state `rng` reaches after `draws` more draws."""
     return (rng.state + draws * _GAMMA) & MASK64
+
+
+def _slot(n):
+    """The draws every proposing row owns in the stream for n tasks, whatever it uses of them."""
+    return 2 + 3 * n
 
 
 def _league(formations, fitness, rng, won=None):
@@ -407,7 +415,7 @@ def _hand_example(won):
     r1, r2 = rng.peek(4), rng.peek(5)
     league = _proposer([1.0], [2.0], won, rng, upcoming=[0.0], upcoming_won=True)
     out = _propose(league, _params(change_probability=0.3, swap_probability=0.0), 3, upcoming=2)
-    assert league.rng.state == _advanced(SplitMix64(5), 5)
+    assert league.rng.state == _advanced(SplitMix64(5), _slot(1))
     return out.tolist(), r1, r2
 
 
@@ -437,19 +445,19 @@ def test_update_change_count_draw_of_zero_moves_one_coordinate():
     league = _proposer(best, [0.0] * 5, True, rng)
     out = _propose(league, _params(change_probability=0.3, swap_probability=0.0), 3)
     assert _moved(out, best) == [t] and out[t] == best[t] + r1 * best[t]  # away from 0: B + r1 (B - 0)
-    assert league.rng.state == _advanced(start, 2 + 3 * 1)
+    assert league.rng.state == _advanced(start, _slot(5))  # the row's slot and no fixture
 
 
 def test_update_change_count_draw_of_one_moves_every_coordinate_of_a_short_row():
     # A count draw of 1.0 reaches the last threshold, exactly 1, so q = n when n is small: every
-    # coordinate moves, and the row takes 2 + 3n draws.
+    # coordinate moves, and the row uses every draw of its slot.
     rng = _rng_drawing(2, TOP)
     start = SplitMix64(rng.state)
     best = [0.5, 1.0, 1.5, 2.0, 2.5]
     league = _proposer(best, [0.0] * 5, True, rng)
     out = _propose(league, _params(change_probability=0.3, swap_probability=0.0), 3)
     assert _moved(out, best) == [0, 1, 2, 3, 4]
-    assert league.rng.state == _advanced(start, 2 + 3 * 5)
+    assert league.rng.state == _advanced(start, _slot(5))
 
 
 def _swapped(values, i, j):
@@ -467,7 +475,7 @@ def test_update_swap_branch_exchanges_two_positions():
     league = _proposer([0.5, 1.5, 2.5, 3.0], [0.0] * 4, True, rng)
     out = _propose(league, _params(swap_probability=1.0), 4)
     assert out.tolist() == _swapped([0.5, 1.5, 2.5, 3.0], i, j)
-    assert league.rng.state == _advanced(SplitMix64(17), 3)
+    assert league.rng.state == _advanced(SplitMix64(17), _slot(4))  # a swap uses 3 draws of its slot
 
 
 def test_update_swap_clamps_a_draw_of_exactly_one():
@@ -485,7 +493,7 @@ def test_update_swap_probability_one_swaps_on_a_draw_of_one():
     league = _proposer([0.5, 1.5, 2.5], [0.0, 0.0, 0.0], True, rng)
     out = _propose(league, _params(swap_probability=1.0), 3)
     assert sorted(out.tolist()) == [0.5, 1.5, 2.5] and out.tolist() != [0.5, 1.5, 2.5]
-    assert league.rng.state == _advanced(start, 3)  # the decision and two index draws
+    assert league.rng.state == _advanced(start, _slot(3))  # the decision and two index draws, in the slot
 
 
 def test_update_swap_probability_zero_never_swaps_on_a_draw_of_zero():
@@ -497,7 +505,7 @@ def test_update_swap_probability_zero_never_swaps_on_a_draw_of_zero():
     league = _proposer(best, [0.0, 0.0, 0.0], True, rng)
     out = _propose(league, _params(swap_probability=0.0, change_probability=1.0), 3)
     assert _moved(out, best) == [t] and out[t] == best[t] + r1 * best[t]  # the step: B + r1 (B - 0)
-    assert league.rng.state == _advanced(start, 2 + 3 * 1)
+    assert league.rng.state == _advanced(start, _slot(3))
 
 
 def test_update_change_probability_one_moves_one_coordinate_on_a_draw_of_one():
@@ -510,7 +518,7 @@ def test_update_change_probability_one_moves_one_coordinate_on_a_draw_of_one():
     league = _proposer(best, [0.0, 0.0, 0.0], True, rng)
     out = _propose(league, _params(swap_probability=0.0, change_probability=1.0), 3)
     assert _moved(out, best) == [t] and out[t] == best[t] + r1 * best[t]
-    assert league.rng.state == _advanced(start, 2 + 3 * 1)
+    assert league.rng.state == _advanced(start, _slot(3))
 
 
 def test_update_swap_preserves_coordinate_multiset():
@@ -619,9 +627,9 @@ def test_batched_week_equals_the_per_team_reference(size, n, m, season, weeks, s
 
 
 def test_a_large_week_is_drawn_as_one_span():
-    # Six steps over 3,000 coordinates at change_probability 0.001, so each moves hundreds of coordinates
-    # (2 + 3q draws), then three match draws: the week is one uniforms() call, past _PLAN_WORDS, with the same
-    # proposals, results and RNG state as proposing and playing team by team.
+    # Six steps over 3,000 coordinates at change_probability 0.001, so each moves hundreds of coordinates, then
+    # three match draws: the week is the plan's three vector reads, each row in its slot of 2 + 3n draws, with
+    # the same proposals, results and RNG state as proposing and playing team by team.
     size, n, m = 6, 3_000, 4
     params = LcaParams(league_size=size, swap_probability=0.0, change_probability=0.001)
     (batched, _), (reference, _) = _random_league(size, n, m, 5), _random_league(size, n, m, 5)
@@ -629,18 +637,53 @@ def test_a_large_week_is_drawn_as_one_span():
     home, away = np.array([0, 1, 2]), np.array([5, 4, 3])
     starts, rows, _ = _season_rows(last_opponent, np.array([[home, away]]))
     start, cells = batched.rng.state, _cells(n, m)
-    with mock.patch.object(SplitMix64, "uniforms", autospec=True, side_effect=SplitMix64.uniforms) as blocks:
+    with mock.patch.object(SplitMix64, "peek", autospec=True, side_effect=SplitMix64.peek) as reads, \
+            mock.patch.object(SplitMix64, "uniforms", autospec=True, side_effect=SplitMix64.uniforms) as blocks:
         ((draws, moves),) = _draw_plan(batched.rng, params, _change_thresholds(0.001, n), rows, starts, 3, cells)
-    ((_, words),) = (call.args for call in blocks.call_args_list)
-    assert batched.rng.state == (start + words * _GAMMA) & MASK64 and words > lca._PLAN_WORDS
+    assert blocks.call_count == 0
+    assert [call.args[1].shape for call in reads.call_args_list] == [(size, 3), (3, moves[4].size), (1, 3)]
+    assert batched.rng.state == _advanced(SplitMix64(start), size * _slot(n) + 3)
     proposed = update_formation(batched, moves, params, m)
     upcoming = np.array([5, 4, 3, 2, 1, 0])
     expected = [reference_update_formation(reference, last_opponent, t, upcoming[t], params, m) for t in range(size)]
     assert proposed.tobytes() == np.array(expected).tobytes()
-    assert words == size * 2 + 3 * moves[4].size + 3
+    assert moves[4].size > size * 100
     winners = play_match(batched, home, away, draws)
     assert winners.tolist() == [reference_play_match(reference, last_opponent, i, j)[0] for i, j in zip(home, away)]
     assert batched.rng.state == reference.rng.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.integers(4, 9),
+    n=st.sampled_from([1, 2, 3, 40]),
+    season=st.integers(1, 9),
+    weeks=st.integers(1, 9),
+    swap=st.sampled_from([0.0, 0.5, 1.0]),
+    change=st.sampled_from([1e-3, 0.3, 1.0]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_no_row_reads_outside_its_slot(size, n, season, weeks, swap, change, seed):
+    # Lay the plan's stream out as week 0's rows, a slot of 2 + 3n draws each, then its fixtures' draws, then
+    # week 1's, and so on: every draw a row reads lies in its own slot, every match draw in its week's
+    # fixtures, and the plan moves the stream past rows·slot + weeks·pairs draws.
+    params = LcaParams(league_size=size, swap_probability=swap, change_probability=change)
+    league, before = _random_league(size, n, 2, seed)
+    fixtures = np.array(season_fixtures(size, season)).transpose(0, 2, 1)[:weeks]
+    starts, rows, _ = _season_rows(before, fixtures)
+    pairs, start, cells = fixtures.shape[2], league.rng.state, _cells(n, 2)
+    owner = np.concatenate([x for w in range(len(fixtures))
+                            for x in (np.repeat(np.arange(starts[w], starts[w + 1]), _slot(n)),
+                                      np.full(pairs, -1 - w))])  # owner[t - 1]: the row or ~week of draw t
+    with mock.patch.object(SplitMix64, "peek", autospec=True, side_effect=SplitMix64.peek) as reads:
+        plan = _draw_plan(league.rng, params, _change_thresholds(change, n), rows, starts, pairs, cells)
+    assert league.rng.state == _advanced(SplitMix64(start), owner.size)
+    (_, head), (_, coordinates), (_, matches) = (call.args for call in reads.call_args_list)
+    assert (owner[head - 1] == np.arange(starts[-1])[:, None]).all()
+    step_rows = [starts[w] + np.searchsorted(rows[0][starts[w] : starts[w + 1]], moves[1])
+                 for w, (_, moves) in enumerate(plan)]
+    assert (owner[coordinates - 1] == np.concatenate(step_rows)).all()
+    assert (owner[matches - 1] == -1 - np.arange(len(fixtures))[:, None]).all()
 
 
 # ---------------------------------------------------------------- change count and positions
@@ -656,7 +699,7 @@ def test_a_large_week_is_drawn_as_one_span():
 def test_change_count_stays_between_one_and_n(p, n, r):
     thresholds = _change_thresholds(p, n)
     assert all(0.0 < t <= 1.0 for t in thresholds) and thresholds[-1] == 1.0
-    assert thresholds == sorted(thresholds)
+    assert (np.diff(thresholds) >= 0.0).all()
     q = _change_count(thresholds, r)
     assert 1 <= q <= n
     assert q == reference_change_count(r, p, n)
@@ -902,17 +945,19 @@ def test_run_without_baseline_seeding_still_valid():
 
 
 def test_a_default_run_draws_each_week_in_at_most_two_blocks():
-    # One uniforms() call draws a plan of whole weeks, its fixtures included; no scalar draws.
+    # init_league draws every random start as one uniforms() block; then each plan of whole weeks, its
+    # fixtures included, is three vector reads. No scalar draws.
     params, instance = LcaParams(), _instance(n=100, m=20)
     with mock.patch.object(SplitMix64, "uniforms", autospec=True, side_effect=SplitMix64.uniforms) as blocks, \
+            mock.patch.object(SplitMix64, "peek", autospec=True, side_effect=SplitMix64.peek) as reads, \
             mock.patch.object(SplitMix64, "uniform", autospec=True, side_effect=SplitMix64.uniform) as scalars:
         run(params, instance)
     weeks = params.seasons * (params.league_size - 1)
-    # A week's draws no longer grow with n: a swap takes 3 and a step 2 + 3q, q about 3.3 at p_c = 0.3, so a
-    # season of 19 weeks takes about 3,100 draws and is one plan. init_league draws every random start as one
-    # block, then one block per season: 1 + 50 blocks for the 950 weeks.
-    assert scalars.call_count == 0
-    assert blocks.call_count == 1 + params.seasons == 51 < 2 * weeks
+    # A plan is at most _PLAN_ROWS // 20 = 204 weeks of its season, so a season of 19 weeks is one plan: 50
+    # plans of three reads for the 950 weeks.
+    assert scalars.call_count == 0 and blocks.call_count == 1
+    assert all(isinstance(call.args[1], np.ndarray) for call in reads.call_args_list)
+    assert reads.call_count == 3 * params.seasons == 150 < 2 * weeks
 
 
 _REFERENCE_RUNS = dict(
@@ -946,8 +991,8 @@ def test_a_whole_run_equals_the_per_team_reference(**case):
 def test_the_plan_budget_is_unobservable(**case):
     # One week per plan, or a whole season per plan: the same runs.
     params, instance = _reference_case(**case)
-    with mock.patch.object(lca, "_PLAN_WORDS", 1):
+    with mock.patch.object(lca, "_PLAN_ROWS", 1):
         weekly = run(params, instance)
-    with mock.patch.object(lca, "_PLAN_WORDS", 2**40):
+    with mock.patch.object(lca, "_PLAN_ROWS", 2**40):
         seasonal = run(params, instance)
     assert weekly == seasonal == run(params, instance)

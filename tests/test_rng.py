@@ -93,6 +93,35 @@ def test_peek_refuses_offsets_below_one(t):
     assert gen.state == 5
 
 
+def test_peek_reads_an_array_of_offsets_and_skip_moves_past_draws():
+    gen = SplitMix64(5)
+    assert gen.peek(np.array([3]))[0] == SplitMix64(5).uniforms(3)[2]
+    offsets = np.array([[4, 1], [2, 9]])
+    assert gen.peek(offsets).tolist() == SplitMix64(5).uniforms(9)[offsets - 1].tolist()
+    assert gen.peek(np.array([], dtype=np.int64)).shape == (0,) and gen.state == 5
+    drawn = SplitMix64(5)
+    drawn.uniforms(7)
+    gen.skip(np.int64(7))
+    assert gen.state == drawn.state
+    with pytest.raises(ValueError, match=r"^k must be an integer >= 0, got -1$"):
+        gen.skip(-1)
+    assert gen.state == drawn.state
+
+
+@pytest.mark.parametrize("t, error, message", [
+    (np.array([3, 0, 2]), ValueError, r"^t must be an integer >= 1, got 0$"),
+    (np.array([[1], [-4]]), ValueError, r"^t must be an integer >= 1, got -4$"),
+    (np.array([1.0, 2.0]), TypeError, r"^t must be an integer or an integer array, got float64$"),
+    (np.array([True, True]), TypeError, r"^t must be an integer or an integer array, got bool$"),
+    (2.0, TypeError, r"^t must be an integer or an integer array, got float64$"),
+])
+def test_peek_refuses_an_array_with_an_offset_below_one_or_not_of_integers(t, error, message):
+    gen = SplitMix64(5)
+    with pytest.raises(error, match=message):
+        gen.peek(t)
+    assert gen.state == 5
+
+
 def _plain_uniforms(state, k):
     """The block the plain cast gives: the finalizer on state + gamma * [1..k], cast as uint64."""
     z = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(state)
