@@ -7,8 +7,9 @@ formation around the best schedule it has found so far, pushed by the outcome
 of its previous match and by the current form of its upcoming opponent; the
 week's fixtures are then resolved stochastically, with win probability driven
 by the two sides' fitness relative to the best value found anywhere in the
-league. Fitness is makespan, so lower means stronger, and a season is one
-full round robin. The league is held as arrays, one row per team, and every
+league. Fitness is makespan, so lower means stronger. The run is one stream
+of weeks; a season, one full round robin, is only how the fixtures repeat
+(_fixtures). The league is held as arrays, one row per team, and every
 update reads only last week's league, so every week is one (L, n) block. A
 week's block differs from the team bests only where its proposals moved a
 coordinate, about 3 per step and 2 per swap, so it is scored by patching
@@ -17,7 +18,7 @@ those cells into the kept cells of the bests and tallying them once
 on the whole block. Where each draw of the stream falls,
 and what it is, depends only on the seed, the fixtures and n, never on the
 league: SplitMix64 is a counter, and every proposing row owns a slot of
-2 + 3n draws whatever it uses of them, so a plan of several weeks reads all
+2 + 3n draws whatever it uses of them, so a plan of whole weeks reads all
 its draws at computed offsets (_draw_plan), and each week takes its slice.
 In its slot a swap takes its decision draw and two position draws; a step
 takes its decision draw, one draw for its change count q (Kashan's truncated
@@ -50,9 +51,9 @@ _CLAMP_EPS = 1e-9
 # No team: a bye slot in the fixtures, or no opponent yet for a team that has not played.
 _BYE = -1
 
-# A plan (_draw_plan) is max(1, _PLAN_ROWS // L) whole weeks of a season, so it holds at most this many rows
-# or one week. A cap, not a whole season: a season's plan at L = 400, n = 100 held its moved cells and step
-# draws for 160,000 rows and peaked at 71 MB under tracemalloc for one season, against 13 MB with the cap.
+# A plan (_draw_plan) is max(1, _PLAN_ROWS // L) whole weeks of the run, so it holds at most this many rows
+# or one week. A cap, not the whole run: a plan's moved cells and step draws grow with its rows, not with n,
+# and a 4,080-row plan (L = 20) peaks at 1.6 MB under tracemalloc at n = 100 and at n = 2,000 alike.
 _PLAN_ROWS = 1 << 12
 
 
@@ -141,22 +142,19 @@ def decode(formation: np.ndarray, n_vms: int) -> Assignment:
     return Assignment(tuple(_vm_index(x, n_vms).tolist()))
 
 
-def season_fixtures(n_teams: int, season: int) -> list[list[tuple[int, int]]]:
-    """Fixtures for one season: a single round robin by the circle method.
+def _fixtures(n_teams: int, weeks: range) -> np.ndarray:
+    """Home and away sides of the given 0-based weeks of the run, (len(weeks), 2, n_teams // 2).
 
-    The slots start as the team order rotated by season - 1, with a bye slot
-    appended when the league is odd. Week w pairs slot i with slot -1-i, then
-    every slot but the first rotates one step, so every pair of teams meets
-    exactly once. A team drawn against the bye plays no match that week.
+    A season is one round robin of W weeks by the circle method, with a bye slot (team n_teams) when the league
+    is odd: in week w of season 0 slot i meets slot -1-i, slot 0 holding team 0 and slot i > 0 team
+    1 + (i - 1 - w) % W, and the bye's pair plays no match. Season s relabels season 0's team t (t + s) % n_teams.
     """
-    rotation = (season - 1) % n_teams
-    slots = [(i + rotation) % n_teams for i in range(n_teams)] + [_BYE] * (n_teams % 2)
-    weeks = []
-    for _ in range(len(slots) - 1):
-        pairs = zip(slots[: len(slots) // 2], reversed(slots))
-        weeks.append([(i, j) for i, j in pairs if _BYE not in (i, j)])
-        slots[1:] = [slots[-1]] + slots[1:-1]
-    return weeks
+    slots = n_teams + n_teams % 2
+    season, week = np.divmod(np.asarray(weeks)[:, None, None], slots - 1)
+    side = np.vstack([np.arange(slots), np.arange(slots)[::-1]])[:, : slots // 2]
+    team = np.where(side > 0, (side - 1 - week) % (slots - 1) + 1, 0)
+    plays = np.broadcast_to((team < n_teams).all(axis=1, keepdims=True), team.shape)
+    return (team[plays].reshape(len(team), 2, -1) + season) % n_teams
 
 
 def win_probability(f_i: np.ndarray, f_j: np.ndarray, f_hat: np.ndarray | float) -> np.ndarray:
@@ -231,15 +229,15 @@ def update_formation(league: League, moves: tuple, params: LcaParams, n_vms: int
     return proposed
 
 
-def _season_rows(before: np.ndarray, fixtures: np.ndarray) -> tuple[np.ndarray, tuple, np.ndarray]:
-    """A season's proposing rows in stream order: (starts, (team, previous, ahead, second), after).
+def _plan_rows(before: np.ndarray, fixtures: np.ndarray) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """A plan's proposing rows in stream order: (starts, (team, previous, ahead, second), after).
 
     fixtures is a (weeks, 2, pairs) array of home and away sides, and before and after hold each team's last
-    opponent (_BYE for none yet) before and after the season. A team proposes once it has played; week w's
+    opponent (_BYE for none yet) before and after the plan. A team proposes once it has played; week w's
     rows are starts[w]..starts[w+1]-1 by team, and second says whether the second step applies.
     """
     weeks = len(fixtures)
-    opponent = np.vstack([before, np.full((weeks, before.size), _BYE)])  # row 0: before the season
+    opponent = np.vstack([before, np.full((weeks, before.size), _BYE)])  # row 0: before the plan
     opponent[np.arange(1, weeks + 1)[:, None, None], fixtures] = fixtures[:, ::-1]
     seen = np.maximum.accumulate(np.where(opponent != _BYE, np.arange(weeks + 1)[:, None], 0))
     last = np.take_along_axis(opponent, seen, axis=0)  # last[w]: each team's last opponent before week w
@@ -275,42 +273,45 @@ def _positions(u: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
 
     u holds each step's draws in turn, as many as its count q. Its k-th draw picks t uniformly in [0, j],
     j = n - q + k (a draw of 1.0 gives j, as in the swap), and the step takes t unless it already holds it,
-    then j, which it cannot hold yet; every q-subset is equally likely. Steps go side by side, a rank k at a
-    time, so the loop runs max(counts) times; held marks what each step holds.
+    then j, which it cannot hold yet; every q-subset is equally likely. A rank holds its t or its j, and j
+    rises with rank, so rank k takes j iff t is j, t repeats an earlier rank's t, or t is the j of an earlier
+    rank that took it: a chain down the ranks, which pointer doubling follows for every step in log2
+    max(counts) passes. Nothing here grows with n.
     """
-    first = np.cumsum(counts) - counts
-    rank = np.arange(u.size) - np.repeat(first, counts)
-    top = n - np.repeat(counts, counts) + rank
+    at = np.arange(u.size)
+    step = np.repeat(np.arange(counts.size), counts)
+    first = (np.cumsum(counts) - counts)[step]
+    top = n - counts[step] + at - first
     picked = np.minimum((u * (top + 1)).astype(np.int64), top)
-    cell = np.repeat(np.arange(counts.size) * n, counts)
-    held = np.zeros(counts.size * n, dtype=bool)
-    for k in range(int(counts.max(initial=0))):
-        at = first[counts > k] + k
-        taken = at[held[cell[at] + picked[at]]]
-        picked[taken] = top[taken]
-        held[cell[at] + picked[at]] = True
-    return picked
+    key = step * n + picked
+    order = np.argsort(key, kind="stable")  # a step's equal picks in rank order
+    took_top = picked == top
+    took_top[order[1:]] |= key[order[1:]] == key[order[:-1]]
+    chain = np.where(at + picked - top >= first, at + picked - top, at)  # where picked is an earlier rank's j
+    for _ in range(int(counts.max(initial=0)).bit_length()):
+        took_top |= took_top[chain]
+        chain = chain[chain]
+    return np.where(took_top, top, picked)
 
 
 def _draw_plan(rng: SplitMix64, params: LcaParams, thresholds: np.ndarray, rows: tuple, starts: np.ndarray,
                pairs: int, evaluate: _FitnessEvaluator) -> list[tuple[np.ndarray, tuple]]:
-    """Read a plan of whole weeks, week w's rows (_season_rows) being starts[w]..starts[w+1]-1: (match draws,
+    """Read a plan of whole weeks, week w's rows (_plan_rows) being starts[w]..starts[w+1]-1: (match draws,
     moves) per week, its moves (update_formation) starting with its count of rows.
 
-    Each row owns slot = 2 + 3n draws and each fixture one. With starts counted from the plan's first row, row
-    r of week w starts after r·slot + w·pairs draws and the week's match draws after starts[w+1]·slot + w·pairs;
-    the plan moves the stream past rows·slot + weeks·pairs. So it is three vector reads whatever its size: each
-    row's first three draws, every moved coordinate's position, r1 and r2 draws, and the fixtures'. A row swaps
-    iff its decision draw is <= swap_probability > 0 (a probability of 1 is exact even on a draw of 1.0), at
-    positions from its next two draws (none when n < 2); else it steps, its count q (_change_count) from its
-    second draw, r2 zero where the second step is dropped. Each week's moves end with its moved cells (a step's
-    coordinates and a swap's two), placed by evaluate.moved_cells once for the whole plan.
+    Each row owns slot = 2 + 3n draws and each fixture one. Row r of week w starts after r·slot + w·pairs draws
+    and the week's match draws after starts[w+1]·slot + w·pairs; the plan moves the stream past rows·slot +
+    weeks·pairs. So it is three vector reads whatever its size: each row's first three draws, every moved
+    coordinate's position, r1 and r2 draws, and the fixtures'. A row swaps iff its decision draw is <=
+    swap_probability > 0 (a probability of 1 is exact even on a draw of 1.0), at positions from its next two draws
+    (none when n < 2); else it steps, its count q (_change_count) from its second draw, r2 zero where the second
+    step is dropped. Each week's moves end with its moved cells (a step's coordinates and a swap's two), placed by
+    evaluate.moved_cells once for the whole plan.
     """
     n, p, slot = thresholds.size, params.swap_probability, 2 + 3 * thresholds.size
-    bounds = starts - starts[0]
-    weeks = np.arange(bounds.size - 1)
-    team, previous, ahead, second = (column[starts[0] : starts[-1]] for column in rows)
-    before = np.arange(bounds[-1]) * slot + np.repeat(weeks, np.diff(bounds)) * pairs  # draws before each row
+    weeks = np.arange(starts.size - 1)
+    team, previous, ahead, second = rows
+    before = np.arange(starts[-1]) * slot + np.repeat(weeks, np.diff(starts)) * pairs  # draws before each row
     head = rng.peek(before[:, None] + [1, 2, 3])
     swapping = (head[:, 0] <= p) & (p > 0.0)
     steps = np.flatnonzero(~swapping)
@@ -323,8 +324,8 @@ def _draw_plan(rng: SplitMix64, params: LcaParams, thresholds: np.ndarray, rows:
     swaps = np.flatnonzero(swapping) if n >= 2 else steps[:0]
     i, j = np.minimum((head[swaps, 1:] * [n, n - 1]).astype(np.int64), [n - 1, n - 2]).T
     j += j >= i
-    draws = rng.peek((bounds[1:] * slot + weeks * pairs)[:, None] + np.arange(1, pairs + 1))
-    rng.skip(bounds[-1] * slot + weeks.size * pairs)
+    draws = rng.peek((starts[1:] * slot + weeks * pairs)[:, None] + np.arange(1, pairs + 1))
+    rng.skip(starts[-1] * slot + weeks.size * pairs)
     positions = _positions(picks, q, n)
     step_cols = (*(np.repeat(x[steps], q) for x in (team, previous, ahead)), positions, r1, r2)
     swap_cols = (team[swaps] * n + i, team[swaps] * n + j)
@@ -332,7 +333,7 @@ def _draw_plan(rng: SplitMix64, params: LcaParams, thresholds: np.ndarray, rows:
     by_row = np.argsort(moved_row, kind="stable")
     moved_cols = evaluate.moved_cells(np.concatenate([step_cols[0], team[swaps], team[swaps]])[by_row],
                                       np.concatenate([positions, i, j])[by_row])
-    bounds = bounds.tolist()
+    bounds = starts.tolist()
     cuts = [(np.append(first, q.sum())[np.searchsorted(steps, bounds)].tolist(), step_cols),  # where each week
             (np.searchsorted(swaps, bounds).tolist(), swap_cols),  # starts in each group
             (np.searchsorted(moved_row[by_row], bounds).tolist(), moved_cols)]
@@ -341,22 +342,19 @@ def _draw_plan(rng: SplitMix64, params: LcaParams, thresholds: np.ndarray, rows:
 
 
 def _weeks(league: League, params: LcaParams):
-    """Every week in stream order, drawn a plan at a time: (home, away, match draws, moves).
+    """Every week of the run in stream order, drawn a plan at a time: (home, away, match draws, moves).
 
-    Each team's last opponent follows from the fixtures alone, carried from one season into the next."""
+    Each team's last opponent follows from the fixtures alone, carried from one plan into the next."""
     n, size = league.best.shape[1], params.league_size
     thresholds = _change_thresholds(params.change_probability, n)
-    per_plan = max(1, _PLAN_ROWS // size)
-    opening = np.array(season_fixtures(size, 1)).transpose(0, 2, 1)
+    weeks, per_plan = params.seasons * (size - 1 + size % 2), max(1, _PLAN_ROWS // size)
     last_opponent = np.full(size, _BYE)
-    for season in range(1, params.seasons + 1):
-        fixtures = (opening + season - 1) % size  # season_fixtures(size, season): its teams relabelled
-        starts, rows, last_opponent = _season_rows(last_opponent, fixtures)
-        for first in range(0, len(fixtures), per_plan):
-            plan = _draw_plan(league.rng, params, thresholds, rows, starts[first : first + per_plan + 1],
-                              fixtures.shape[2], league.evaluate)
-            for home, away in fixtures[first : first + per_plan]:
-                yield home, away, *plan.pop(0)  # popped, so a week's moves are not held while it is scored
+    for first in range(0, weeks, per_plan):
+        fixtures = _fixtures(size, range(first, min(first + per_plan, weeks)))
+        starts, rows, last_opponent = _plan_rows(last_opponent, fixtures)
+        plan = _draw_plan(league.rng, params, thresholds, rows, starts, fixtures.shape[2], league.evaluate)
+        for home, away in fixtures:
+            yield home, away, *plan.pop(0)  # popped, so a week's moves are not held while it is scored
 
 
 class _FitnessEvaluator:

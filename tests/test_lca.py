@@ -1,6 +1,7 @@
 import decimal
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from decimal import Decimal
 from types import SimpleNamespace
@@ -37,13 +38,13 @@ from leaguesched.lca import (
     _change_count,
     _change_thresholds,
     _draw_plan,
+    _fixtures,
     _FitnessEvaluator,
+    _plan_rows,
     _positions,
-    _season_rows,
     _vm_index,
     init_league,
     play_match,
-    season_fixtures,
     update_formation,
     win_probability,
 )
@@ -55,13 +56,31 @@ TOP = 2**64 - 1  # a SplitMix64 output that draws exactly 1.0
 
 # ---------------------------------------------------------------- the per-team reference
 #
-# The engine written team by team: one Python call per team, each making its
-# own draws (a step's change count by a scan of Kashan's thresholds, its
-# positions by Floyd's algorithm) and then moving the stream to the end of its
-# slot of 2 + 3n draws, and one scalar draw per match after the week's rows,
-# each team's last opponent kept in its own array as it plays. The planned
+# The engine written team by team: season by season of scalar circle-method
+# fixtures, one Python call per team, each making its own draws (a step's
+# change count by a scan of Kashan's thresholds, its positions by Floyd's
+# algorithm) and then moving the stream to the end of its slot of 2 + 3n
+# draws, and one scalar draw per match after the week's rows, each team's last
+# opponent kept in its own array as it plays. The planned fixtures,
 # update_formation and play_match, and whole runs, must agree with it bit for
 # bit.
+
+
+def reference_fixtures(n_teams, season):
+    """One season's fixtures as lists of (home, away) pairs: a single round robin by the circle method.
+
+    The slots start as the team order rotated by season - 1, with a bye slot appended when the league is odd.
+    Week w pairs slot i with slot -1-i, then every slot but the first rotates one step, so every pair of teams
+    meets exactly once. A team drawn against the bye plays no match that week.
+    """
+    rotation = (season - 1) % n_teams
+    slots = [(i + rotation) % n_teams for i in range(n_teams)] + [_BYE] * (n_teams % 2)
+    weeks = []
+    for _ in range(len(slots) - 1):
+        pairs = zip(slots[: len(slots) // 2], reversed(slots))
+        weeks.append([(i, j) for i, j in pairs if _BYE not in (i, j)])
+        slots[1:] = [slots[-1]] + slots[1:-1]
+    return weeks
 
 
 def reference_win_probability(f_i, f_j, f_hat):
@@ -137,7 +156,7 @@ def reference_run(params, instance):
     last_opponent = np.full(params.league_size, _BYE)
     history = []
     for season in range(1, params.seasons + 1):
-        for pairs in season_fixtures(params.league_size, season):
+        for pairs in reference_fixtures(params.league_size, season):
             if history:
                 upcoming = dict(pairs) | {j: i for i, j in pairs}
                 teams = [t for t in range(params.league_size) if last_opponent[t] != _BYE]
@@ -165,6 +184,18 @@ def _rng_drawing(t, output):
 def _advanced(rng, draws):
     """The state `rng` reaches after `draws` more draws."""
     return (rng.state + draws * _GAMMA) & MASK64
+
+
+def _season(size, season):
+    """The (weeks, 2, pairs) fixtures of one season, counted from 1: a round robin, padded with a bye slot when
+    the league is odd."""
+    weeks = size - 1 + size % 2
+    return _fixtures(size, range((season - 1) * weeks, season * weeks))
+
+
+def _pairs(fixtures):
+    """A (weeks, 2, pairs) fixture array as lists of (home, away) pairs, week by week."""
+    return [list(zip(*week)) for week in fixtures.tolist()]
 
 
 def _slot(n):
@@ -270,11 +301,11 @@ def test_decode_encode_round_trip():
 
 
 def test_round_robin_two_teams():
-    assert season_fixtures(2, 1) == [[(0, 1)]]
+    assert _pairs(_season(2, 1)) == [[(0, 1)]]
 
 
 def test_round_robin_four_teams_circle_method():
-    assert season_fixtures(4, 1) == [
+    assert _pairs(_season(4, 1)) == [
         [(0, 3), (1, 2)],
         [(0, 2), (3, 1)],
         [(0, 1), (2, 3)],
@@ -283,7 +314,7 @@ def test_round_robin_four_teams_circle_method():
 
 @pytest.mark.parametrize("league_size", [4, 6, 20])
 def test_round_robin_covers_every_pair_once(league_size):
-    weeks = season_fixtures(league_size, 1)
+    weeks = _pairs(_season(league_size, 1))
     assert len(weeks) == league_size - 1
     seen = []
     for week in weeks:
@@ -299,7 +330,7 @@ def test_round_robin_covers_every_pair_once(league_size):
 
 @pytest.mark.parametrize("n_teams,season", [(4, 1), (4, 3), (6, 2), (5, 1), (7, 4)])
 def test_season_fixtures_are_valid_round_robins(n_teams, season):
-    weeks = season_fixtures(n_teams, season)
+    weeks = _pairs(_season(n_teams, season))
     pairs = [frozenset(p) for week in weeks for p in week]
     assert len(pairs) == len(set(pairs)) == n_teams * (n_teams - 1) // 2
     for week in weeks:
@@ -309,16 +340,26 @@ def test_season_fixtures_are_valid_round_robins(n_teams, season):
 
 
 def test_season_rotation_changes_pairing_order():
-    assert season_fixtures(6, 1) != season_fixtures(6, 2)
+    assert _season(6, 1).tolist() != _season(6, 2).tolist()
 
 
 @pytest.mark.parametrize("n_teams", range(2, 26))
 def test_each_season_is_the_first_with_its_teams_relabelled(n_teams):
-    # The run builds season 1's fixtures once and takes season s as (opening + s - 1) % L.
-    opening = np.array(season_fixtures(n_teams, 1))
+    # _fixtures builds every season from season 1's circle as (fixtures + s - 1) % L; the scalar circle
+    # method, which rotates the starting slots instead, agrees.
+    opening = np.array(reference_fixtures(n_teams, 1))
     for season in range(1, 3 * n_teams + 1):
         relabelled = (opening + season - 1) % n_teams
-        assert relabelled.tolist() == np.array(season_fixtures(n_teams, season)).tolist()
+        assert relabelled.tolist() == np.array(reference_fixtures(n_teams, season)).tolist()
+
+
+@pytest.mark.parametrize("n_teams", range(2, 41))
+def test_fixtures_are_the_scalar_circle_method_week_by_week(n_teams):
+    # Any run of weeks, across seasons too: 2L + 2 seasons in one call, and again one week at a time.
+    seasons = 2 * n_teams + 2
+    expected = [week for season in range(1, seasons + 1) for week in reference_fixtures(n_teams, season)]
+    assert _pairs(_fixtures(n_teams, range(len(expected)))) == expected
+    assert [_pairs(_fixtures(n_teams, range(w, w + 1)))[0] for w in range(len(expected))] == expected
 
 
 # ---------------------------------------------------------------- match math
@@ -531,8 +572,8 @@ def test_update_requires_match_history():
     # A team proposes only once it has played: nobody in week 1 of a league of five, then every team that has
     # played, so the team with a bye in week 1 waits for its first match. A week nobody proposes in has 0
     # proposals and no step or swap rows.
-    fixtures = np.array(season_fixtures(5, 1)).transpose(0, 2, 1)
-    starts, rows, _ = _season_rows(np.full(5, _BYE), fixtures)
+    fixtures = _season(5, 1)
+    starts, rows, _ = _plan_rows(np.full(5, _BYE), fixtures)
     for w in range(len(fixtures)):
         assert rows[0][starts[w] : starts[w + 1]].tolist() == sorted(set(fixtures[:w].ravel().tolist()))
     ((draws, moves),) = _draw_plan(SplitMix64(1), _params(league_size=5), _change_thresholds(0.3, 3), rows,
@@ -542,12 +583,12 @@ def test_update_requires_match_history():
 
 @pytest.mark.parametrize("size", [4, 5, 6, 7])
 def test_the_carried_last_opponents_are_the_references_after_each_season(size):
-    # The run keeps no last opponents: each season's follow from the fixtures and the season before.
+    # The run keeps no last opponents: each plan's follow from the fixtures and the plan before.
     league = init_league(_params(league_size=size), _instance())
     before, last_opponent = np.full(size, _BYE), np.full(size, _BYE)
     for season in range(1, 2 * size + 1):
-        _, _, before = _season_rows(before, np.array(season_fixtures(size, season)).transpose(0, 2, 1))
-        for pairs in season_fixtures(size, season):
+        _, _, before = _plan_rows(before, _season(size, season))
+        for pairs in reference_fixtures(size, season):
             for i, j in pairs:
                 reference_play_match(league, last_opponent, i, j)
         assert before.tolist() == last_opponent.tolist()
@@ -590,22 +631,22 @@ def _random_league(size, n, m, seed):
     size=st.integers(4, 9),
     n=st.sampled_from([1, 2, 3, 5, 12, 40]),
     m=st.integers(1, 4),
-    season=st.integers(1, 9),
+    first=st.integers(0, 80),
     weeks=st.integers(1, 9),
     swap=st.sampled_from([0.0, 0.5, 1.0]),
     change=st.sampled_from([0.05, 0.3, 1.0]),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_batched_week_equals_the_per_team_reference(size, n, m, season, weeks, swap, change, seed):
-    # A plan of several weeks drawn at once: each week's proposals and fixture results, the last opponents
-    # after the plan, and the RNG state after it agree bit for bit with proposing and playing team by team.
-    # A team that has not played keeps its best. Each week's proposals become the current formations, so the
-    # next week reads them.
+def test_batched_week_equals_the_per_team_reference(size, n, m, first, weeks, swap, change, seed):
+    # A plan of several weeks of the run drawn at once, across a season's end too: each week's proposals and
+    # fixture results, the last opponents after the plan, and the RNG state after it agree bit for bit with
+    # proposing and playing team by team. A team that has not played keeps its best. Each week's proposals
+    # become the current formations, so the next week reads them.
     params = LcaParams(league_size=size, swap_probability=swap, change_probability=change,
                        w1=1.5, w2=0.75)
     (batched, before), (reference, last_opponent) = _random_league(size, n, m, seed), _random_league(size, n, m, seed)
-    fixtures = np.array(season_fixtures(size, season)).transpose(0, 2, 1)[:weeks]
-    starts, rows, after = _season_rows(before, fixtures)
+    fixtures = _fixtures(size, range(first, first + weeks))
+    starts, rows, after = _plan_rows(before, fixtures)
     plan = _draw_plan(batched.rng, params, _change_thresholds(change, n), rows, starts, fixtures.shape[2],
                       _cells(n, m))
     assert len(plan) == len(fixtures)
@@ -635,7 +676,7 @@ def test_a_large_week_is_drawn_as_one_span():
     (batched, _), (reference, _) = _random_league(size, n, m, 5), _random_league(size, n, m, 5)
     last_opponent = np.array([1, 0, 3, 2, 5, 4])
     home, away = np.array([0, 1, 2]), np.array([5, 4, 3])
-    starts, rows, _ = _season_rows(last_opponent, np.array([[home, away]]))
+    starts, rows, _ = _plan_rows(last_opponent, np.array([[home, away]]))
     start, cells = batched.rng.state, _cells(n, m)
     with mock.patch.object(SplitMix64, "peek", autospec=True, side_effect=SplitMix64.peek) as reads, \
             mock.patch.object(SplitMix64, "uniforms", autospec=True, side_effect=SplitMix64.uniforms) as blocks:
@@ -657,20 +698,20 @@ def test_a_large_week_is_drawn_as_one_span():
 @given(
     size=st.integers(4, 9),
     n=st.sampled_from([1, 2, 3, 40]),
-    season=st.integers(1, 9),
+    first=st.integers(0, 80),
     weeks=st.integers(1, 9),
     swap=st.sampled_from([0.0, 0.5, 1.0]),
     change=st.sampled_from([1e-3, 0.3, 1.0]),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_no_row_reads_outside_its_slot(size, n, season, weeks, swap, change, seed):
+def test_no_row_reads_outside_its_slot(size, n, first, weeks, swap, change, seed):
     # Lay the plan's stream out as week 0's rows, a slot of 2 + 3n draws each, then its fixtures' draws, then
     # week 1's, and so on: every draw a row reads lies in its own slot, every match draw in its week's
     # fixtures, and the plan moves the stream past rows·slot + weeks·pairs draws.
     params = LcaParams(league_size=size, swap_probability=swap, change_probability=change)
     league, before = _random_league(size, n, 2, seed)
-    fixtures = np.array(season_fixtures(size, season)).transpose(0, 2, 1)[:weeks]
-    starts, rows, _ = _season_rows(before, fixtures)
+    fixtures = _fixtures(size, range(first, first + weeks))
+    starts, rows, _ = _plan_rows(before, fixtures)
     pairs, start, cells = fixtures.shape[2], league.rng.state, _cells(n, 2)
     owner = np.concatenate([x for w in range(len(fixtures))
                             for x in (np.repeat(np.arange(starts[w], starts[w + 1]), _slot(n)),
@@ -761,6 +802,19 @@ def test_positions_make_every_subset_equally_likely(n, q):
     subsets = Counter(frozenset(row) for row in got.tolist())
     assert set(subsets) == {frozenset(c) for c in itertools.combinations(range(n), q)}
     assert len(set(subsets.values())) == 1
+
+
+def test_positions_hold_nothing_that_grows_with_n():
+    # Sixteen steps of three positions among a million: the picks are resolved among themselves, so the peak
+    # does not grow with n.
+    tracemalloc.start()
+    try:
+        picked = _positions(np.linspace(0, 1, 48), np.full(16, 3), 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert all(len(set(step)) == 3 for step in picked.reshape(16, 3).tolist())
 
 
 # ---------------------------------------------------------------- league init
@@ -944,7 +998,7 @@ def test_run_without_baseline_seeding_still_valid():
     assert result.best_makespan_s >= optimum
 
 
-def test_a_default_run_draws_each_week_in_at_most_two_blocks():
+def test_a_default_run_draws_in_five_plans_of_three_reads():
     # init_league draws every random start as one uniforms() block; then each plan of whole weeks, its
     # fixtures included, is three vector reads. No scalar draws.
     params, instance = LcaParams(), _instance(n=100, m=20)
@@ -953,11 +1007,11 @@ def test_a_default_run_draws_each_week_in_at_most_two_blocks():
             mock.patch.object(SplitMix64, "uniform", autospec=True, side_effect=SplitMix64.uniform) as scalars:
         run(params, instance)
     weeks = params.seasons * (params.league_size - 1)
-    # A plan is at most _PLAN_ROWS // 20 = 204 weeks of its season, so a season of 19 weeks is one plan: 50
-    # plans of three reads for the 950 weeks.
+    # A plan is _PLAN_ROWS // 20 = 204 weeks of the run, whatever season they fall in, so the 950 weeks are 5
+    # plans of three reads.
     assert scalars.call_count == 0 and blocks.call_count == 1
     assert all(isinstance(call.args[1], np.ndarray) for call in reads.call_args_list)
-    assert reads.call_count == 3 * params.seasons == 150 < 2 * weeks
+    assert reads.call_count == 3 * math.ceil(weeks / 204) == 15 < 2 * weeks
 
 
 _REFERENCE_RUNS = dict(
@@ -989,10 +1043,13 @@ def test_a_whole_run_equals_the_per_team_reference(**case):
 @settings(max_examples=100, deadline=None)
 @given(**_REFERENCE_RUNS)
 def test_the_plan_budget_is_unobservable(**case):
-    # One week per plan, or a whole season per plan: the same runs.
+    # One week per plan; three weeks per plan, so plans end mid-season and cross a season's end; or the whole
+    # run as one plan: the same runs.
     params, instance = _reference_case(**case)
     with mock.patch.object(lca, "_PLAN_ROWS", 1):
         weekly = run(params, instance)
+    with mock.patch.object(lca, "_PLAN_ROWS", 3 * params.league_size):
+        three_weekly = run(params, instance)
     with mock.patch.object(lca, "_PLAN_ROWS", 2**40):
-        seasonal = run(params, instance)
-    assert weekly == seasonal == run(params, instance)
+        whole = run(params, instance)
+    assert weekly == three_weekly == whole == run(params, instance)
