@@ -11,11 +11,12 @@ league. Fitness is makespan, so lower means stronger. The run is one stream
 of weeks; a season, one full round robin, is only how the fixtures repeat
 (_fixtures). The league is held as arrays, one row per team, and every
 update reads only last week's league, so every week is one (L, n) block. A
-week's block differs from the team bests only where its proposals moved a
-coordinate, about 3 per step and 2 per swap, so it is scored by patching
-those cells into the kept cells of the bests and tallying them once
-(_FitnessEvaluator), bit-identical to a fresh call of the loads kernel
-on the whole block. Where each draw of the stream falls,
+week's block differs from last week's only where either week's proposals
+moved a coordinate, about 3 per step and 2 per swap: a team that improved
+keeps its proposal and the rest go back to their bests. So it is scored by
+rewriting those cells of the last block scored and tallying them once
+(_FitnessEvaluator), bit-identical to a fresh call of the loads kernel on
+the whole block. Where each draw of the stream falls,
 and what it is, depends only on the seed, the fixtures and n, never on the
 league: SplitMix64 is a counter, and every proposing row owns a slot of
 2 + 3n draws whatever it uses of them, so a plan of whole weeks reads all
@@ -45,7 +46,8 @@ from .baselines import bef, fcfs, ljf
 from .model import Assignment, ProblemInstance, check_fields, is_finite, is_integer, makespan
 from .rng import SplitMix64
 
-# Formations are clamped to [0, m - _CLAMP_EPS] so truncation never reaches m.
+# A step's proposed coordinates are clamped to [0, m - _CLAMP_EPS]. A random starting coordinate reaches m on a
+# draw of 1.0, so _vm_index clamps again when it decodes.
 _CLAMP_EPS = 1e-9
 
 # No team: a bye slot in the fixtures, or no opponent yet for a team that has not played.
@@ -210,9 +212,10 @@ def update_formation(league: League, moves: tuple, params: LcaParams, n_vms: int
     at, r1, r2, swap_i, swap_j, *moved): the count of proposing teams; for
     each moved coordinate of a step, its team, that team's opponents, its
     position and its step draws, r2 zero where the second step is dropped;
-    each swap's two positions in the flattened block; then where every moved
-    coordinate falls (_FitnessEvaluator.moved_cells), which only the scoring
-    reads. Only B, the formations and the signs come from the league.
+    each swap's two positions in the flattened block; then moved, where the
+    coordinates moved in the week before and in this week fall
+    (_FitnessEvaluator.moved_cells), which only the scoring reads. Only B,
+    the formations and the signs come from the league.
     """
     _, own, previous, ahead, at, r1, r2, swap_i, swap_j, *_ = moves
     proposed = league.best.copy()
@@ -295,7 +298,7 @@ def _positions(u: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
 
 
 def _draw_plan(rng: SplitMix64, params: LcaParams, thresholds: np.ndarray, rows: tuple, starts: np.ndarray,
-               pairs: int, evaluate: _FitnessEvaluator) -> list[tuple[np.ndarray, tuple]]:
+               pairs: int, carried: np.ndarray, evaluate: _FitnessEvaluator) -> list[tuple[np.ndarray, tuple]]:
     """Read a plan of whole weeks, week w's rows (_plan_rows) being starts[w]..starts[w+1]-1: (match draws,
     moves) per week, its moves (update_formation) starting with its count of rows.
 
@@ -305,8 +308,9 @@ def _draw_plan(rng: SplitMix64, params: LcaParams, thresholds: np.ndarray, rows:
     coordinate's position, r1 and r2 draws, and the fixtures'. A row swaps iff its decision draw is <=
     swap_probability > 0 (a probability of 1 is exact even on a draw of 1.0), at positions from its next two draws
     (none when n < 2); else it steps, its count q (_change_count) from its second draw, r2 zero where the second
-    step is dropped. Each week's moves end with its moved cells (a step's coordinates and a swap's two), placed by
-    evaluate.moved_cells once for the whole plan.
+    step is dropped. Each week's moves end with the moved cells (a step's coordinates and a swap's two) of the week
+    before and of this week, placed by evaluate.moved_cells once for the whole plan: one slice of them in row
+    order, carried (the flat cells of the week before the plan) first.
     """
     n, p, slot = thresholds.size, params.swap_probability, 2 + 3 * thresholds.size
     weeks = np.arange(starts.size - 1)
@@ -329,30 +333,33 @@ def _draw_plan(rng: SplitMix64, params: LcaParams, thresholds: np.ndarray, rows:
     positions = _positions(picks, q, n)
     step_cols = (*(np.repeat(x[steps], q) for x in (team, previous, ahead)), positions, r1, r2)
     swap_cols = (team[swaps] * n + i, team[swaps] * n + j)
-    moved_row = np.concatenate([np.repeat(steps, q), swaps, swaps])
+    moved_row = np.concatenate([np.full(carried.size, -1), np.repeat(steps, q), swaps, swaps])  # carried: row -1
     by_row = np.argsort(moved_row, kind="stable")
-    moved_cols = evaluate.moved_cells(np.concatenate([step_cols[0], team[swaps], team[swaps]])[by_row],
-                                      np.concatenate([positions, i, j])[by_row])
+    moved_cols = evaluate.moved_cells(np.concatenate([carried, step_cols[0] * n + positions, *swap_cols])[by_row])
     bounds = starts.tolist()
-    cuts = [(np.append(first, q.sum())[np.searchsorted(steps, bounds)].tolist(), step_cols),  # where each week
-            (np.searchsorted(swaps, bounds).tolist(), swap_cols),  # starts in each group
-            (np.searchsorted(moved_row[by_row], bounds).tolist(), moved_cols)]
-    return [(draws[w], (b - a, *(x[edge[w] : edge[w + 1]] for edge, columns in cuts for x in columns)))
+    cuts = [(np.append(first, q.sum())[np.searchsorted(steps, bounds)].tolist(), 1, step_cols),  # where each week
+            (np.searchsorted(swaps, bounds).tolist(), 1, swap_cols),  # starts in each group, and the moved cells
+            ([0, *np.searchsorted(moved_row[by_row], bounds).tolist()], 2, moved_cols)]  # from the week before
+    return [(draws[w], (b - a, *(x[edge[w] : edge[w + k]] for edge, k, columns in cuts for x in columns)))
             for w, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
 
 def _weeks(league: League, params: LcaParams):
     """Every week of the run in stream order, drawn a plan at a time: (home, away, match draws, moves).
 
-    Each team's last opponent follows from the fixtures alone, carried from one plan into the next."""
+    Each team's last opponent follows from the fixtures alone, and the cells moved in a plan's last week are
+    carried into the next plan, whose first week's moves name them."""
     n, size = league.best.shape[1], params.league_size
     thresholds = _change_thresholds(params.change_probability, n)
     weeks, per_plan = params.seasons * (size - 1 + size % 2), max(1, _PLAN_ROWS // size)
-    last_opponent = np.full(size, _BYE)
+    last_opponent, carried = np.full(size, _BYE), np.zeros(0, dtype=np.int64)
     for first in range(0, weeks, per_plan):
         fixtures = _fixtures(size, range(first, min(first + per_plan, weeks)))
         starts, rows, last_opponent = _plan_rows(last_opponent, fixtures)
-        plan = _draw_plan(league.rng, params, thresholds, rows, starts, fixtures.shape[2], league.evaluate)
+        plan = _draw_plan(league.rng, params, thresholds, rows, starts, fixtures.shape[2], carried, league.evaluate)
+        _, (_, own, _, _, at, _, _, swap_i, swap_j, *_) = plan[-1]
+        carried = np.concatenate([own * n + at, swap_i, swap_j])
+        del own, at, swap_i, swap_j, _  # views of the plan's columns: not held while the next plan is drawn
         for home, away in fixtures:
             yield home, away, *plan.pop(0)  # popped, so a week's moves are not held while it is scored
 
@@ -360,13 +367,13 @@ def _weeks(league: League, params: LcaParams):
 class _FitnessEvaluator:
     """The run's scoring workspace: each formation's makespan, by the instance's loads kernel in two steps.
 
-    It keeps the cells (ProblemInstance.cells) of the team bests. A dense call, evaluate(formations), scores one
-    (n,) formation or an (rows, n) block whole and keeps its cells. A week call, evaluate(proposed, moved),
-    scores a block that differs from the kept one only at the moved cells (moved_cells): it writes them over
-    the kept cells, holding the old ones, and tallies; keep(rows) then commits those rows and puts the rest
-    back. Either way each makespan is bit-identical to model.makespan of the decoded assignment: a duration is
-    one exactly rounded quotient wherever it is computed, and the cells stay in arrival order, so every bin
-    adds the same values in the same sequence.
+    It keeps the cells (ProblemInstance.cells) of the last block it scored. A dense call, evaluate(formations),
+    scores one (n,) formation or an (rows, n) block whole. A week call, evaluate(proposed, moved), scores a
+    block that differs from the last one only at the moved cells (moved_cells): it rewrites those cells from
+    the new block and tallies. A cell named that did not change is rewritten with what it held. Either way each
+    makespan is bit-identical to model.makespan of the decoded assignment: a duration is one exactly rounded
+    quotient wherever it is computed, and the cells stay in arrival order, so every bin adds the same values in
+    the same sequence.
     """
 
     def __init__(self, instance: ProblemInstance) -> None:
@@ -376,38 +383,22 @@ class _FitnessEvaluator:
 
     def __call__(self, formations: np.ndarray, moved: tuple | None = None) -> np.ndarray:
         if moved is None:
-            # Copied in C order: a reordered block's cells are not C-contiguous, and a week call's scatter
-            # through reshape(-1) of such an array would land in a copy.
-            self._keys, self._durations = (x.copy(order="C") for x in
-                                           self._instance.cells(_vm_index(formations, self._m)))
+            self._keys, self._durations = self._instance.cells(_vm_index(formations, self._m))
         else:
             cell, slot, offset, length = moved
-            keys, durations = self._keys.reshape(-1), self._durations.reshape(-1)
-            self._held = slot, keys[slot], durations[slot]
             vm = _vm_index(formations.reshape(-1)[cell], self._m)
-            keys[slot] = vm + offset
-            durations[slot] = length / self._instance.speeds[vm]
+            self._keys.reshape(-1)[slot] = vm + offset
+            self._durations.reshape(-1)[slot] = length / self._instance.speeds[vm]
         return self._instance.tally(self._keys, self._durations).max(axis=-1).reshape(formations.shape[:-1])
 
-    def keep(self, rows: list[int]) -> None:
-        """Commit these rows of the last week call, whose teams' bests are now its formations; undo the rest."""
-        slot, keys, durations = self._held
-        if rows:  # a few rows, often none
-            back = np.ones(len(self._keys), dtype=bool)
-            back[rows] = False
-            back = back[slot // self._slot.size]
-            slot, keys, durations = slot[back], keys[back], durations[back]
-        self._keys.reshape(-1)[slot] = keys
-        self._durations.reshape(-1)[slot] = durations
+    def moved_cells(self, cell: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Where the moved coordinates fall, given as flat cells team * n + position: (cell, slot, offset, length).
 
-    def moved_cells(self, team: np.ndarray, position: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Where the moved coordinates (team, position) fall: (cell, slot, offset, length).
-
-        cell is the coordinate in the flattened (L, n) formation block, slot its place in the flattened
-        arrival-ordered cells, offset the team's key offset and length its task's length.
+        slot is the cell's place in the flattened arrival-ordered cells, offset its team's key offset and length
+        its task's length.
         """
-        row = team * self._slot.size
-        return row + position, row + self._slot[position], team * self._m, self._instance.lengths[position]
+        team, position = np.divmod(cell, self._slot.size)
+        return cell, team * self._slot.size + self._slot[position], team * self._m, self._instance.lengths[position]
 
 
 def init_league(params: LcaParams, instance: ProblemInstance) -> League:
@@ -439,11 +430,11 @@ def run(params: LcaParams, instance: ProblemInstance) -> RunResult:
     """Full championship: seasons of weekly update-then-play rounds.
 
     Each week, by one path, every team with match history proposes a new
-    formation from last week's league (two-phase commit), the rest keep their
-    best, and the whole league is scored as one block before the week's
-    fixtures are resolved together. A team's best and the champion move only
-    on a strictly lower fitness, the first team in index order winning ties,
-    so the history of f̂ is nonincreasing."""
+    formation from last week's league, the rest keep their best, and the
+    whole league is scored as one block before the week's fixtures are
+    resolved together. A team's best and the champion move only on a
+    strictly lower fitness, the first team in index order winning ties, so
+    the history of f̂ is nonincreasing."""
     league = init_league(params, instance)
     m = len(instance.vms)
     history: list[float] = []
@@ -460,7 +451,6 @@ def run(params: LcaParams, instance: ProblemInstance) -> RunResult:
         league.current, league.current_fitness = proposed, fitness
         for team in improved:
             league.best[team], league.best_fitness[team] = proposed[team], fitness[team]
-        league.evaluate.keep(improved)
         play_match(league, home, away, draws)
         history.append(league.f_hat)
     best_assignment = decode(league.best[league.champion], m)

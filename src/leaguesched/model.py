@@ -194,12 +194,13 @@ class ProblemInstance:
         """The (rows, n) cells of a VM-index vector or block, in arrival order: (keys, durations).
 
         A task's key is its VM index plus m times its row, and its duration is its length over its VM's speed.
+        Both come back C-ordered, so a caller can rewrite cells through their reshape(-1) views.
         """
         m = self.speeds.shape[0]
         block = np.atleast_2d(vm_index)  # an (n,) vector is one row
         durations = self.lengths / self.speeds[block]
         if self._reordered:
-            block, durations = block[:, self.arrival], durations[:, self.arrival]
+            block, durations = np.take(block, self.arrival, axis=1), np.take(durations, self.arrival, axis=1)
         return block + m * np.arange(len(block))[:, None], durations  # row r counts into bins [r*m, (r+1)*m)
 
     def tally(self, keys: np.ndarray, durations: np.ndarray) -> np.ndarray:

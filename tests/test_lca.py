@@ -231,6 +231,9 @@ def _proposer(formation, previous, won, rng, upcoming=None, upcoming_won=True):
     )
 
 
+_NO_CARRY = np.zeros(0, dtype=np.int64)  # no cells carried from a plan before
+
+
 def _cells(n, m):
     """A scoring workspace for n tasks on m VMs, which places a plan's moved cells."""
     return _FitnessEvaluator(_instance(n=n, m=m))
@@ -241,7 +244,7 @@ def _propose(league, params, n_vms, upcoming=_BYE):
     row, no fixture."""
     rows = tuple(np.array([x]) for x in (0, 1, upcoming, upcoming != _BYE))
     thresholds = _change_thresholds(params.change_probability, league.best.shape[1])
-    ((draws, moves),) = _draw_plan(league.rng, params, thresholds, rows, np.array([0, 1]), 0,
+    ((draws, moves),) = _draw_plan(league.rng, params, thresholds, rows, np.array([0, 1]), 0, _NO_CARRY,
                                    _cells(len(thresholds), n_vms))
     assert draws.size == 0 and moves[0] == 1
     return update_formation(league, moves, params, n_vms)[0]
@@ -577,7 +580,7 @@ def test_update_requires_match_history():
     for w in range(len(fixtures)):
         assert rows[0][starts[w] : starts[w + 1]].tolist() == sorted(set(fixtures[:w].ravel().tolist()))
     ((draws, moves),) = _draw_plan(SplitMix64(1), _params(league_size=5), _change_thresholds(0.3, 3), rows,
-                                   np.array([0, 0]), 2, _cells(3, 2))
+                                   np.array([0, 0]), 2, _NO_CARRY, _cells(3, 2))
     assert moves[0] == 0 and all(column.size == 0 for column in moves[1:]) and draws.size == 2
 
 
@@ -647,7 +650,7 @@ def test_batched_week_equals_the_per_team_reference(size, n, m, first, weeks, sw
     (batched, before), (reference, last_opponent) = _random_league(size, n, m, seed), _random_league(size, n, m, seed)
     fixtures = _fixtures(size, range(first, first + weeks))
     starts, rows, after = _plan_rows(before, fixtures)
-    plan = _draw_plan(batched.rng, params, _change_thresholds(change, n), rows, starts, fixtures.shape[2],
+    plan = _draw_plan(batched.rng, params, _change_thresholds(change, n), rows, starts, fixtures.shape[2], _NO_CARRY,
                       _cells(n, m))
     assert len(plan) == len(fixtures)
     for (home, away), (draws, moves) in zip(fixtures, plan):
@@ -680,7 +683,8 @@ def test_a_large_week_is_drawn_as_one_span():
     start, cells = batched.rng.state, _cells(n, m)
     with mock.patch.object(SplitMix64, "peek", autospec=True, side_effect=SplitMix64.peek) as reads, \
             mock.patch.object(SplitMix64, "uniforms", autospec=True, side_effect=SplitMix64.uniforms) as blocks:
-        ((draws, moves),) = _draw_plan(batched.rng, params, _change_thresholds(0.001, n), rows, starts, 3, cells)
+        ((draws, moves),) = _draw_plan(batched.rng, params, _change_thresholds(0.001, n), rows, starts, 3, _NO_CARRY,
+                                       cells)
     assert blocks.call_count == 0
     assert [call.args[1].shape for call in reads.call_args_list] == [(size, 3), (3, moves[4].size), (1, 3)]
     assert batched.rng.state == _advanced(SplitMix64(start), size * _slot(n) + 3)
@@ -717,7 +721,7 @@ def test_no_row_reads_outside_its_slot(size, n, first, weeks, swap, change, seed
                             for x in (np.repeat(np.arange(starts[w], starts[w + 1]), _slot(n)),
                                       np.full(pairs, -1 - w))])  # owner[t - 1]: the row or ~week of draw t
     with mock.patch.object(SplitMix64, "peek", autospec=True, side_effect=SplitMix64.peek) as reads:
-        plan = _draw_plan(league.rng, params, _change_thresholds(change, n), rows, starts, pairs, cells)
+        plan = _draw_plan(league.rng, params, _change_thresholds(change, n), rows, starts, pairs, _NO_CARRY, cells)
     assert league.rng.state == _advanced(SplitMix64(start), owner.size)
     (_, head), (_, coordinates), (_, matches) = (call.args for call in reads.call_args_list)
     assert (owner[head - 1] == np.arange(starts[-1])[:, None]).all()

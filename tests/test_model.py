@@ -229,6 +229,21 @@ def test_order_within_vm_does_not_change_makespan(make_instance):
     )
 
 
+@pytest.mark.parametrize("arrival", [[0, 1, 2, 3, 4], [3, 0, 4, 1, 2]], ids=["identity", "permuted"])
+def test_cells_are_c_ordered_in_arrival_order(arrival):
+    # A caller rewrites cells through reshape(-1), which is a view only of a C-ordered array. Column k of the
+    # cells is the task that arrives k-th: its VM index plus m times its row, and its length over that VM's speed.
+    lengths, speeds = [200.0, 300.0, 500.0, 700.0, 1100.0], [100.0, 250.0, 400.0]
+    inst = ProblemInstance(tuple(Task(i, lengths[i], arrival[i]) for i in range(5)),
+                           tuple(VirtualMachine(v, s) for v, s in enumerate(speeds)))
+    block = np.array([[0, 1, 2, 0, 1], [2, 2, 1, 0, 0]])
+    keys, durations = inst.cells(block)
+    assert keys.flags.c_contiguous and durations.flags.c_contiguous
+    order = np.argsort(arrival)
+    assert keys.tolist() == (block[:, order] + [[0], [3]]).tolist()
+    assert durations.tolist() == (np.array(lengths)[order] / np.array(speeds)[block[:, order]]).tolist()
+
+
 def test_scaling_lengths_scales_makespan():
     rng = SplitMix64(99)
     for _ in range(20):

@@ -282,33 +282,29 @@ def league_instances(draw):
     st.integers(1, 2),
     st.sampled_from([0.0, 0.5, 1.0]),
     st.sampled_from([0.05, 0.3, 1.0]),
+    st.sampled_from([3, 2**40]),
     st.integers(0, 2**64 - 1),
 )
-def test_patched_weeks_score_and_keep_what_the_dense_kernel_does(instance, size, seasons, swap, change, seed):
+def test_patched_weeks_score_what_the_dense_kernel_does(instance, size, seasons, swap, change, plan, seed):
     # Every call of a run's evaluator, the starting league and then each week's patched block, gives the
-    # makespans a fresh evaluator gives on the same block, bit for bit; after every keep the kept cells are the
-    # cells of the team bests.
+    # makespans a fresh evaluator gives on the same block, bit for bit, and leaves its cells equal to the cells of
+    # that block. Plans of three weeks carry moved cells across every plan boundary; one plan carries none.
     params = LcaParams(league_size=size, seasons=seasons, swap_probability=swap, change_probability=change,
                        seed=seed)
-    dense, leagues, m = _FitnessEvaluator(instance), [], len(instance.vms)
-    score, keep, start = _FitnessEvaluator.__call__, _FitnessEvaluator.keep, lca.init_league
+    dense, m, score = _FitnessEvaluator(instance), len(instance.vms), _FitnessEvaluator.__call__
 
     def scored(evaluate, formations, moved=None):
         fitness = score(evaluate, formations, moved)
         assert fitness.tobytes() == score(dense, formations).tobytes()  # the unpatched call, dense
-        return fitness
-
-    def kept(evaluate, rows):
-        keep(evaluate, rows)
-        keys, durations = instance.cells(lca._vm_index(leagues[0].best, m))
+        keys, durations = instance.cells(lca._vm_index(formations, m))
         assert evaluate._keys.tobytes() == keys.tobytes()
         assert evaluate._durations.tobytes() == durations.tobytes()
+        return fitness
 
-    with mock.patch.object(lca, "init_league", side_effect=lambda *args: leagues.append(start(*args)) or leagues[0]), \
-            mock.patch.object(_FitnessEvaluator, "__call__", autospec=True, side_effect=scored), \
-            mock.patch.object(_FitnessEvaluator, "keep", autospec=True, side_effect=kept) as keeps:
+    with mock.patch.object(lca, "_PLAN_ROWS", plan * size), \
+            mock.patch.object(_FitnessEvaluator, "__call__", autospec=True, side_effect=scored) as calls:
         result = run(params, instance)
-    assert keeps.call_count == len(result.history)
+    assert calls.call_count == len(result.history) + 1
 
 
 @pytest.mark.parametrize(
