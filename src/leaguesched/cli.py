@@ -4,7 +4,8 @@ Subcommands: `generate` writes a synthetic trace, `schedule` scores one trace
 with one scheduler, `bench` runs the full benchmark grid, and `plot`
 re-renders the chart from an existing CSV. Exit codes: 0 success, 1 usage
 error, 2 unreadable or malformed input. A command refused with exit 2 writes
-no file: every output is rendered whole in memory before any is written.
+no file: every output is rendered whole in memory and staged beside its path
+before any is put in place.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import dataclasses
 import io
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -78,17 +80,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write(*outputs: tuple[str | None, Callable[[IO[str]], object]]) -> None:
-    """Render every (path, writer) output in memory, then write each to its path, or
-    to stdout when the path is None; a writer that raises leaves every file untouched."""
+    """Render every (path, writer) output in memory and stage each file beside its real path (symlinks followed),
+    then put every staged file in place. Last, write the rest: to stdout where the path is None, and in place
+    where it names no regular file, such as /dev/null. A writer or a stage that fails leaves every file untouched.
+    """
     texts = []
     for path, writer in outputs:
         writer(sink := io.StringIO())
-        texts.append((path, sink.getvalue()))
-    for path, text in texts:
-        if path:
-            Path(path).write_text(text, encoding="utf-8", newline="")
-        else:
+        real = path and os.path.realpath(path)
+        if real and os.path.isdir(real):
+            raise IsADirectoryError(f"{path} is a directory")
+        texts.append((real, sink.getvalue(), bool(real) and (os.path.isfile(real) or not os.path.exists(real))))
+    staged = []  # (staged file, its real path)
+    try:
+        for k, (path, text, stage) in enumerate(texts):
+            if stage:
+                with open(temp := f"{path}.{os.getpid()}-{k}.tmp", "x", encoding="utf-8", newline="") as sink:
+                    staged.append((temp, path))
+                    sink.write(text)
+        for temp, path in staged:
+            os.replace(temp, path)
+    finally:
+        for temp, _ in staged:
+            Path(temp).unlink(missing_ok=True)
+    for path, text, stage in texts:
+        if not path:
             sys.stdout.write(text)
+        elif not stage:
+            Path(path).write_text(text, encoding="utf-8", newline="")
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

@@ -20,7 +20,7 @@ the whole block. Where each draw of the stream falls,
 and what it is, depends only on the seed, the fixtures and n, never on the
 league: SplitMix64 is a counter, and every proposing row owns a slot of
 2 + 3n draws whatever it uses of them, so a plan of whole weeks reads all
-its draws at computed offsets (_draw_plan), and each week takes its slice.
+its draws at computed offsets (_draw_plan), and each week is a record (_Week).
 In its slot a swap takes its decision draw and two position draws; a step
 takes its decision draw, one draw for its change count q (Kashan's truncated
 geometric law), then q position, q r1 and q r2 draws. A week's fixtures take
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +54,8 @@ _CLAMP_EPS = 1e-9
 # No team: a bye slot in the fixtures, or no opponent yet for a team that has not played.
 _BYE = -1
 
-# A plan (_draw_plan) is max(1, _PLAN_ROWS // L) whole weeks of the run, so it holds at most this many rows
-# or one week. A cap, not the whole run: a plan's moved cells and step draws grow with its rows, not with n,
+# A plan (_draw_plan) is _PLAN_ROWS // L whole weeks of the run, so it holds at most this many rows (LcaParams
+# caps L at it). A cap, not the whole run: a plan's moved cells and step draws grow with its rows, not with n,
 # and a 4,080-row plan (L = 20) peaks at 1.6 MB under tracemalloc at n = 100 and at n = 2,000 alike.
 _PLAN_ROWS = 1 << 12
 
@@ -75,8 +76,8 @@ class LcaParams:
     def __post_init__(self) -> None:
         p = self
         check_fields(
-            ("league_size", is_integer(p.league_size) and p.league_size >= 4, "an integer >= 4",
-             p.league_size),
+            ("league_size", is_integer(p.league_size) and 4 <= p.league_size <= _PLAN_ROWS,
+             f"an integer >= 4 and <= {_PLAN_ROWS}", p.league_size),
             ("seasons", is_integer(p.seasons) and p.seasons >= 1, "an integer >= 1", p.seasons),
             ("change_probability", is_finite(p.change_probability) and 0.0 < p.change_probability <= 1.0,
              "a number in (0, 1]", p.change_probability),
@@ -164,12 +165,10 @@ def win_probability(f_i: np.ndarray, f_j: np.ndarray, f_hat: np.ndarray | float)
 
     Minimization orientation: fitness is makespan, so the SMALLER fitness gets
     the larger probability. f_hat (one value, or one per pair) must be a lower
-    bound on both fitnesses; a zero denominator (both sides at the ideal
-    value) is an even match.
+    bound on both fitnesses, unchecked: the run keeps it so. A zero denominator
+    (both sides at the ideal value) is an even match.
     """
     f_i, f_j = np.asarray(f_i, dtype=np.float64), np.asarray(f_j, dtype=np.float64)
-    if (f_i < f_hat).any() or (f_j < f_hat).any():
-        raise ValueError(f"stale ideal value: f_hat={f_hat} exceeds a fitness ({f_i}, {f_j})")
     gap_j = f_j - f_hat
     denom = (f_i - f_hat) + gap_j
     return np.divide(gap_j, denom, out=np.full(denom.shape, 0.5), where=denom != 0.0)
@@ -190,8 +189,24 @@ def play_match(league: League, home: np.ndarray, away: np.ndarray, draws: np.nda
     return np.where(home_won, home, away)
 
 
-def update_formation(league: League, moves: tuple, params: LcaParams, n_vms: int) -> np.ndarray:
-    """Next week's (L, n) block from the week's plan slice: a proposal from each team that has played, else B.
+class _Week(NamedTuple):
+    """One week of a plan (_draw_plan): everything the run reads to propose, score and play it."""
+
+    draws: np.ndarray  # one match draw per fixture, in fixture order
+    proposals: int  # how many teams propose: every team that has played
+    own: np.ndarray  # for each moved coordinate of a step: its team,
+    previous: np.ndarray  # that team's last opponent,
+    ahead: np.ndarray  # its upcoming opponent (_BYE for none),
+    at: np.ndarray  # its position,
+    r1: np.ndarray  # and its two step draws,
+    r2: np.ndarray  # r2 zero where the second step is dropped
+    swap_i: np.ndarray  # each swap's two positions in the flattened block
+    swap_j: np.ndarray
+    moved: tuple  # where the cells moved in the week before and in this week fall (_FitnessEvaluator.moved_cells)
+
+
+def update_formation(league: League, week: _Week, params: LcaParams, n_vms: int) -> np.ndarray:
+    """Next week's (L, n) block from the week's record: a proposal from each team that has played, else B.
 
     Both move classes anchor at the team's best formation B. With probability
     swap_probability the proposal is a fine rearrangement: two uniformly
@@ -206,29 +221,19 @@ def update_formation(league: League, moves: tuple, params: LcaParams, n_vms: int
     result. A team with a bye this week, or whose upcoming opponent has not
     played yet, drops the second step. A team that has not played keeps B,
     still its starting formation. The caller evaluates the rows and commits
-    them.
-
-    moves, the week's slice of its plan, is (proposals, own, previous, ahead,
-    at, r1, r2, swap_i, swap_j, *moved): the count of proposing teams; for
-    each moved coordinate of a step, its team, that team's opponents, its
-    position and its step draws, r2 zero where the second step is dropped;
-    each swap's two positions in the flattened block; then moved, where the
-    coordinates moved in the week before and in this week fall
-    (_FitnessEvaluator.moved_cells), which only the scoring reads. Only B,
-    the formations and the signs come from the league.
+    them. Only B, the formations and the signs come from the league.
     """
-    _, own, previous, ahead, at, r1, r2, swap_i, swap_j, *_ = moves
     proposed = league.best.copy()
-    best = proposed[own, at]
-    step = np.where(league.won[own], params.w1, -params.w1) * r1
-    step *= best - league.current[previous, at]
-    toward_next = np.where(league.won[ahead], params.w2, -params.w2) * r2
-    toward_next *= best - league.current[ahead, at]
+    best = proposed[week.own, week.at]
+    step = np.where(league.won[week.own], params.w1, -params.w1) * week.r1
+    step *= best - league.current[week.previous, week.at]
+    toward_next = np.where(league.won[week.ahead], params.w2, -params.w2) * week.r2
+    toward_next *= best - league.current[week.ahead, week.at]
     step += toward_next
     step += best
-    proposed[own, at] = np.clip(step, 0.0, n_vms - _CLAMP_EPS)
+    proposed[week.own, week.at] = np.clip(step, 0.0, n_vms - _CLAMP_EPS)
     flat = proposed.reshape(-1)
-    flat[swap_i], flat[swap_j] = flat[swap_j], flat[swap_i]
+    flat[week.swap_i], flat[week.swap_j] = flat[week.swap_j], flat[week.swap_i]
     return proposed
 
 
@@ -298,9 +303,8 @@ def _positions(u: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
 
 
 def _draw_plan(rng: SplitMix64, params: LcaParams, thresholds: np.ndarray, rows: tuple, starts: np.ndarray,
-               pairs: int, carried: np.ndarray, evaluate: _FitnessEvaluator) -> list[tuple[np.ndarray, tuple]]:
-    """Read a plan of whole weeks, week w's rows (_plan_rows) being starts[w]..starts[w+1]-1: (match draws,
-    moves) per week, its moves (update_formation) starting with its count of rows.
+               pairs: int, carried: np.ndarray, evaluate: _FitnessEvaluator) -> list[_Week]:
+    """Read a plan of whole weeks, week w's rows (_plan_rows) being starts[w]..starts[w+1]-1: one _Week each.
 
     Each row owns slot = 2 + 3n draws and each fixture one. Row r of week w starts after r·slot + w·pairs draws
     and the week's match draws after starts[w+1]·slot + w·pairs; the plan moves the stream past rows·slot +
@@ -308,9 +312,9 @@ def _draw_plan(rng: SplitMix64, params: LcaParams, thresholds: np.ndarray, rows:
     coordinate's position, r1 and r2 draws, and the fixtures'. A row swaps iff its decision draw is <=
     swap_probability > 0 (a probability of 1 is exact even on a draw of 1.0), at positions from its next two draws
     (none when n < 2); else it steps, its count q (_change_count) from its second draw, r2 zero where the second
-    step is dropped. Each week's moves end with the moved cells (a step's coordinates and a swap's two) of the week
-    before and of this week, placed by evaluate.moved_cells once for the whole plan: one slice of them in row
-    order, carried (the flat cells of the week before the plan) first.
+    step is dropped. Each week's moved cells (a step's coordinates and a swap's two) are those of the week before
+    and of this week, placed by evaluate.moved_cells once for the whole plan: one slice of them in row order,
+    carried (the flat cells of the week before the plan) first.
     """
     n, p, slot = thresholds.size, params.swap_probability, 2 + 3 * thresholds.size
     weeks = np.arange(starts.size - 1)
@@ -337,31 +341,30 @@ def _draw_plan(rng: SplitMix64, params: LcaParams, thresholds: np.ndarray, rows:
     by_row = np.argsort(moved_row, kind="stable")
     moved_cols = evaluate.moved_cells(np.concatenate([carried, step_cols[0] * n + positions, *swap_cols])[by_row])
     bounds = starts.tolist()
-    cuts = [(np.append(first, q.sum())[np.searchsorted(steps, bounds)].tolist(), 1, step_cols),  # where each week
-            (np.searchsorted(swaps, bounds).tolist(), 1, swap_cols),  # starts in each group, and the moved cells
-            ([0, *np.searchsorted(moved_row[by_row], bounds).tolist()], 2, moved_cols)]  # from the week before
-    return [(draws[w], (b - a, *(x[edge[w] : edge[w + k]] for edge, k, columns in cuts for x in columns)))
+    cuts = [(np.append(first, q.sum())[np.searchsorted(steps, bounds)].tolist(), step_cols),  # where each week
+            (np.searchsorted(swaps, bounds).tolist(), swap_cols)]  # starts in each group, and its moved cells
+    moved_at = [0, *np.searchsorted(moved_row[by_row], bounds).tolist()]  # from the week before
+    return [_Week(draws[w], b - a, *(x[edge[w] : edge[w + 1]] for edge, columns in cuts for x in columns),
+                  tuple(x[moved_at[w] : moved_at[w + 2]] for x in moved_cols))
             for w, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
 
 def _weeks(league: League, params: LcaParams):
-    """Every week of the run in stream order, drawn a plan at a time: (home, away, match draws, moves).
+    """Every week of the run in stream order, drawn a plan at a time: (home, away, its _Week).
 
     Each team's last opponent follows from the fixtures alone, and the cells moved in a plan's last week are
-    carried into the next plan, whose first week's moves name them."""
+    carried into the next plan, whose first week's moved cells name them."""
     n, size = league.best.shape[1], params.league_size
     thresholds = _change_thresholds(params.change_probability, n)
-    weeks, per_plan = params.seasons * (size - 1 + size % 2), max(1, _PLAN_ROWS // size)
+    weeks, per_plan = params.seasons * (size - 1 + size % 2), _PLAN_ROWS // size
     last_opponent, carried = np.full(size, _BYE), np.zeros(0, dtype=np.int64)
     for first in range(0, weeks, per_plan):
         fixtures = _fixtures(size, range(first, min(first + per_plan, weeks)))
         starts, rows, last_opponent = _plan_rows(last_opponent, fixtures)
         plan = _draw_plan(league.rng, params, thresholds, rows, starts, fixtures.shape[2], carried, league.evaluate)
-        _, (_, own, _, _, at, _, _, swap_i, swap_j, *_) = plan[-1]
-        carried = np.concatenate([own * n + at, swap_i, swap_j])
-        del own, at, swap_i, swap_j, _  # views of the plan's columns: not held while the next plan is drawn
+        carried = np.concatenate([plan[-1].own * n + plan[-1].at, plan[-1].swap_i, plan[-1].swap_j])
         for home, away in fixtures:
-            yield home, away, *plan.pop(0)  # popped, so a week's moves are not held while it is scored
+            yield home, away, plan.pop(0)  # popped, so a played week is not held
 
 
 class _FitnessEvaluator:
@@ -438,12 +441,10 @@ def run(params: LcaParams, instance: ProblemInstance) -> RunResult:
     league = init_league(params, instance)
     m = len(instance.vms)
     history: list[float] = []
-    for home, away, draws, moves in _weeks(league, params):
-        proposals, moved = moves[0], moves[9:]  # the count, and where each moved coordinate falls
-        proposed = update_formation(league, moves, params, m)
-        del moves  # the week's step draws are not held while it is scored
-        fitness = league.evaluate(proposed, moved)
-        league.evaluations += proposals
+    for home, away, week in _weeks(league, params):
+        proposed = update_formation(league, week, params, m)
+        fitness = league.evaluate(proposed, week.moved)
+        league.evaluations += week.proposals
         first = int(np.argmin(fitness))  # the first minimum: the lowest team index wins ties
         if fitness[first] < league.f_hat:
             league.champion = first
@@ -451,8 +452,9 @@ def run(params: LcaParams, instance: ProblemInstance) -> RunResult:
         league.current, league.current_fitness = proposed, fitness
         for team in improved:
             league.best[team], league.best_fitness[team] = proposed[team], fitness[team]
-        play_match(league, home, away, draws)
+        play_match(league, home, away, week.draws)
         history.append(league.f_hat)
+        del week  # views of the plan's columns: not held while the next plan is drawn
     best_assignment = decode(league.best[league.champion], m)
     return RunResult(
         best_assignment=best_assignment,

@@ -281,9 +281,12 @@ def test_bench_rejects_malformed_json(tmp_path):
         ({"lca_params": {"seed": 999}}, "lca_params.seed"),
         ({"task_counts": [4, 4]}, "task_counts"),
         ({"schedulers": ["fcfs", "FCFS"]}, "schedulers"),
+        ({"lca_params": {"league_size": 4097}}, "league_size"),
+        ({"lca_params": {"league_size": 10**12}}, "league_size"),
     ],
     ids=["fractional_n_vms", "string_league_size", "infinite_length", "infinite_speed",
-         "scalar_schedulers", "ignored_search_seed", "repeated_task_count", "repeated_scheduler"],
+         "scalar_schedulers", "ignored_search_seed", "repeated_task_count", "repeated_scheduler",
+         "league_past_one_plan", "league_of_a_trillion"],
 )
 def test_bench_rejects_mistyped_or_non_finite_config(tmp_path, capsys, bad, field):
     config = tmp_path / "config.json"
@@ -291,7 +294,7 @@ def test_bench_rejects_mistyped_or_non_finite_config(tmp_path, capsys, bad, fiel
     out = tmp_path / "results.csv"
     assert dispatch(["bench", "--config", str(config), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"{field} must be" in err
+    assert err.startswith("error: ") and f"{field} must be" in err and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -338,6 +341,37 @@ def test_refused_command_leaves_an_existing_out_file_unchanged(tmp_path, capsys,
     assert dispatch(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert out.read_bytes() == b"earlier output\r\n"
+
+
+@pytest.mark.parametrize("svg", ["nodir/x.svg", "."], ids=["missing_directory", "a_directory"])
+def test_a_command_refused_at_its_last_output_writes_none(tmp_path, capsys, svg):
+    # The chart's directory is missing, or the chart's path is a directory, so bench is refused after rendering
+    # both outputs: the CSV is not written, an existing one keeps its bytes, and no staged file is left behind.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY_BENCH))
+    out = tmp_path / "out.csv"
+    argv = ["bench", "--config", str(config), "--out", str(out), "--svg", str(tmp_path / svg)]
+    assert dispatch(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+    out.write_bytes(b"earlier output\r\n")
+    assert dispatch(argv) == 2
+    assert out.read_bytes() == b"earlier output\r\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "out.csv"]
+
+
+def test_outputs_through_a_symlink_or_to_a_device_keep_their_path(tmp_path, capsys):
+    # A staged file replaces the symlink's target, not the symlink; a path that is no regular file is written
+    # in place, never replaced.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY_BENCH))
+    (tmp_path / "target.csv").write_text("earlier output\n")
+    (tmp_path / "link.csv").symlink_to(tmp_path / "target.csv")
+    argv = ["bench", "--config", str(config), "--out", str(tmp_path / "link.csv"), "--svg", os.devnull]
+    assert dispatch(argv) == 0
+    assert (tmp_path / "link.csv").is_symlink() and Path(os.devnull).is_char_device()
+    assert len(parse_csv((tmp_path / "target.csv").read_text())) == 16
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "link.csv", "target.csv"]
 
 
 @pytest.mark.parametrize("module", ["leaguesched", "leaguesched.cli"])

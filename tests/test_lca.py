@@ -244,10 +244,10 @@ def _propose(league, params, n_vms, upcoming=_BYE):
     row, no fixture."""
     rows = tuple(np.array([x]) for x in (0, 1, upcoming, upcoming != _BYE))
     thresholds = _change_thresholds(params.change_probability, league.best.shape[1])
-    ((draws, moves),) = _draw_plan(league.rng, params, thresholds, rows, np.array([0, 1]), 0, _NO_CARRY,
-                                   _cells(len(thresholds), n_vms))
-    assert draws.size == 0 and moves[0] == 1
-    return update_formation(league, moves, params, n_vms)[0]
+    (week,) = _draw_plan(league.rng, params, thresholds, rows, np.array([0, 1]), 0, _NO_CARRY,
+                         _cells(len(thresholds), n_vms))
+    assert week.draws.size == 0 and week.proposals == 1
+    return update_formation(league, week, params, n_vms)[0]
 
 # ---------------------------------------------------------------- encoding
 
@@ -373,11 +373,22 @@ def test_win_probability_spot_values():
     assert win_probability(f_i, f_j, 4.0).tolist() == [0.5, 1.0, 0.75, 0.5]
 
 
-def test_win_probability_rejects_stale_ideal_value():
-    with pytest.raises(ValueError, match="stale ideal value"):
-        win_probability(np.array([5.0, 3.0]), np.array([10.0, 10.0]), 4.0)
-    with pytest.raises(ValueError, match="stale ideal value"):
-        win_probability(np.array([10.0]), np.array([3.0]), 4.0)
+@pytest.mark.parametrize("swap", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("size", [5, 6])
+def test_every_match_of_a_run_is_played_above_the_ideal_value(size, swap):
+    # win_probability takes f̂ as a lower bound on both sides unchecked: every week of a run, odd league or even,
+    # by steps, swaps or both, both sides of every fixture are at or above league.f_hat.
+    gaps = []
+
+    def match(league, home, away, draws):
+        gaps.append(np.concatenate([league.current_fitness[home], league.current_fitness[away]]) - league.f_hat)
+        return play_match(league, home, away, draws)
+
+    params = LcaParams(league_size=size, seasons=3, swap_probability=swap, seed=11, seed_with_baselines=False)
+    with mock.patch.object(lca, "play_match", side_effect=match):
+        result = run(params, _instance(n=20, m=4))
+    assert len(gaps) == len(result.history) and result.history[-1] < result.history[0]  # f̂ moved mid-run
+    assert all((gap >= 0.0).all() for gap in gaps)
 
 
 def _triples(seed, k):
@@ -579,9 +590,10 @@ def test_update_requires_match_history():
     starts, rows, _ = _plan_rows(np.full(5, _BYE), fixtures)
     for w in range(len(fixtures)):
         assert rows[0][starts[w] : starts[w + 1]].tolist() == sorted(set(fixtures[:w].ravel().tolist()))
-    ((draws, moves),) = _draw_plan(SplitMix64(1), _params(league_size=5), _change_thresholds(0.3, 3), rows,
-                                   np.array([0, 0]), 2, _NO_CARRY, _cells(3, 2))
-    assert moves[0] == 0 and all(column.size == 0 for column in moves[1:]) and draws.size == 2
+    (week,) = _draw_plan(SplitMix64(1), _params(league_size=5), _change_thresholds(0.3, 3), rows,
+                         np.array([0, 0]), 2, _NO_CARRY, _cells(3, 2))
+    columns = (week.own, week.previous, week.ahead, week.at, week.r1, week.r2, week.swap_i, week.swap_j, *week.moved)
+    assert week.proposals == 0 and all(column.size == 0 for column in columns) and week.draws.size == 2
 
 
 @pytest.mark.parametrize("size", [4, 5, 6, 7])
@@ -653,17 +665,17 @@ def test_batched_week_equals_the_per_team_reference(size, n, m, first, weeks, sw
     plan = _draw_plan(batched.rng, params, _change_thresholds(change, n), rows, starts, fixtures.shape[2], _NO_CARRY,
                       _cells(n, m))
     assert len(plan) == len(fixtures)
-    for (home, away), (draws, moves) in zip(fixtures, plan):
+    for (home, away), week in zip(fixtures, plan):
         upcoming = np.full(size, _BYE)
         upcoming[home], upcoming[away] = away, home
         teams = np.flatnonzero(last_opponent != _BYE)
         expected = [reference_update_formation(reference, last_opponent, t, upcoming[t], params, m) for t in teams]
-        assert moves[0] == teams.size
-        proposed = update_formation(batched, moves, params, m)
+        assert week.proposals == teams.size
+        proposed = update_formation(batched, week, params, m)
         assert proposed[teams].tobytes() == np.array(expected).reshape(teams.size, n).tobytes()
         assert np.delete(proposed, teams, axis=0).tobytes() == np.delete(batched.best, teams, axis=0).tobytes()
         batched.current[teams] = reference.current[teams] = proposed[teams]
-        winners = play_match(batched, home, away, draws)
+        winners = play_match(batched, home, away, week.draws)
         assert winners.tolist() == [reference_play_match(reference, last_opponent, i, j)[0] for i, j in zip(home, away)]
         assert batched.won.tolist() == reference.won.tolist()
     assert after.tolist() == last_opponent.tolist()
@@ -683,17 +695,16 @@ def test_a_large_week_is_drawn_as_one_span():
     start, cells = batched.rng.state, _cells(n, m)
     with mock.patch.object(SplitMix64, "peek", autospec=True, side_effect=SplitMix64.peek) as reads, \
             mock.patch.object(SplitMix64, "uniforms", autospec=True, side_effect=SplitMix64.uniforms) as blocks:
-        ((draws, moves),) = _draw_plan(batched.rng, params, _change_thresholds(0.001, n), rows, starts, 3, _NO_CARRY,
-                                       cells)
+        (week,) = _draw_plan(batched.rng, params, _change_thresholds(0.001, n), rows, starts, 3, _NO_CARRY, cells)
     assert blocks.call_count == 0
-    assert [call.args[1].shape for call in reads.call_args_list] == [(size, 3), (3, moves[4].size), (1, 3)]
+    assert [call.args[1].shape for call in reads.call_args_list] == [(size, 3), (3, week.at.size), (1, 3)]
     assert batched.rng.state == _advanced(SplitMix64(start), size * _slot(n) + 3)
-    proposed = update_formation(batched, moves, params, m)
+    proposed = update_formation(batched, week, params, m)
     upcoming = np.array([5, 4, 3, 2, 1, 0])
     expected = [reference_update_formation(reference, last_opponent, t, upcoming[t], params, m) for t in range(size)]
     assert proposed.tobytes() == np.array(expected).tobytes()
-    assert moves[4].size > size * 100
-    winners = play_match(batched, home, away, draws)
+    assert week.at.size > size * 100
+    winners = play_match(batched, home, away, week.draws)
     assert winners.tolist() == [reference_play_match(reference, last_opponent, i, j)[0] for i, j in zip(home, away)]
     assert batched.rng.state == reference.rng.state
 
@@ -725,8 +736,8 @@ def test_no_row_reads_outside_its_slot(size, n, first, weeks, swap, change, seed
     assert league.rng.state == _advanced(SplitMix64(start), owner.size)
     (_, head), (_, coordinates), (_, matches) = (call.args for call in reads.call_args_list)
     assert (owner[head - 1] == np.arange(starts[-1])[:, None]).all()
-    step_rows = [starts[w] + np.searchsorted(rows[0][starts[w] : starts[w + 1]], moves[1])
-                 for w, (_, moves) in enumerate(plan)]
+    step_rows = [starts[w] + np.searchsorted(rows[0][starts[w] : starts[w + 1]], week.own)
+                 for w, week in enumerate(plan)]
     assert (owner[coordinates - 1] == np.concatenate(step_rows)).all()
     assert (owner[matches - 1] == -1 - np.arange(len(fixtures))[:, None]).all()
 
@@ -880,12 +891,19 @@ def test_init_league_random_formations_in_range():
         dict(w2=math.inf),
         dict(seed=2**64),
         dict(seed_with_baselines="yes"),
+        dict(league_size=4097),
+        dict(league_size=10**12),
     ],
 )
 def test_invalid_params_rejected(bad):
     (field,) = bad
     with pytest.raises(ValueError, match=rf"^{field} must be "):
         LcaParams(**bad)
+
+
+def test_the_largest_league_is_one_plan():
+    # A plan holds at most _PLAN_ROWS rows, so a league of 4,096 teams is one week a plan; no league is built.
+    assert LcaParams(league_size=4096).league_size == lca._PLAN_ROWS == 4096
 
 
 # ---------------------------------------------------------------- full runs
@@ -975,8 +993,8 @@ def test_a_team_that_has_not_played_fields_its_unchanged_best(size):
     # a bye in week 1) holds its starting formation as current and best, and its row of the block is that.
     played, waiting = set(), []
 
-    def propose(league, moves, params, n_vms):
-        block = update_formation(league, moves, params, n_vms)
+    def propose(league, week, params, n_vms):
+        block = update_formation(league, week, params, n_vms)
         for t in sorted(set(range(size)) - played):
             assert league.current[t].tobytes() == league.best[t].tobytes() == block[t].tobytes()
             assert league.current_fitness[t] == league.best_fitness[t]
@@ -1050,7 +1068,7 @@ def test_the_plan_budget_is_unobservable(**case):
     # One week per plan; three weeks per plan, so plans end mid-season and cross a season's end; or the whole
     # run as one plan: the same runs.
     params, instance = _reference_case(**case)
-    with mock.patch.object(lca, "_PLAN_ROWS", 1):
+    with mock.patch.object(lca, "_PLAN_ROWS", params.league_size):
         weekly = run(params, instance)
     with mock.patch.object(lca, "_PLAN_ROWS", 3 * params.league_size):
         three_weekly = run(params, instance)

@@ -260,7 +260,7 @@ def test_engine_reports_the_schedule_it_found(instance, size, seasons, swap, see
     assert result.best_makespan_s == result.history[-1]
     assert result.best_makespan_s == makespan(instance, result.best_assignment).makespan_s
     assert propose.call_count == weeks  # one whole-league block per week
-    assert result.evaluations == size + sum(call.args[1][0] for call in propose.call_args_list)
+    assert result.evaluations == size + sum(call.args[1].proposals for call in propose.call_args_list)
     assert evaluate.call_count == weeks + 1  # the initial league, then one block per week
 
 
