@@ -31,7 +31,7 @@ from .experiment import (
     run_experiment,
 )
 from .lca import LcaParams, run
-from .model import ProblemInstance, VirtualMachine, makespan
+from .model import ProblemInstance, VirtualMachine, check_fields, is_finite, is_integer, makespan
 from .workload import WorkloadSpec, dump_trace, generate_synthetic, load_trace
 
 
@@ -118,6 +118,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
     params = LcaParams(seed=args.seed)  # built for every algorithm, so a bad --seed is always refused
+    check_fields(("vms", is_integer(args.vms) and args.vms >= 1, "an integer >= 1", args.vms),
+                 ("vm_mips", is_finite(args.vm_mips) and args.vm_mips > 0, "a finite positive number", args.vm_mips))
     tasks = load_trace(Path(args.trace).read_text(encoding="utf-8-sig"))
     vms = tuple(VirtualMachine(id=v, speed_mips=args.vm_mips) for v in range(args.vms))
     instance = ProblemInstance(tuple(tasks), vms)
@@ -148,7 +150,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     config = ExperimentConfig()
     if args.config:
         text = Path(args.config).read_text(encoding="utf-8-sig")
-        config = config_from_dict(json.loads(text, object_pairs_hook=_json_object))
+        try:
+            data = json.loads(text, object_pairs_hook=_json_object)
+        except RecursionError:  # json parses nesting by recursion: refused here, not caught in dispatch
+            raise ValueError("config must nest its arrays and objects less deeply") from None
+        config = config_from_dict(data)
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
     records = run_experiment(config, measure_wall_time=args.time)

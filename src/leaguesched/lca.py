@@ -93,17 +93,13 @@ class LcaParams:
 
 @dataclass
 class League:
-    """The whole league as arrays: row or entry i belongs to team i."""
+    """What carries from one week to the next, as arrays: row or entry i belongs to team i."""
 
-    current: np.ndarray  # (L, n) formation each team fielded this week
-    current_fitness: np.ndarray  # (L,)
+    current: np.ndarray  # (L, n) formation each team fielded in the latest week played
     best: np.ndarray  # (L, n) best formation each team has ever held
     best_fitness: np.ndarray  # (L,)
     won: np.ndarray  # (L,) bool, outcome of each team's last match
     champion: int  # first team to reach the best fitness found so far
-    rng: SplitMix64
-    evaluate: _FitnessEvaluator  # fitness of each row of a formation block
-    evaluations: int = 0
 
     @property
     def f_hat(self) -> float:
@@ -174,19 +170,17 @@ def win_probability(f_i: np.ndarray, f_j: np.ndarray, f_hat: np.ndarray | float)
     return np.divide(gap_j, denom, out=np.full(denom.shape, 0.5), where=denom != 0.0)
 
 
-def play_match(league: League, home: np.ndarray, away: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Resolve the week's fixtures (home[k], away[k]) with one uniform draw each; returns the winners.
+def play_match(league: League, fitness: np.ndarray, home: np.ndarray, away: np.ndarray, draws: np.ndarray) -> None:
+    """Resolve the week's fixtures (home[k], away[k]) between sides of the given fitness, one uniform draw each.
 
     Records won for both sides of every fixture. There are
     no ties: the home side wins iff its draw u = draws[k] satisfies u <= p
     (and p > 0, so a hopeless side cannot win on the measure-zero draw
     u = 0). The draws are the week's match draws of its plan, in fixture order.
     """
-    fitness = league.current_fitness
     p = win_probability(fitness[home], fitness[away], league.f_hat)
     home_won = (p > 0.0) & (draws <= p)
     league.won[home], league.won[away] = home_won, ~home_won
-    return np.where(home_won, home, away)
 
 
 class _Week(NamedTuple):
@@ -349,19 +343,19 @@ def _draw_plan(rng: SplitMix64, params: LcaParams, thresholds: np.ndarray, rows:
             for w, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
 
-def _weeks(league: League, params: LcaParams):
+def _weeks(rng: SplitMix64, evaluate: _FitnessEvaluator, params: LcaParams, n: int):
     """Every week of the run in stream order, drawn a plan at a time: (home, away, its _Week).
 
     Each team's last opponent follows from the fixtures alone, and the cells moved in a plan's last week are
     carried into the next plan, whose first week's moved cells name them."""
-    n, size = league.best.shape[1], params.league_size
+    size = params.league_size
     thresholds = _change_thresholds(params.change_probability, n)
     weeks, per_plan = params.seasons * (size - 1 + size % 2), _PLAN_ROWS // size
     last_opponent, carried = np.full(size, _BYE), np.zeros(0, dtype=np.int64)
     for first in range(0, weeks, per_plan):
         fixtures = _fixtures(size, range(first, min(first + per_plan, weeks)))
         starts, rows, last_opponent = _plan_rows(last_opponent, fixtures)
-        plan = _draw_plan(league.rng, params, thresholds, rows, starts, fixtures.shape[2], carried, league.evaluate)
+        plan = _draw_plan(rng, params, thresholds, rows, starts, fixtures.shape[2], carried, evaluate)
         carried = np.concatenate([plan[-1].own * n + plan[-1].at, plan[-1].swap_i, plan[-1].swap_j])
         for home, away in fixtures:
             yield home, away, plan.pop(0)  # popped, so a played week is not held
@@ -404,55 +398,49 @@ class _FitnessEvaluator:
         return cell, team * self._slot.size + self._slot[position], team * self._m, self._instance.lengths[position]
 
 
-def init_league(params: LcaParams, instance: ProblemInstance) -> League:
-    """Build the starting league: seeded and/or random formations, all evaluated.
+def init_league(params: LcaParams, instance: ProblemInstance, rng: SplitMix64,
+                evaluate: _FitnessEvaluator) -> League:
+    """Build the starting league: seeded and/or random formations, all scored by the run's evaluate.
 
     With seed_with_baselines, teams 0-2 start from the FCFS, LJF and BEF
     schedules, so the league never regresses below the strongest baseline.
+    The random formations are one block of uniforms from the run's rng.
     """
-    rng = SplitMix64(params.seed)
-    evaluate = _FitnessEvaluator(instance)
     size, n, m = params.league_size, len(instance.tasks), len(instance.vms)
     seeds = [fcfs(instance), ljf(instance), bef(instance)] if params.seed_with_baselines else []
     current = np.vstack([*map(encode, seeds), rng.uniforms((size - len(seeds)) * n).reshape(-1, n) * m])
     fitness = evaluate(current)
-    return League(
-        current=current,
-        current_fitness=fitness,
-        best=current.copy(),
-        best_fitness=fitness.copy(),
-        won=np.zeros(size, dtype=bool),
-        champion=int(np.argmin(fitness)),
-        rng=rng,
-        evaluate=evaluate,
-        evaluations=size,
-    )
+    return League(current=current, best=current.copy(), best_fitness=fitness, won=np.zeros(size, dtype=bool),
+                  champion=int(np.argmin(fitness)))
 
 
 def run(params: LcaParams, instance: ProblemInstance) -> RunResult:
     """Full championship: seasons of weekly update-then-play rounds.
 
-    Each week, by one path, every team with match history proposes a new
-    formation from last week's league, the rest keep their best, and the
-    whole league is scored as one block before the week's fixtures are
-    resolved together. A team's best and the champion move only on a
-    strictly lower fitness, the first team in index order winning ties, so
-    the history of f̂ is nonincreasing."""
-    league = init_league(params, instance)
-    m = len(instance.vms)
+    The run owns its machinery: the stream SplitMix64(seed), the scoring
+    workspace and the evaluation count; the league holds only what carries
+    to next week. Each week, by one path, every team with match history
+    proposes a new formation from last week's league, the rest keep their
+    best, and the whole league is scored as one block before the week's
+    fixtures are resolved together on that block's fitness. A team's best
+    and the champion move only on a strictly lower fitness, the first team
+    in index order winning ties, so the history of f̂ is nonincreasing."""
+    rng, evaluate = SplitMix64(params.seed), _FitnessEvaluator(instance)
+    league = init_league(params, instance, rng, evaluate)
+    m, evaluations = len(instance.vms), params.league_size
     history: list[float] = []
-    for home, away, week in _weeks(league, params):
+    for home, away, week in _weeks(rng, evaluate, params, len(instance.tasks)):
         proposed = update_formation(league, week, params, m)
-        fitness = league.evaluate(proposed, week.moved)
-        league.evaluations += week.proposals
+        fitness = evaluate(proposed, week.moved)
+        evaluations += week.proposals
         first = int(np.argmin(fitness))  # the first minimum: the lowest team index wins ties
         if fitness[first] < league.f_hat:
             league.champion = first
         improved = np.flatnonzero(fitness < league.best_fitness).tolist()  # a team or two a week, often none
-        league.current, league.current_fitness = proposed, fitness
+        league.current = proposed
         for team in improved:
             league.best[team], league.best_fitness[team] = proposed[team], fitness[team]
-        play_match(league, home, away, week.draws)
+        play_match(league, fitness, home, away, week.draws)
         history.append(league.f_hat)
         del week  # views of the plan's columns: not held while the next plan is drawn
     best_assignment = decode(league.best[league.champion], m)
@@ -460,5 +448,5 @@ def run(params: LcaParams, instance: ProblemInstance) -> RunResult:
         best_assignment=best_assignment,
         best_makespan_s=makespan(instance, best_assignment).makespan_s,
         history=history,
-        evaluations=league.evaluations,
+        evaluations=evaluations,
     )

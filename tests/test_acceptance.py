@@ -99,18 +99,10 @@ def test_match_frequency():
     k = 100_000
     x = np.full((2 * k + 1, 1), 0.5)
     fitness = np.array([6.0, 10.0] * k + [4.0])
-    league = League(
-        current=x,
-        current_fitness=fitness,
-        best=x,
-        best_fitness=fitness,
-        won=np.zeros(2 * k + 1, dtype=bool),
-        champion=2 * k,
-        rng=SplitMix64(777),
-        evaluate=None,
-    )
+    league = League(current=x, best=x, best_fitness=fitness, won=np.zeros(2 * k + 1, dtype=bool), champion=2 * k)
     home = np.arange(0, 2 * k, 2)
-    freq = float(np.mean(play_match(league, home, home + 1, league.rng.uniforms(k)) == home))
+    play_match(league, fitness, home, home + 1, SplitMix64(777).uniforms(k))
+    freq = float(np.mean(np.where(league.won[home], home, home + 1) == home))
     ok = abs(freq - 0.75) <= 0.01
     _report("criterion 3", ok, f"empirical win rate {freq:.4f} within 0.01 of 0.75")
     assert abs(freq - 0.75) <= 0.01

@@ -138,17 +138,19 @@ def test_schedule_malformed_trace(tmp_path, capsys):
     "rows, extra, fragment",
     [
         ([(0, 200), (1, "inf")], [], "line 3: length_mi must be a finite positive number, got 'inf'"),
-        ([(0, 200), (1, 300)], ["--vm-mips", "-5"], "VM 0: speed must be finite and positive"),
-        ([(0, 200), (1, 300)], ["--vm-mips", "nan"], "VM 0: speed must be finite and positive"),
+        ([(0, 200), (1, 300)], ["--vm-mips", "-5"], "vm_mips must be a finite positive number, got -5.0"),
+        ([(0, 200), (1, 300)], ["--vm-mips", "nan"], "vm_mips must be a finite positive number, got nan"),
         ([], [], "empty task list"),
-        ([(0, 200)], ["--vms", "0"], "empty VM list"),
+        ([(0, 200)], ["--vms", "0"], "vms must be an integer >= 1, got 0"),
         ([(0, 200)], ["--seed", "-1"], "seed must be a 64-bit unsigned integer, got -1"),
         ([(0, 1e308), (1, 1e308)], ["--vms", "1", "--vm-mips", "0.5"], "loads overflow"),
         ([(0, 1e308), (1, 1e308)], ["--vms", "1", "--vm-mips", "0.5", "--algo", "lca"], "loads overflow"),
         ([(0, 1e-300), (1, 1e-300)], ["--vm-mips", "1e300"], "durations underflow"),
+        ([(0, 200)], ["--vms", "-3"], "vms must be an integer >= 1, got -3"),
+        ([(0, 200)], ["--vms", "20000", "--vm-mips", "nan"], "vm_mips must be a finite positive number, got nan"),
     ],
     ids=["inf_trace", "negative_mips", "nan_mips", "empty_trace", "no_vms", "negative_seed",
-         "overflowing_loads", "overflowing_loads_lca", "underflowing_durations"],
+         "overflowing_loads", "overflowing_loads_lca", "underflowing_durations", "negative_vms", "nan_mips_many_vms"],
 )
 def test_schedule_rejects_bad_input_without_traceback(tmp_path, capsys, rows, extra, fragment):
     trace = tmp_path / "t.csv"
@@ -159,6 +161,7 @@ def test_schedule_rejects_bad_input_without_traceback(tmp_path, capsys, rows, ex
     assert captured.out == ""
     assert captured.err.startswith("error: ") and fragment in captured.err
     assert "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1 and len(captured.err.encode()) < 200  # one short line, however many VMs
 
 
 # ---------------------------------------------------------------- usage
@@ -264,10 +267,24 @@ def test_bench_refuses_a_repeated_config_key_by_name(tmp_path, capsys, text, fie
     assert not out.exists()
 
 
-def test_bench_rejects_malformed_json(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text("{not json")
-    assert dispatch(["bench", "--config", str(config)]) == 2
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("{not json", "Expecting property name"),
+        ("[" * 100_000, "config must nest"),
+        ('{"task_counts": ' + "[" * 990 + "]" * 990 + "}", "config must nest"),  # a 2 KB file
+    ],
+    ids=["not_json", "deep_top_level", "deep_task_counts"],
+)
+def test_bench_rejects_malformed_json(tmp_path, capsys, text, fragment):
+    # json parses nesting by recursion, so a deep enough file raises RecursionError, refused where it is parsed.
+    config, out = tmp_path / "config.json", tmp_path / "results.csv"
+    config.write_text(text)
+    assert dispatch(["bench", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

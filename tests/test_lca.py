@@ -92,9 +92,9 @@ def reference_win_probability(f_i, f_j, f_hat):
     return (f_j - f_hat) / denom
 
 
-def reference_play_match(league, last_opponent, i, j):
-    p_i = reference_win_probability(league.current_fitness[i], league.current_fitness[j], league.f_hat)
-    u = league.rng.uniform()
+def reference_play_match(league, fitness, rng, last_opponent, i, j):
+    p_i = reference_win_probability(fitness[i], fitness[j], league.f_hat)
+    u = rng.uniform()
     winner, loser = (i, j) if p_i > 0.0 and u <= p_i else (j, i)
     last_opponent[i], last_opponent[j] = j, i
     league.won[winner], league.won[loser] = True, False
@@ -120,11 +120,11 @@ def reference_positions(draws, n):
     return held
 
 
-def reference_update_formation(league, last_opponent, team, upcoming, params, n_vms):
+def reference_update_formation(league, rng, last_opponent, team, upcoming, params, n_vms):
     previous = last_opponent[team]
     if previous == _BYE:
         raise RuntimeError(f"team {team} has no match history to update from")
-    rng, p = league.rng, params.swap_probability
+    p = params.swap_probability
     best = league.best[team]
     n = best.shape[0]
     end = _advanced(rng, _slot(n))
@@ -150,8 +150,11 @@ def reference_update_formation(league, last_opponent, team, upcoming, params, n_
 
 
 def reference_run(params, instance):
-    """A whole championship team by team: proposals first, then their commit, then one draw per fixture."""
-    league = init_league(params, instance)
+    """A whole championship team by team: proposals first, then their commit, then one draw per fixture. It keeps
+    its own stream, its teams' fitness this week and its evaluation count."""
+    rng = SplitMix64(params.seed)
+    league = init_league(params, instance, rng, _FitnessEvaluator(instance))
+    fitness, evaluations = league.best_fitness.copy(), params.league_size
     m = len(instance.vms)
     last_opponent = np.full(params.league_size, _BYE)
     history = []
@@ -160,20 +163,20 @@ def reference_run(params, instance):
             if history:
                 upcoming = dict(pairs) | {j: i for i, j in pairs}
                 teams = [t for t in range(params.league_size) if last_opponent[t] != _BYE]
-                proposed = [reference_update_formation(league, last_opponent, t, upcoming.get(t, _BYE), params, m)
-                            for t in teams]
-                league.evaluations += len(teams)
+                proposed = [reference_update_formation(league, rng, last_opponent, t, upcoming.get(t, _BYE), params,
+                                                       m) for t in teams]
+                evaluations += len(teams)
                 for t, x in zip(teams, proposed):
-                    fitness = makespan(instance, decode(x, m)).makespan_s
-                    if fitness < league.f_hat:
+                    f = makespan(instance, decode(x, m)).makespan_s
+                    if f < league.f_hat:
                         league.champion = t
-                    league.current[t], league.current_fitness[t] = x, fitness
-                    if fitness < league.best_fitness[t]:
-                        league.best[t], league.best_fitness[t] = x, fitness
+                    league.current[t], fitness[t] = x, f
+                    if f < league.best_fitness[t]:
+                        league.best[t], league.best_fitness[t] = x, f
             for i, j in pairs:
-                reference_play_match(league, last_opponent, i, j)
+                reference_play_match(league, fitness, rng, last_opponent, i, j)
             history.append(league.f_hat)
-    return history, decode(league.best[league.champion], m), league.evaluations
+    return history, decode(league.best[league.champion], m), evaluations
 
 
 def _rng_drawing(t, output):
@@ -203,30 +206,26 @@ def _slot(n):
     return 2 + 3 * n
 
 
-def _league(formations, fitness, rng, won=None):
-    """A league whose teams hold the given formations as both current and best."""
+def _league(formations, fitness, won=None):
+    """A league whose teams hold the given formations as both current and best, and the given fitness as best."""
     x = np.asarray(formations, dtype=float)
     f = np.asarray(fitness, dtype=float)
     size = len(f)
     return League(
         current=x,
-        current_fitness=f,
         best=x.copy(),
-        best_fitness=f.copy(),
+        best_fitness=f,
         won=np.array(won if won is not None else [False] * size),
         champion=int(np.argmin(f)),
-        rng=rng,
-        evaluate=None,
     )
 
 
-def _proposer(formation, previous, won, rng, upcoming=None, upcoming_won=True):
+def _proposer(formation, previous, won, upcoming=None, upcoming_won=True):
     """Team 0, last matched with team 1; team 2, if given, is its upcoming opponent and has played too."""
     rows = [formation, previous] + ([upcoming] if upcoming is not None else [])
     return _league(
         rows,
         [5.0, 6.0, 6.0][: len(rows)],
-        rng,
         won=[won, not won, upcoming_won][: len(rows)],
     )
 
@@ -239,12 +238,12 @@ def _cells(n, m):
     return _FitnessEvaluator(_instance(n=n, m=m))
 
 
-def _propose(league, params, n_vms, upcoming=_BYE):
-    """Team 0's proposal (_proposer) when its opponent this week is `upcoming`: a plan of one week, its one
-    row, no fixture."""
+def _propose(league, rng, params, n_vms, upcoming=_BYE):
+    """Team 0's proposal (_proposer) when its opponent this week is `upcoming`: a plan of one week drawn from
+    rng, its one row, no fixture."""
     rows = tuple(np.array([x]) for x in (0, 1, upcoming, upcoming != _BYE))
     thresholds = _change_thresholds(params.change_probability, league.best.shape[1])
-    (week,) = _draw_plan(league.rng, params, thresholds, rows, np.array([0, 1]), 0, _NO_CARRY,
+    (week,) = _draw_plan(rng, params, thresholds, rows, np.array([0, 1]), 0, _NO_CARRY,
                          _cells(len(thresholds), n_vms))
     assert week.draws.size == 0 and week.proposals == 1
     return update_formation(league, week, params, n_vms)[0]
@@ -380,9 +379,9 @@ def test_every_match_of_a_run_is_played_above_the_ideal_value(size, swap):
     # by steps, swaps or both, both sides of every fixture are at or above league.f_hat.
     gaps = []
 
-    def match(league, home, away, draws):
-        gaps.append(np.concatenate([league.current_fitness[home], league.current_fitness[away]]) - league.f_hat)
-        return play_match(league, home, away, draws)
+    def match(league, fitness, home, away, draws):
+        gaps.append(np.concatenate([fitness[home], fitness[away]]) - league.f_hat)
+        return play_match(league, fitness, home, away, draws)
 
     params = LcaParams(league_size=size, seasons=3, swap_probability=swap, seed=11, seed_with_baselines=False)
     with mock.patch.object(lca, "play_match", side_effect=match):
@@ -420,18 +419,20 @@ def test_win_probability_approaches_one_against_hopeless_opponent():
 
 
 def test_play_match_certain_win():
+    home, away = np.array([0]), np.array([1])
     for seed in range(5):
-        league = _league([[0.5], [1.5]], [4.0, 10.0], SplitMix64(seed))  # team 0 at f_hat: p_i = 1
-        winners = play_match(league, np.array([0]), np.array([1]), league.rng.uniforms(1))
-        assert winners.tolist() == [0]
+        league = _league([[0.5], [1.5]], [4.0, 10.0])  # team 0 at f_hat: p_i = 1
+        assert play_match(league, league.best_fitness, home, away, SplitMix64(seed).uniforms(1)) is None
+        assert np.where(league.won[home], home, away).tolist() == [0]
         assert league.won.tolist() == [True, False]
 
 
 def test_play_match_certain_loss():
-    league = _league([[0.5], [1.5]], [10.0, 4.0], _rng_drawing(1, 0))
-    assert league.rng.peek(1) == 0.0
-    winners = play_match(league, np.array([0]), np.array([1]), league.rng.uniforms(1))  # p_i = 0: team 1 must win
-    assert winners.tolist() == [1]
+    league, rng = _league([[0.5], [1.5]], [10.0, 4.0]), _rng_drawing(1, 0)
+    home, away = np.array([0]), np.array([1])
+    assert rng.peek(1) == 0.0
+    play_match(league, league.best_fitness, home, away, rng.uniforms(1))  # p_i = 0: team 1 must win
+    assert np.where(league.won[home], home, away).tolist() == [1]
     assert league.won.tolist() == [False, True]
 
 
@@ -439,9 +440,10 @@ def test_play_match_frequency_tracks_probability():
     # 20,000 fixtures of f=6 against f=10 in one week; the last team holds f_hat=4, so p = 0.75
     k = 20_000
     fitness = [6.0, 10.0] * k + [4.0]
-    league = _league(np.full((2 * k + 1, 1), 0.5), fitness, SplitMix64(424242))
+    league = _league(np.full((2 * k + 1, 1), 0.5), fitness)
     home = np.arange(0, 2 * k, 2)
-    winners = play_match(league, home, home + 1, league.rng.uniforms(k))
+    play_match(league, league.best_fitness, home, home + 1, SplitMix64(424242).uniforms(k))
+    winners = np.where(league.won[home], home, home + 1)
     assert abs(np.mean(winners == home) - 0.75) < 0.02
 
 
@@ -455,10 +457,10 @@ def _params(**kw):
 
 
 def test_update_zero_weights_returns_best_exactly():
-    league = _proposer([1.2, 0.4, 2.8], [0.1, 0.1, 0.1], True, SplitMix64(3))
+    league = _proposer([1.2, 0.4, 2.8], [0.1, 0.1, 0.1], True)
     # LcaParams refuses zero weights; the update rule reads only these four fields.
     params = SimpleNamespace(change_probability=1.0, w1=0.0, w2=0.0, swap_probability=0.0)
-    assert list(_propose(league, params, 3)) == [1.2, 0.4, 2.8]
+    assert list(_propose(league, SplitMix64(3), params, 3)) == [1.2, 0.4, 2.8]
 
 
 def _hand_example(won):
@@ -468,9 +470,9 @@ def _hand_example(won):
     # proposal with r1 and r2.
     rng = SplitMix64(5)
     r1, r2 = rng.peek(4), rng.peek(5)
-    league = _proposer([1.0], [2.0], won, rng, upcoming=[0.0], upcoming_won=True)
-    out = _propose(league, _params(change_probability=0.3, swap_probability=0.0), 3, upcoming=2)
-    assert league.rng.state == _advanced(SplitMix64(5), _slot(1))
+    league = _proposer([1.0], [2.0], won, upcoming=[0.0], upcoming_won=True)
+    out = _propose(league, rng, _params(change_probability=0.3, swap_probability=0.0), 3, upcoming=2)
+    assert rng.state == _advanced(SplitMix64(5), _slot(1))
     return out.tolist(), r1, r2
 
 
@@ -497,10 +499,10 @@ def test_update_change_count_draw_of_zero_moves_one_coordinate():
     assert rng.peek(2) == 0.0
     t, r1 = min(int(rng.peek(3) * 5), 4), rng.peek(4)
     best = [0.2, 0.4, 0.6, 0.8, 1.0]
-    league = _proposer(best, [0.0] * 5, True, rng)
-    out = _propose(league, _params(change_probability=0.3, swap_probability=0.0), 3)
+    league = _proposer(best, [0.0] * 5, True)
+    out = _propose(league, rng, _params(change_probability=0.3, swap_probability=0.0), 3)
     assert _moved(out, best) == [t] and out[t] == best[t] + r1 * best[t]  # away from 0: B + r1 (B - 0)
-    assert league.rng.state == _advanced(start, _slot(5))  # the row's slot and no fixture
+    assert rng.state == _advanced(start, _slot(5))  # the row's slot and no fixture
 
 
 def test_update_change_count_draw_of_one_moves_every_coordinate_of_a_short_row():
@@ -509,10 +511,10 @@ def test_update_change_count_draw_of_one_moves_every_coordinate_of_a_short_row()
     rng = _rng_drawing(2, TOP)
     start = SplitMix64(rng.state)
     best = [0.5, 1.0, 1.5, 2.0, 2.5]
-    league = _proposer(best, [0.0] * 5, True, rng)
-    out = _propose(league, _params(change_probability=0.3, swap_probability=0.0), 3)
+    league = _proposer(best, [0.0] * 5, True)
+    out = _propose(league, rng, _params(change_probability=0.3, swap_probability=0.0), 3)
     assert _moved(out, best) == [0, 1, 2, 3, 4]
-    assert league.rng.state == _advanced(start, _slot(5))
+    assert rng.state == _advanced(start, _slot(5))
 
 
 def _swapped(values, i, j):
@@ -527,17 +529,17 @@ def test_update_swap_branch_exchanges_two_positions():
     i = min(int(u1 * 4), 3)
     j = min(int(u2 * 3), 2)
     j += j >= i
-    league = _proposer([0.5, 1.5, 2.5, 3.0], [0.0] * 4, True, rng)
-    out = _propose(league, _params(swap_probability=1.0), 4)
+    league = _proposer([0.5, 1.5, 2.5, 3.0], [0.0] * 4, True)
+    out = _propose(league, rng, _params(swap_probability=1.0), 4)
     assert out.tolist() == _swapped([0.5, 1.5, 2.5, 3.0], i, j)
-    assert league.rng.state == _advanced(SplitMix64(17), _slot(4))  # a swap uses 3 draws of its slot
+    assert rng.state == _advanced(SplitMix64(17), _slot(4))  # a swap uses 3 draws of its slot
 
 
 def test_update_swap_clamps_a_draw_of_exactly_one():
     rng = _rng_drawing(2, TOP)  # the first swap index draw is 1.0: i = min(3, 2) = 2
     j = min(int(rng.peek(3) * 2), 1)  # never bumped, since j <= 1 < i
-    league = _proposer([0.5, 1.5, 2.5], [0.0, 0.0, 0.0], True, rng)
-    out = _propose(league, _params(swap_probability=1.0), 3)
+    league = _proposer([0.5, 1.5, 2.5], [0.0, 0.0, 0.0], True)
+    out = _propose(league, rng, _params(swap_probability=1.0), 3)
     assert out.tolist() == _swapped([0.5, 1.5, 2.5], 2, j)
 
 
@@ -545,10 +547,10 @@ def test_update_swap_probability_one_swaps_on_a_draw_of_one():
     rng = _rng_drawing(1, TOP)
     start = SplitMix64(rng.state)
     assert rng.peek(1) == 1.0
-    league = _proposer([0.5, 1.5, 2.5], [0.0, 0.0, 0.0], True, rng)
-    out = _propose(league, _params(swap_probability=1.0), 3)
+    league = _proposer([0.5, 1.5, 2.5], [0.0, 0.0, 0.0], True)
+    out = _propose(league, rng, _params(swap_probability=1.0), 3)
     assert sorted(out.tolist()) == [0.5, 1.5, 2.5] and out.tolist() != [0.5, 1.5, 2.5]
-    assert league.rng.state == _advanced(start, _slot(3))  # the decision and two index draws, in the slot
+    assert rng.state == _advanced(start, _slot(3))  # the decision and two index draws, in the slot
 
 
 def test_update_swap_probability_zero_never_swaps_on_a_draw_of_zero():
@@ -557,10 +559,10 @@ def test_update_swap_probability_zero_never_swaps_on_a_draw_of_zero():
     assert rng.peek(1) == 0.0
     t, r1 = min(int(rng.peek(3) * 3), 2), rng.peek(4)
     best = [0.5, 1.0, 1.25]
-    league = _proposer(best, [0.0, 0.0, 0.0], True, rng)
-    out = _propose(league, _params(swap_probability=0.0, change_probability=1.0), 3)
+    league = _proposer(best, [0.0, 0.0, 0.0], True)
+    out = _propose(league, rng, _params(swap_probability=0.0, change_probability=1.0), 3)
     assert _moved(out, best) == [t] and out[t] == best[t] + r1 * best[t]  # the step: B + r1 (B - 0)
-    assert league.rng.state == _advanced(start, _slot(3))
+    assert rng.state == _advanced(start, _slot(3))
 
 
 def test_update_change_probability_one_moves_one_coordinate_on_a_draw_of_one():
@@ -570,15 +572,15 @@ def test_update_change_probability_one_moves_one_coordinate_on_a_draw_of_one():
     assert rng.peek(2) == 1.0
     t, r1 = min(int(rng.peek(3) * 3), 2), rng.peek(4)
     best = [0.5, 1.0, 1.25]
-    league = _proposer(best, [0.0, 0.0, 0.0], True, rng)
-    out = _propose(league, _params(swap_probability=0.0, change_probability=1.0), 3)
+    league = _proposer(best, [0.0, 0.0, 0.0], True)
+    out = _propose(league, rng, _params(swap_probability=0.0, change_probability=1.0), 3)
     assert _moved(out, best) == [t] and out[t] == best[t] + r1 * best[t]
-    assert league.rng.state == _advanced(start, _slot(3))
+    assert rng.state == _advanced(start, _slot(3))
 
 
 def test_update_swap_preserves_coordinate_multiset():
-    league = _proposer([0.5, 1.5, 2.5, 0.5], np.zeros(4), False, SplitMix64(5))
-    out = _propose(league, _params(swap_probability=1.0), 3)
+    league = _proposer([0.5, 1.5, 2.5, 0.5], np.zeros(4), False)
+    out = _propose(league, SplitMix64(5), _params(swap_probability=1.0), 3)
     assert sorted(out) == sorted(league.best[0])
 
 
@@ -599,13 +601,14 @@ def test_update_requires_match_history():
 @pytest.mark.parametrize("size", [4, 5, 6, 7])
 def test_the_carried_last_opponents_are_the_references_after_each_season(size):
     # The run keeps no last opponents: each plan's follow from the fixtures and the plan before.
-    league = init_league(_params(league_size=size), _instance())
+    instance, rng = _instance(), SplitMix64(0)
+    league = init_league(_params(league_size=size), instance, rng, _FitnessEvaluator(instance))
     before, last_opponent = np.full(size, _BYE), np.full(size, _BYE)
     for season in range(1, 2 * size + 1):
         _, _, before = _plan_rows(before, _season(size, season))
         for pairs in reference_fixtures(size, season):
             for i, j in pairs:
-                reference_play_match(league, last_opponent, i, j)
+                reference_play_match(league, league.best_fitness, rng, last_opponent, i, j)
         assert before.tolist() == last_opponent.tolist()
 
 
@@ -616,29 +619,27 @@ def test_update_always_stays_in_vm_range():
         m = 1 + int(rng.uniform() * 5)
         n = 1 + int(rng.uniform() * 9)
         rows = [rng.uniforms(n) * m for _ in range(3)]
-        league = _proposer(*rows[:2], trial % 2 == 1, rng, upcoming=rows[2], upcoming_won=False)
-        out = _propose(league, params, m, upcoming=2)
+        league = _proposer(*rows[:2], trial % 2 == 1, upcoming=rows[2], upcoming_won=False)
+        out = _propose(league, rng, params, m, upcoming=2)
         assert np.all(out >= 0.0) and np.all(out < m)
 
 
 def _random_league(size, n, m, seed):
-    """A league mid-run and each team's last opponent: random formations and fitness, some teams not yet played."""
+    """A league mid-run, its teams' fitness this week, the run's stream and each team's last opponent: random
+    formations and fitness, some teams not yet played."""
     rng = SplitMix64(seed)
     best_fitness = 1.0 + rng.uniforms(size) * 10.0
-    current_fitness = best_fitness + rng.uniforms(size) * 5.0
+    fitness = best_fitness + rng.uniforms(size) * 5.0
     history = rng.uniforms(size)
     last_opponent = np.where(history < 0.2, _BYE, (np.arange(size) + 1 + (history * (size - 1)).astype(int)) % size)
     league = League(
         current=rng.uniforms(size * n).reshape(size, n) * m,
-        current_fitness=current_fitness,
         best=rng.uniforms(size * n).reshape(size, n) * m,
         best_fitness=best_fitness,
         won=rng.uniforms(size) < 0.5,
         champion=int(np.argmin(best_fitness)),
-        rng=SplitMix64(mix64(seed)),
-        evaluate=None,
     )
-    return league, last_opponent
+    return league, fitness, SplitMix64(mix64(seed)), last_opponent
 
 
 @settings(max_examples=200, deadline=None)
@@ -659,27 +660,30 @@ def test_batched_week_equals_the_per_team_reference(size, n, m, first, weeks, sw
     # become the current formations, so the next week reads them.
     params = LcaParams(league_size=size, swap_probability=swap, change_probability=change,
                        w1=1.5, w2=0.75)
-    (batched, before), (reference, last_opponent) = _random_league(size, n, m, seed), _random_league(size, n, m, seed)
+    batched, fitness, stream, before = _random_league(size, n, m, seed)
+    reference, _, rng, last_opponent = _random_league(size, n, m, seed)
     fixtures = _fixtures(size, range(first, first + weeks))
     starts, rows, after = _plan_rows(before, fixtures)
-    plan = _draw_plan(batched.rng, params, _change_thresholds(change, n), rows, starts, fixtures.shape[2], _NO_CARRY,
+    plan = _draw_plan(stream, params, _change_thresholds(change, n), rows, starts, fixtures.shape[2], _NO_CARRY,
                       _cells(n, m))
     assert len(plan) == len(fixtures)
     for (home, away), week in zip(fixtures, plan):
         upcoming = np.full(size, _BYE)
         upcoming[home], upcoming[away] = away, home
         teams = np.flatnonzero(last_opponent != _BYE)
-        expected = [reference_update_formation(reference, last_opponent, t, upcoming[t], params, m) for t in teams]
+        expected = [reference_update_formation(reference, rng, last_opponent, t, upcoming[t], params, m)
+                    for t in teams]
         assert week.proposals == teams.size
         proposed = update_formation(batched, week, params, m)
         assert proposed[teams].tobytes() == np.array(expected).reshape(teams.size, n).tobytes()
         assert np.delete(proposed, teams, axis=0).tobytes() == np.delete(batched.best, teams, axis=0).tobytes()
         batched.current[teams] = reference.current[teams] = proposed[teams]
-        winners = play_match(batched, home, away, week.draws)
-        assert winners.tolist() == [reference_play_match(reference, last_opponent, i, j)[0] for i, j in zip(home, away)]
+        play_match(batched, fitness, home, away, week.draws)
+        assert np.where(batched.won[home], home, away).tolist() == [
+            reference_play_match(reference, fitness, rng, last_opponent, i, j)[0] for i, j in zip(home, away)]
         assert batched.won.tolist() == reference.won.tolist()
     assert after.tolist() == last_opponent.tolist()
-    assert batched.rng.state == reference.rng.state
+    assert stream.state == rng.state
 
 
 def test_a_large_week_is_drawn_as_one_span():
@@ -688,25 +692,28 @@ def test_a_large_week_is_drawn_as_one_span():
     # the same proposals, results and RNG state as proposing and playing team by team.
     size, n, m = 6, 3_000, 4
     params = LcaParams(league_size=size, swap_probability=0.0, change_probability=0.001)
-    (batched, _), (reference, _) = _random_league(size, n, m, 5), _random_league(size, n, m, 5)
+    batched, fitness, stream, _ = _random_league(size, n, m, 5)
+    reference, _, rng, _ = _random_league(size, n, m, 5)
     last_opponent = np.array([1, 0, 3, 2, 5, 4])
     home, away = np.array([0, 1, 2]), np.array([5, 4, 3])
     starts, rows, _ = _plan_rows(last_opponent, np.array([[home, away]]))
-    start, cells = batched.rng.state, _cells(n, m)
+    start, cells = stream.state, _cells(n, m)
     with mock.patch.object(SplitMix64, "peek", autospec=True, side_effect=SplitMix64.peek) as reads, \
             mock.patch.object(SplitMix64, "uniforms", autospec=True, side_effect=SplitMix64.uniforms) as blocks:
-        (week,) = _draw_plan(batched.rng, params, _change_thresholds(0.001, n), rows, starts, 3, _NO_CARRY, cells)
+        (week,) = _draw_plan(stream, params, _change_thresholds(0.001, n), rows, starts, 3, _NO_CARRY, cells)
     assert blocks.call_count == 0
     assert [call.args[1].shape for call in reads.call_args_list] == [(size, 3), (3, week.at.size), (1, 3)]
-    assert batched.rng.state == _advanced(SplitMix64(start), size * _slot(n) + 3)
+    assert stream.state == _advanced(SplitMix64(start), size * _slot(n) + 3)
     proposed = update_formation(batched, week, params, m)
     upcoming = np.array([5, 4, 3, 2, 1, 0])
-    expected = [reference_update_formation(reference, last_opponent, t, upcoming[t], params, m) for t in range(size)]
+    expected = [reference_update_formation(reference, rng, last_opponent, t, upcoming[t], params, m)
+                for t in range(size)]
     assert proposed.tobytes() == np.array(expected).tobytes()
     assert week.at.size > size * 100
-    winners = play_match(batched, home, away, week.draws)
-    assert winners.tolist() == [reference_play_match(reference, last_opponent, i, j)[0] for i, j in zip(home, away)]
-    assert batched.rng.state == reference.rng.state
+    play_match(batched, fitness, home, away, week.draws)
+    assert np.where(batched.won[home], home, away).tolist() == [
+        reference_play_match(reference, fitness, rng, last_opponent, i, j)[0] for i, j in zip(home, away)]
+    assert stream.state == rng.state
 
 
 @settings(max_examples=200, deadline=None)
@@ -724,16 +731,16 @@ def test_no_row_reads_outside_its_slot(size, n, first, weeks, swap, change, seed
     # week 1's, and so on: every draw a row reads lies in its own slot, every match draw in its week's
     # fixtures, and the plan moves the stream past rows·slot + weeks·pairs draws.
     params = LcaParams(league_size=size, swap_probability=swap, change_probability=change)
-    league, before = _random_league(size, n, 2, seed)
+    _, _, rng, before = _random_league(size, n, 2, seed)
     fixtures = _fixtures(size, range(first, first + weeks))
     starts, rows, _ = _plan_rows(before, fixtures)
-    pairs, start, cells = fixtures.shape[2], league.rng.state, _cells(n, 2)
+    pairs, start, cells = fixtures.shape[2], rng.state, _cells(n, 2)
     owner = np.concatenate([x for w in range(len(fixtures))
                             for x in (np.repeat(np.arange(starts[w], starts[w + 1]), _slot(n)),
                                       np.full(pairs, -1 - w))])  # owner[t - 1]: the row or ~week of draw t
     with mock.patch.object(SplitMix64, "peek", autospec=True, side_effect=SplitMix64.peek) as reads:
-        plan = _draw_plan(league.rng, params, _change_thresholds(change, n), rows, starts, pairs, _NO_CARRY, cells)
-    assert league.rng.state == _advanced(SplitMix64(start), owner.size)
+        plan = _draw_plan(rng, params, _change_thresholds(change, n), rows, starts, pairs, _NO_CARRY, cells)
+    assert rng.state == _advanced(SplitMix64(start), owner.size)
     (_, head), (_, coordinates), (_, matches) = (call.args for call in reads.call_args_list)
     assert (owner[head - 1] == np.arange(starts[-1])[:, None]).all()
     step_rows = [starts[w] + np.searchsorted(rows[0][starts[w] : starts[w + 1]], week.own)
@@ -841,9 +848,14 @@ def _instance(n=6, m=2, seed=17, speed=1000.0):
     return ProblemInstance(tuple(tasks), vms)
 
 
+def _init(params, instance, evaluate=None):
+    """A starting league as run builds it: its stream SplitMix64(params.seed), scored by a fresh workspace."""
+    return init_league(params, instance, SplitMix64(params.seed), evaluate or _FitnessEvaluator(instance))
+
+
 def test_init_league_seeds_baseline_schedules():
     inst = _instance(n=8, m=3)
-    league = init_league(LcaParams(league_size=6, seed=1), inst)
+    league = _init(LcaParams(league_size=6, seed=1), inst)
     assert decode(league.current[0], 3) == fcfs(inst)
     assert decode(league.current[1], 3) == ljf(inst)
     assert decode(league.current[2], 3) == bef(inst)
@@ -851,26 +863,27 @@ def test_init_league_seeds_baseline_schedules():
 
 def test_init_league_global_best_is_min_fitness():
     inst = _instance(n=8, m=3)
-    league = init_league(LcaParams(league_size=6, seed=1), inst)
-    assert league.f_hat == league.current_fitness.min() == league.best_fitness.min()
-    assert league.champion == int(np.argmin(league.current_fitness))
+    evaluate = mock.Mock(wraps=_FitnessEvaluator(inst))
+    league = _init(LcaParams(league_size=6, seed=1), inst, evaluate)
+    assert league.best_fitness.tobytes() == _FitnessEvaluator(inst)(league.current).tobytes()
+    assert league.f_hat == league.best_fitness.min()
+    assert league.champion == int(np.argmin(league.best_fitness))
     assert np.array_equal(league.best, league.current)
-    assert league.evaluations == 6
+    ((block,), _), = evaluate.call_args_list  # the 6 starting formations, scored as one block
+    assert block.shape == (6, 8)
 
 
 def test_init_league_is_deterministic():
     inst = _instance(n=8, m=3)
-    a = init_league(LcaParams(league_size=6, seed=9), inst)
-    b = init_league(LcaParams(league_size=6, seed=9), inst)
+    a = _init(LcaParams(league_size=6, seed=9), inst)
+    b = _init(LcaParams(league_size=6, seed=9), inst)
     assert np.array_equal(a.current, b.current)
-    assert np.array_equal(a.current_fitness, b.current_fitness)
+    assert np.array_equal(a.best_fitness, b.best_fitness)
 
 
 def test_init_league_random_formations_in_range():
     inst = _instance(n=10, m=4)
-    league = init_league(
-        LcaParams(league_size=8, seed=3, seed_with_baselines=False), inst
-    )
+    league = _init(LcaParams(league_size=8, seed=3, seed_with_baselines=False), inst)
     assert league.current.shape == (8, 10)
     assert np.all(league.current >= 0.0) and np.all(league.current < 4.0)
 
@@ -990,20 +1003,22 @@ def test_run_handles_odd_league_with_byes():
 @pytest.mark.parametrize("size", [5, 7])
 def test_a_team_that_has_not_played_fields_its_unchanged_best(size):
     # Every week scores the whole league; a team that has not played yet (all in week 1, then the team with
-    # a bye in week 1) holds its starting formation as current and best, and its row of the block is that.
+    # a bye in week 1) holds its starting formation as current and best, its row of the block is that, and it
+    # plays its first match at its best fitness.
     played, waiting = set(), []
 
     def propose(league, week, params, n_vms):
         block = update_formation(league, week, params, n_vms)
         for t in sorted(set(range(size)) - played):
             assert league.current[t].tobytes() == league.best[t].tobytes() == block[t].tobytes()
-            assert league.current_fitness[t] == league.best_fitness[t]
             waiting.append(t)
         return block
 
-    def match(league, home, away, draws):
+    def match(league, fitness, home, away, draws):
+        for t in sorted(set(range(size)) - played):
+            assert league.current[t].tobytes() == league.best[t].tobytes() and fitness[t] == league.best_fitness[t]
         played.update(home.tolist() + away.tolist())
-        return play_match(league, home, away, draws)
+        return play_match(league, fitness, home, away, draws)
 
     with mock.patch.object(lca, "update_formation", side_effect=propose), \
             mock.patch.object(lca, "play_match", side_effect=match):
