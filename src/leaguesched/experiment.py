@@ -20,13 +20,13 @@ from .lca import LcaParams, run
 from .model import (ProblemInstance, TraceParseError, VirtualMachine, check_fields, is_finite, is_integer,
                     makespan, read_rows, write_rows)
 from .rng import MASK64, mix64
-from .workload import WorkloadSpec, generate_synthetic
+from .workload import TASK_LIMIT, WorkloadSpec, generate_synthetic
 
 # The read_rows columns of the CSV, (name, write, parse, ok, want), in ExperimentRecord field order.
 _CSV_COLUMNS = [
     ("scheduler", lambda k: k.name, SchedulerKind.__members__.get, lambda k: True,
      "one of " + ", ".join(SchedulerKind.__members__)),
-    ("n_tasks", str, int, lambda v: v >= 1, "an integer >= 1"),
+    ("n_tasks", str, int, lambda v: 1 <= v <= TASK_LIMIT, f"an integer >= 1 and <= {TASK_LIMIT}"),
     ("rep", str, int, lambda v: v >= 0, "an integer >= 0"),
     ("seed", str, int, lambda v: 0 <= v <= MASK64, "a 64-bit unsigned integer"),
     ("makespan_s", "{:.6f}".format, float, lambda v: is_finite(v) and v > 0, "a finite positive number"),
@@ -63,9 +63,9 @@ class ExperimentConfig:
         lo_hi = c.length_range_mi
         check_fields(
             ("task_counts", isinstance(c.task_counts, tuple) and c.task_counts
-             and all(is_integer(n) and n >= 1 for n in c.task_counts)
+             and all(is_integer(n) and 1 <= n <= TASK_LIMIT for n in c.task_counts)
              and len(set(c.task_counts)) == len(c.task_counts),
-             "a non-empty list of distinct integers >= 1", c.task_counts),
+             f"a non-empty list of distinct integers >= 1 and <= {TASK_LIMIT}", c.task_counts),
             ("n_vms", is_integer(c.n_vms) and c.n_vms >= 1, "an integer >= 1", c.n_vms),
             ("vm_speed_mips", all(is_finite(s) and s > 0 for s in speeds)
              and (not isinstance(c.vm_speed_mips, tuple) or len(speeds) == c.n_vms),

@@ -59,6 +59,10 @@ _BYE = -1
 # and a 4,080-row plan (L = 20) peaks at 1.6 MB under tracemalloc at n = 100 and at n = 2,000 alike.
 _PLAN_ROWS = 1 << 12
 
+# The largest step weight w1 or w2. Before the clip a step is below (w1 + w2 + 1)·m, and decode caps m at 2**53, so
+# at this bound no step term overflows to inf, and no step to nan (inf - inf) that _vm_index would cast to INT64_MIN.
+_WEIGHT_LIMIT = 1e290
+
 
 @dataclass(frozen=True)
 class LcaParams:
@@ -83,8 +87,8 @@ class LcaParams:
              "a number in (0, 1]", p.change_probability),
             ("swap_probability", is_finite(p.swap_probability) and 0.0 <= p.swap_probability <= 1.0,
              "a number in [0, 1]", p.swap_probability),
-            ("w1", is_finite(p.w1) and p.w1 > 0, "a finite positive number", p.w1),
-            ("w2", is_finite(p.w2) and p.w2 > 0, "a finite positive number", p.w2),
+            ("w1", is_finite(p.w1) and 0 < p.w1 <= _WEIGHT_LIMIT, f"a positive number <= {_WEIGHT_LIMIT:g}", p.w1),
+            ("w2", is_finite(p.w2) and 0 < p.w2 <= _WEIGHT_LIMIT, f"a positive number <= {_WEIGHT_LIMIT:g}", p.w2),
             ("seed", is_integer(p.seed) and 0 <= p.seed < 2**64, "a 64-bit unsigned integer", p.seed),
             ("seed_with_baselines", isinstance(p.seed_with_baselines, bool), "true or false",
              p.seed_with_baselines),

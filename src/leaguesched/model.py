@@ -53,6 +53,8 @@ def check_fields(*rows: tuple[str, bool, str, object]) -> None:
 
 
 def _parsed(parse: Callable[[str], object], text: str) -> object:
+    if not text.isascii() or "_" in text:  # no writer writes these, though int and float read 1_0 and '١' as numbers
+        return None
     try:
         return parse(text)
     except ValueError:
@@ -63,10 +65,10 @@ def read_rows(source: str | IO[str] | Iterable[str], columns: list[tuple]) -> It
     """Yield (line number, values) for each row of a comma-separated text table.
 
     Each column is (name, write, parse, ok, want): write formats a value, parse
-    reads it back (a ValueError refuses the text), ok accepts the parsed value,
-    and want says what a valid one is. Lines and fields are stripped, blank
-    lines skipped, and the first line may be the header of column names. A bad
-    row raises TraceParseError: "line N: <field> must be <want>, got '<text>'".
+    reads it back (a ValueError, a `_` or non-ASCII text refuses it), ok accepts
+    the parsed value, and want says what a valid one is. Lines and fields are
+    stripped, blank lines skipped, and the first line may be the header of
+    column names. A bad row raises TraceParseError: "line N: <field> must be <want>, got '<text>'".
     """
     if isinstance(source, str):
         source = io.StringIO(source)

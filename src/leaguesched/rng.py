@@ -17,7 +17,6 @@ MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MULT1 = 0xBF58476D1CE4E5B9
 _MULT2 = 0x94D049BB133111EB
-_TWO64 = float(2**64)
 
 
 def mix64(x: int) -> int:
@@ -34,7 +33,7 @@ def mix64(x: int) -> int:
 
 
 class SplitMix64:
-    """Sequential SplitMix64 stream with exact vectorized reads.
+    """SplitMix64 stream, read only at offsets: a block (uniforms), draws ahead (peek) or a jump (skip).
 
     The state is a counter: the t-th draw from here is the finalizer applied to
     state + t * gamma, so any draws ahead can be read without making them.
@@ -45,19 +44,13 @@ class SplitMix64:
     def __init__(self, seed: int) -> None:
         self.state = operator.index(seed) & MASK64  # a Python int, even for a numpy seed
 
-    def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & MASK64
-        return mix64(self.state)
-
     def uniform(self) -> float:
-        """Uniform float in [0, 1]: next_u64() / 2**64, which is 1.0 for outputs >= 2**64 - 2**10.
+        """The next draw alone: uniforms(1)[0] as a float. Kept only because perfbench/spans.py patches it by name;
+        it goes with ROADMAP item 12, and nothing in the package calls it."""
+        return float(self.uniforms(1)[0])
 
-        Scaled index draws are clamped: min(..., n - 1) in lca's swap move and the clip in lca._vm_index.
-        """
-        return self.next_u64() / _TWO64
-
-    def peek(self, t: int | np.ndarray) -> float | np.ndarray:
-        """The uniform the t-th draw from now will give, without drawing it; for an integer array, one per entry.
+    def peek(self, t: int | np.ndarray) -> np.ndarray:
+        """The uniforms of the draws t ahead, without making them: an array of t's shape, of shape (1,) for one integer.
 
         Every t must be an integer >= 1; a refused t raises naming it and leaves the state as it was. The values
         are those uniforms() gives, by the same finalizer (_uniforms_at).
@@ -67,8 +60,7 @@ class SplitMix64:
             raise TypeError(f"t must be an integer or an integer array, got {offsets.dtype}")
         if (offsets < 1).any():
             raise ValueError(f"t must be an integer >= 1, got {offsets.min()}")
-        u = _uniforms_at(self.state, offsets.astype(np.uint64))
-        return u if np.ndim(t) else float(u[0])
+        return _uniforms_at(self.state, offsets.astype(np.uint64))
 
     def skip(self, k: int) -> None:
         """Move the stream past its next k draws without making them; k is any integer >= 0."""
@@ -78,8 +70,8 @@ class SplitMix64:
         self.state = (self.state + k * _GAMMA) & MASK64
 
     def uniforms(self, k: int) -> np.ndarray:
-        """k uniforms in [0, 1] at once, draws 1..k from here (_uniforms_at): k successive uniform() calls bit
-        for bit. k is any integer >= 0; a refused k raises and leaves the state as it was."""
+        """Draws 1..k from here as k uniforms in [0, 1] (_uniforms_at), and the stream moves past them (skip).
+        k is any integer >= 0; a refused k raises and leaves the state as it was."""
         start = self.state
         self.skip(k)
         return _uniforms_at(start, np.arange(1, k + 1, dtype=np.uint64))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import leaguesched
-from leaguesched import load_trace, parse_csv
+from leaguesched import LcaParams, load_trace, parse_csv
 from leaguesched.cli import dispatch
 
 TINY_BENCH = {
@@ -60,8 +60,9 @@ def test_generate_rejects_bad_count(tmp_path, capsys):
         (["generate", "--n", "3", "--seed", str(2**64)], "seed must be a 64-bit unsigned integer"),
         (["generate", "--n", "3", "--seed", "1", "--min-mi", "nan"], "length_min_mi must be"),
         (["bench", "--seed", "-1"], "master_seed must be a 64-bit unsigned integer"),
+        (["generate", "--n", str(10**12), "--seed", "1"], "n_tasks must be an integer >= 1 and <= 1000000"),
     ],
-    ids=["generate_seed", "generate_nan_length", "bench_master_seed"],
+    ids=["generate_seed", "generate_nan_length", "bench_master_seed", "generate_a_trillion_tasks"],
 )
 def test_out_of_range_flags_are_refused_by_name(capsys, argv, message):
     assert dispatch(argv) == 2
@@ -148,9 +149,11 @@ def test_schedule_malformed_trace(tmp_path, capsys):
         ([(0, 1e-300), (1, 1e-300)], ["--vm-mips", "1e300"], "durations underflow"),
         ([(0, 200)], ["--vms", "-3"], "vms must be an integer >= 1, got -3"),
         ([(0, 200)], ["--vms", "20000", "--vm-mips", "nan"], "vm_mips must be a finite positive number, got nan"),
+        ([("1_0", 200)], [], "line 2: task_id must be a nonnegative integer, got '1_0'"),
     ],
     ids=["inf_trace", "negative_mips", "nan_mips", "empty_trace", "no_vms", "negative_seed",
-         "overflowing_loads", "overflowing_loads_lca", "underflowing_durations", "negative_vms", "nan_mips_many_vms"],
+         "overflowing_loads", "overflowing_loads_lca", "underflowing_durations", "negative_vms", "nan_mips_many_vms",
+         "underscored_task_id"],
 )
 def test_schedule_rejects_bad_input_without_traceback(tmp_path, capsys, rows, extra, fragment):
     trace = tmp_path / "t.csv"
@@ -300,10 +303,14 @@ def test_bench_rejects_malformed_json(tmp_path, capsys, text, fragment):
         ({"schedulers": ["fcfs", "FCFS"]}, "schedulers"),
         ({"lca_params": {"league_size": 4097}}, "league_size"),
         ({"lca_params": {"league_size": 10**12}}, "league_size"),
+        ({"lca_params": {"league_size": 6, "seasons": 3, "w1": 1e308, "w2": 1e308, "swap_probability": 0.0}}, "w1"),
+        ({"task_counts": [10**6 + 1]}, "task_counts"),
+        ({"task_counts": [10**12]}, "task_counts"),
     ],
     ids=["fractional_n_vms", "string_league_size", "infinite_length", "infinite_speed",
          "scalar_schedulers", "ignored_search_seed", "repeated_task_count", "repeated_scheduler",
-         "league_past_one_plan", "league_of_a_trillion"],
+         "league_past_one_plan", "league_of_a_trillion", "weights_past_their_bound", "tasks_past_the_limit",
+         "a_trillion_tasks"],
 )
 def test_bench_rejects_mistyped_or_non_finite_config(tmp_path, capsys, bad, field):
     config = tmp_path / "config.json"
@@ -341,6 +348,34 @@ def test_bench_refuses_grids_it_cannot_write_faithfully(tmp_path, capsys, bad, f
     assert "Traceback" not in err
     assert not out.exists()
     assert not svg.exists()
+
+
+EXTREME_FLOATS = [5e-324, 1e-300, 1e300, 1e308, sys.float_info.max]
+
+
+@pytest.mark.parametrize("value", EXTREME_FLOATS, ids=["min_subnormal", "1e-300", "1e300", "1e308", "max"])
+@pytest.mark.parametrize("make", [
+    lambda x: {"w1": x},
+    lambda x: {"w2": x},
+    lambda x: {"w1": x, "w2": x},
+    lambda x: {"change_probability": x},
+    lambda x: {"swap_probability": x},
+    lambda x: {"vm_speed_mips": x},
+    lambda x: {"vm_speed_mips": [x, x, x]},
+    lambda x: {"length_range_mi": [x, x]},
+], ids=["w1", "w2", "both_weights", "change_probability", "swap_probability", "vm_speed_mips",
+        "vm_speed_mips_list", "length_range_mi"])
+def test_bench_takes_or_refuses_extreme_finite_values_cleanly(tmp_path, capsys, make, value):
+    # Warnings are errors under pytest, so an overflow or invalid-value RuntimeWarning fails the case too.
+    fields = make(value)
+    search = {name: fields.pop(name) for name in list(fields) if name in LcaParams.__dataclass_fields__}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"task_counts": [7], "n_vms": 3, "repetitions": 1, **fields,
+                                  "lca_params": {"league_size": 4, "seasons": 2, **search}}))
+    code = dispatch(["bench", "--config", str(config), "--out", str(tmp_path / "results.csv")])
+    err = capsys.readouterr().err
+    assert code in (0, 2) and "Traceback" not in err
+    assert code == 0 or (err.startswith("error: ") and err.count("\n") == 1)
 
 
 @pytest.mark.parametrize("command", ["bench", "plot"])
@@ -440,14 +475,19 @@ def test_plot_missing_csv(tmp_path):
         ("LCA,20,0,1,inf,10,0", "line 3: makespan_s must be a finite positive number, got 'inf'"),
         ("LCA,20,0,1,0.000000,10,0", "line 3: makespan_s must be a finite positive number"),
         ("LCA,20,0,1,-1.500000,10,0", "line 3: makespan_s must be a finite positive number"),
-        ("LCA,-20,0,1,1.500000,10,0", "line 3: n_tasks must be an integer >= 1, got '-20'"),
-        ("LCA,2.5,0,1,1.500000,10,0", "line 3: n_tasks must be an integer >= 1, got '2.5'"),
+        ("LCA,-20,0,1,1.500000,10,0", "line 3: n_tasks must be an integer >= 1 and <= 1000000, got '-20'"),
+        ("LCA,2.5,0,1,1.500000,10,0", "line 3: n_tasks must be an integer >= 1 and <= 1000000, got '2.5'"),
         ("LCA,20,0,1,1.7e308,10,0", "makespan_s must be a mean the chart can scale by 1.08, got 1.7e+308"),
         ("FCFS,4,0,1,1.0e308,0,0\nFCFS,4,1,1,1.0e308,0,0",
          "makespan_s must be values whose sum per cell and per scheduler stays finite, got 1e+308"),
+        ("LCA,1000001,0,1,1.500000,10,0", "line 3: n_tasks must be an integer >= 1 and <= 1000000, got '1000001'"),
+        ("LCA,1" + "0" * 400 + ",0,1,1.500000,10,0", "line 3: n_tasks must be an integer >= 1 and <= 1000000"),
+        ("LCA,1_000,0,1,1.500000,10,0", "line 3: n_tasks must be an integer >= 1 and <= 1000000, got '1_000'"),
+        ("LCA,20,0,1,1.5_0,10,0", "line 3: makespan_s must be a finite positive number, got '1.5_0'"),
     ],
     ids=["nan_makespan", "inf_makespan", "zero_makespan", "negative_makespan",
-         "negative_n_tasks", "fractional_n_tasks", "chart_scale_overflows", "cell_sum_overflows"],
+         "negative_n_tasks", "fractional_n_tasks", "chart_scale_overflows", "cell_sum_overflows",
+         "n_tasks_past_the_limit", "n_tasks_of_401_digits", "underscored_n_tasks", "underscored_makespan"],
 )
 def test_plot_rejects_bad_rows_without_traceback(tmp_path, capsys, row, fragment):
     csv_path = tmp_path / "results.csv"

@@ -152,6 +152,8 @@ def test_lca_histories_reported_via_callback():
         ("league_size", dict(lca_params=dict(league_size="x"))),  # LcaParams kwargs
         ("task_counts", dict(task_counts=(4, 6, 4))),  # a repeat would write its cells twice
         ("schedulers", dict(schedulers=(K.FCFS, K.LCA, K.FCFS))),
+        ("task_counts", dict(task_counts=(4, 10**6 + 1))),
+        ("task_counts", dict(task_counts=(10**12,))),
     ],
 )
 def test_invalid_configs_rejected(overrides):
@@ -160,6 +162,11 @@ def test_invalid_configs_rejected(overrides):
         if "lca_params" in kwargs:
             kwargs = dict(kwargs, lca_params=LcaParams(**kwargs["lca_params"]))
         tiny_config(**kwargs)
+
+
+def test_a_grid_takes_task_counts_up_to_the_limit():
+    # Only the config is built: no grid is run.
+    assert tiny_config(task_counts=(1, 10**6)).task_counts == (1, 10**6)
 
 
 def test_a_search_seed_in_the_grid_config_is_refused():
@@ -311,6 +318,11 @@ def test_parse_csv_rejects_wrong_field_count():
         ("LCA,20,0,18446744073709551616,1.5,10,0", "seed"),
         ("LCA,20,0,1,1.5,x,0", "evals"),
         ("LCA,20,0,1,1.5,10,-3", "wall_ms"),
+        ("LCA,1000001,0,1,1.5,10,0", "n_tasks"),
+        ("LCA,1_0,0,1,1.5,10,0", "n_tasks"),
+        ("LCA,\u0662\u0660,0,1,1.5,10,0", "n_tasks"),
+        ("LCA,20,0,1,1_5.0,10,0", "makespan_s"),
+        ("LCA,20,0,1_0,1.5,10,0", "seed"),
     ],
 )
 def test_parse_csv_rejects_bad_values_naming_line_and_field(row, field):
@@ -332,6 +344,11 @@ def test_parse_csv_accepts_the_largest_seed():
         "LCA,20,0,18446744073709551615,1.5,10,0\n"
     )
     assert record.seed == 2**64 - 1 and record.makespan_s == 1.5
+
+
+def test_parse_csv_accepts_the_largest_task_count():
+    (record,) = parse_csv("scheduler,n_tasks,rep,seed,makespan_s,evals,wall_ms\nLCA,1000000,0,1,1.5,10,0\n")
+    assert record.n_tasks == 10**6
 
 
 # ---------------------------------------------------------------- SVG

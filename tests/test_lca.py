@@ -430,7 +430,7 @@ def test_play_match_certain_win():
 def test_play_match_certain_loss():
     league, rng = _league([[0.5], [1.5]], [10.0, 4.0]), _rng_drawing(1, 0)
     home, away = np.array([0]), np.array([1])
-    assert rng.peek(1) == 0.0
+    assert rng.peek([1])[0] == 0.0
     play_match(league, league.best_fitness, home, away, rng.uniforms(1))  # p_i = 0: team 1 must win
     assert np.where(league.won[home], home, away).tolist() == [1]
     assert league.won.tolist() == [False, True]
@@ -469,7 +469,7 @@ def _hand_example(won):
     # position is 0. Draws: decision, count, position, r1, r2. Returns the
     # proposal with r1 and r2.
     rng = SplitMix64(5)
-    r1, r2 = rng.peek(4), rng.peek(5)
+    r1, r2 = rng.peek([4, 5])
     league = _proposer([1.0], [2.0], won, upcoming=[0.0], upcoming_won=True)
     out = _propose(league, rng, _params(change_probability=0.3, swap_probability=0.0), 3, upcoming=2)
     assert rng.state == _advanced(SplitMix64(5), _slot(1))
@@ -496,8 +496,8 @@ def test_update_change_count_draw_of_zero_moves_one_coordinate():
     # A count draw of 0.0 gives q = 1 (the closed form would give 0): one position draw, then r1 and r2.
     rng = _rng_drawing(2, 0)
     start = SplitMix64(rng.state)
-    assert rng.peek(2) == 0.0
-    t, r1 = min(int(rng.peek(3) * 5), 4), rng.peek(4)
+    assert rng.peek([2])[0] == 0.0
+    t, r1 = min(int(rng.peek([3])[0] * 5), 4), rng.peek([4])[0]
     best = [0.2, 0.4, 0.6, 0.8, 1.0]
     league = _proposer(best, [0.0] * 5, True)
     out = _propose(league, rng, _params(change_probability=0.3, swap_probability=0.0), 3)
@@ -525,7 +525,7 @@ def _swapped(values, i, j):
 
 def test_update_swap_branch_exchanges_two_positions():
     rng = SplitMix64(17)
-    u1, u2 = rng.peek(2), rng.peek(3)
+    u1, u2 = rng.peek([2, 3])
     i = min(int(u1 * 4), 3)
     j = min(int(u2 * 3), 2)
     j += j >= i
@@ -537,7 +537,7 @@ def test_update_swap_branch_exchanges_two_positions():
 
 def test_update_swap_clamps_a_draw_of_exactly_one():
     rng = _rng_drawing(2, TOP)  # the first swap index draw is 1.0: i = min(3, 2) = 2
-    j = min(int(rng.peek(3) * 2), 1)  # never bumped, since j <= 1 < i
+    j = min(int(rng.peek([3])[0] * 2), 1)  # never bumped, since j <= 1 < i
     league = _proposer([0.5, 1.5, 2.5], [0.0, 0.0, 0.0], True)
     out = _propose(league, rng, _params(swap_probability=1.0), 3)
     assert out.tolist() == _swapped([0.5, 1.5, 2.5], 2, j)
@@ -546,7 +546,7 @@ def test_update_swap_clamps_a_draw_of_exactly_one():
 def test_update_swap_probability_one_swaps_on_a_draw_of_one():
     rng = _rng_drawing(1, TOP)
     start = SplitMix64(rng.state)
-    assert rng.peek(1) == 1.0
+    assert rng.peek([1])[0] == 1.0
     league = _proposer([0.5, 1.5, 2.5], [0.0, 0.0, 0.0], True)
     out = _propose(league, rng, _params(swap_probability=1.0), 3)
     assert sorted(out.tolist()) == [0.5, 1.5, 2.5] and out.tolist() != [0.5, 1.5, 2.5]
@@ -556,8 +556,8 @@ def test_update_swap_probability_one_swaps_on_a_draw_of_one():
 def test_update_swap_probability_zero_never_swaps_on_a_draw_of_zero():
     rng = _rng_drawing(1, 0)
     start = SplitMix64(rng.state)
-    assert rng.peek(1) == 0.0
-    t, r1 = min(int(rng.peek(3) * 3), 2), rng.peek(4)
+    assert rng.peek([1])[0] == 0.0
+    t, r1 = min(int(rng.peek([3])[0] * 3), 2), rng.peek([4])[0]
     best = [0.5, 1.0, 1.25]
     league = _proposer(best, [0.0, 0.0, 0.0], True)
     out = _propose(league, rng, _params(swap_probability=0.0, change_probability=1.0), 3)
@@ -569,8 +569,8 @@ def test_update_change_probability_one_moves_one_coordinate_on_a_draw_of_one():
     # p_c = 1 puts every threshold at 1, so q = 1 even on a count draw of 1.0, with no ln 0 taken.
     rng = _rng_drawing(2, TOP)
     start = SplitMix64(rng.state)
-    assert rng.peek(2) == 1.0
-    t, r1 = min(int(rng.peek(3) * 3), 2), rng.peek(4)
+    assert rng.peek([2])[0] == 1.0
+    t, r1 = min(int(rng.peek([3])[0] * 3), 2), rng.peek([4])[0]
     best = [0.5, 1.0, 1.25]
     league = _proposer(best, [0.0, 0.0, 0.0], True)
     out = _propose(league, rng, _params(swap_probability=0.0, change_probability=1.0), 3)
@@ -906,12 +906,26 @@ def test_init_league_random_formations_in_range():
         dict(seed_with_baselines="yes"),
         dict(league_size=4097),
         dict(league_size=10**12),
+        dict(w1=math.nextafter(lca._WEIGHT_LIMIT, math.inf)),
+        dict(w2=math.nextafter(lca._WEIGHT_LIMIT, math.inf)),
+        dict(w1=1e308),
+        dict(w2=1.7976931348623157e308),
     ],
 )
 def test_invalid_params_rejected(bad):
     (field,) = bad
     with pytest.raises(ValueError, match=rf"^{field} must be "):
         LcaParams(**bad)
+
+
+def test_a_run_with_both_weights_at_their_bound_stays_finite():
+    # Every step overshoots to a clamped end; no step term may overflow to inf or its sum to nan.
+    params = LcaParams(league_size=6, seasons=3, w1=lca._WEIGHT_LIMIT, w2=lca._WEIGHT_LIMIT, swap_probability=0.0)
+    assert lca._WEIGHT_LIMIT == 1e290
+    inst = _instance(n=30, m=5, seed=2)
+    result = run(params, inst)
+    assert math.isfinite(result.best_makespan_s) and result.best_makespan_s == result.history[-1]
+    assert all(0 <= v < 5 for v in result.best_assignment.vm_of)
 
 
 def test_the_largest_league_is_one_plan():

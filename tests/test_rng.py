@@ -11,9 +11,19 @@ from leaguesched.rng import _GAMMA, _MULT1, _MULT2, MASK64, _split_cast
 SEED0_OUTPUTS = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
+def reference_outputs(state, k):
+    """The reference stream in Python ints: the t-th output from state is mix64((state + t * gamma) mod 2**64)."""
+    return [mix64((state + t * _GAMMA) & MASK64) for t in range(1, k + 1)]
+
+
+def reference_uniforms(state, k):
+    """The reference uniforms: each output / 2**64, one correctly rounded Python division."""
+    return [output / 2**64 for output in reference_outputs(state, k)]
+
+
 def test_reference_stream_for_seed_zero():
-    gen = SplitMix64(0)
-    assert [gen.next_u64() for _ in range(3)] == SEED0_OUTPUTS
+    assert reference_outputs(0, 3) == SEED0_OUTPUTS
+    assert SplitMix64(0).uniforms(3).tolist() == [output / 2**64 for output in SEED0_OUTPUTS]
 
 
 def test_mix64_is_the_stream_finalizer():
@@ -23,12 +33,13 @@ def test_mix64_is_the_stream_finalizer():
 
 def test_equal_seeds_give_equal_streams():
     a, b = SplitMix64(123456789), SplitMix64(123456789)
-    assert [a.next_u64() for _ in range(50)] == [b.next_u64() for _ in range(50)]
+    assert a.uniforms(50).tobytes() == b.uniforms(50).tobytes()
 
 
 def test_seed_is_masked_to_64_bits():
     a, b = SplitMix64(5), SplitMix64(2**64 + 5)
-    assert a.next_u64() == b.next_u64()
+    assert a.state == b.state == 5
+    assert a.uniforms(3).tolist() == b.uniforms(3).tolist() == reference_uniforms(5, 3)
 
 
 def test_numpy_seeds_give_the_int_stream_and_floats_are_refused():
@@ -50,12 +61,15 @@ def test_uniform_in_unit_interval():
 
 def test_uniforms_block_matches_sequential_draws():
     for k in (1, 2, 7, 64, 1000, 2047, 2048, 5000):
-        seq = SplitMix64(k)
-        blk = SplitMix64(k)
-        expected = [seq.uniform() for _ in range(k)]
-        got = blk.uniforms(k)
+        got = SplitMix64(k).uniforms(k)
         assert got.dtype == np.float64
-        assert list(got) == expected
+        assert got.tolist() == reference_uniforms(k, k)
+
+
+def test_uniform_is_the_one_draw_read():
+    gen = SplitMix64(2024)
+    assert [gen.uniform() for _ in range(2000)] == reference_uniforms(2024, 2000)
+    assert type(SplitMix64(0).uniform()) is float and gen.state == (2024 + 2000 * _GAMMA) & MASK64
 
 
 def test_uniforms_advances_state_like_sequential():
@@ -80,7 +94,9 @@ def test_uniforms_takes_any_integer_count_and_refuses_the_rest():
 
 def test_peek_takes_any_integer_offset():
     gen = SplitMix64(5)
-    assert gen.peek(np.int64(3)) == gen.peek(3) == SplitMix64(5).uniforms(3)[2]
+    for t in (3, np.int64(3), np.uint8(3), np.array(3)):
+        got = gen.peek(t)
+        assert type(got) is np.ndarray and got.shape == (1,) and got[0] == SplitMix64(5).uniforms(3)[2]
     assert gen.state == 5
 
 
@@ -168,7 +184,7 @@ def _unshift(y, s):
 
 
 def _seed_for_next_output(output):
-    """The seed whose first next_u64() is `output`: the finalizer run backwards."""
+    """The seed whose first output is `output`: the finalizer run backwards."""
     z = _unshift(output, 31)
     z = _unshift(z * pow(_MULT2, -1, 2**64) & MASK64, 27)
     z = _unshift(z * pow(_MULT1, -1, 2**64) & MASK64, 30)
@@ -179,7 +195,7 @@ def test_top_outputs_round_to_exactly_one_and_decoding_clamps_them():
     # float64 cannot hold 2**64 - 1; every output >= 2**64 - 2**10 rounds up to 2**64.
     for output in (2**64 - 1, 2**64 - 2**10):
         seed = _seed_for_next_output(output)
-        assert SplitMix64(seed).next_u64() == output
+        assert reference_outputs(seed, 1) == [output]
         assert SplitMix64(seed).uniform() == 1.0
         assert SplitMix64(seed).uniforms(1)[0] == 1.0
         assert SplitMix64(seed).uniforms(2048)[0] == 1.0  # at any block length, the split cast rounds it up

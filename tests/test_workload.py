@@ -14,6 +14,7 @@ from leaguesched import (
     generate_synthetic,
     load_trace,
 )
+from leaguesched.workload import TASK_LIMIT
 
 
 def test_lengths_within_bounds():
@@ -70,12 +71,18 @@ def test_ids_and_arrival_follow_generation_order():
         ("seed", (3,), dict(seed=2.5)),
         ("seed", (3,), dict(seed=2**64)),
         ("length_min_mi", (3,), dict(length_min_mi="1")),
+        ("n_tasks", (TASK_LIMIT + 1,), {}),
+        ("n_tasks", (10**12,), {}),
     ],
 )
 def test_invalid_specs_rejected(spec):
     field, args, kwargs = spec
     with pytest.raises(ValueError, match=rf"^{field} must be "):
         WorkloadSpec(*args, **kwargs)
+
+
+def test_a_spec_takes_tasks_up_to_the_limit():
+    assert TASK_LIMIT == 10**6 and WorkloadSpec(TASK_LIMIT).n_tasks == TASK_LIMIT  # built, not generated
 
 
 def test_sample_statistics():
@@ -143,6 +150,11 @@ def test_load_trace_non_numeric_fields():
         load_trace("zero,100\n")
     with pytest.raises(TraceParseError):
         load_trace("0,fast\n")
+    # Numerals the writer never writes: int and float alone would read these as 10, 1, 100 and 20.
+    for text, field in [("1_0,100", "task_id"), ("\u0661,100", "task_id"), ("0,1_00", "length_mi"),
+                        ("0,\uff12\uff10", "length_mi")]:
+        with pytest.raises(TraceParseError, match=rf"^line 1: {field} must be .*, got '"):
+            load_trace(text + "\n")
 
 
 def test_load_trace_duplicate_id():
