@@ -31,8 +31,19 @@ from .experiment import (
     run_experiment,
 )
 from .lca import LcaParams, run
-from .model import ProblemInstance, VirtualMachine, check_fields, is_finite, is_integer, makespan
+from .model import ProblemInstance, VirtualMachine, check_fields, is_finite, is_integer, makespan, parsed
 from .workload import WorkloadSpec, dump_trace, generate_synthetic, load_trace
+
+
+def _numeral(parse: type) -> Callable[[str], object]:
+    """An argparse type reading only the numerals the writers write (model.parsed), named as parse is, so a
+    refused text is a usage error worded as for any other: argument --n: invalid int value: '1_2'."""
+    def read(text: str) -> object:
+        if (value := parsed(parse, text)) is None:
+            raise ValueError(text)
+        return value
+    read.__name__ = parse.__name__
+    return read
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,19 +55,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a synthetic task trace")
-    g.add_argument("--n", type=int, required=True, help="number of tasks")
-    g.add_argument("--min-mi", type=float, default=200.0, help="minimum task length (MI)")
-    g.add_argument("--max-mi", type=float, default=500.0, help="maximum task length (MI)")
-    g.add_argument("--seed", type=int, required=True)
+    g.add_argument("--n", type=_numeral(int), required=True, help="number of tasks")
+    g.add_argument("--min-mi", type=_numeral(float), default=200.0, help="minimum task length (MI)")
+    g.add_argument("--max-mi", type=_numeral(float), default=500.0, help="maximum task length (MI)")
+    g.add_argument("--seed", type=_numeral(int), required=True)
     g.add_argument("--out", help="trace file path (default: stdout)")
     g.set_defaults(handler=_cmd_generate)
 
     s = sub.add_parser("schedule", help="schedule one trace and print the makespan")
     s.add_argument("--trace", required=True, help="trace file path")
-    s.add_argument("--vms", type=int, required=True, help="number of VMs")
-    s.add_argument("--vm-mips", type=float, default=1000.0, help="speed of every VM (MIPS)")
+    s.add_argument("--vms", type=_numeral(int), required=True, help="number of VMs")
+    s.add_argument("--vm-mips", type=_numeral(float), default=1000.0, help="speed of every VM (MIPS)")
     s.add_argument("--algo", choices=[kind.name.lower() for kind in SchedulerKind], required=True)
-    s.add_argument("--seed", type=int, default=0, help="search seed (lca only)")
+    s.add_argument("--seed", type=_numeral(int), default=0, help="search seed (lca only)")
     s.add_argument("--json", action="store_true", help="machine-readable output")
     s.set_defaults(handler=_cmd_schedule)
 
@@ -64,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--config", help="JSON config file (defaults used for absent keys)")
     b.add_argument("--out", help="CSV output path (default: stdout)")
     b.add_argument("--svg", help="also render the mean-makespan chart to this path")
-    b.add_argument("--seed", type=int, default=None, help="override the master seed")
+    b.add_argument("--seed", type=_numeral(int), default=None, help="override the master seed")
     b.add_argument(
         "--time",
         action="store_true",

@@ -52,7 +52,8 @@ def check_fields(*rows: tuple[str, bool, str, object]) -> None:
         raise ValueError("; ".join(problems))
 
 
-def _parsed(parse: Callable[[str], object], text: str) -> object:
+def parsed(parse: Callable[[str], object], text: str) -> object:
+    """parse(text), or None where parse raises ValueError or the text is not ASCII or holds `_`."""
     if not text.isascii() or "_" in text:  # no writer writes these, though int and float read 1_0 and '١' as numbers
         return None
     try:
@@ -79,7 +80,7 @@ def read_rows(source: str | IO[str] | Iterable[str], columns: list[tuple]) -> It
     for line_no, line, texts in rows:
         try:
             check_fields(("row", len(texts) == len(columns), f"{len(columns)} fields long", line))
-            values = [_parsed(column[2], text) for column, text in zip(columns, texts)]
+            values = [parsed(column[2], text) for column, text in zip(columns, texts)]
             check_fields(*[(name, value is not None and ok(value), want, text)
                            for (name, _, _, ok, want), value, text in zip(columns, values, texts)])
         except ValueError as exc:

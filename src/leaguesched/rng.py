@@ -50,11 +50,8 @@ class SplitMix64:
         return float(self.uniforms(1)[0])
 
     def peek(self, t: int | np.ndarray) -> np.ndarray:
-        """The uniforms of the draws t ahead, without making them: an array of t's shape, of shape (1,) for one integer.
-
-        Every t must be an integer >= 1; a refused t raises naming it and leaves the state as it was. The values
-        are those uniforms() gives, by the same finalizer (_uniforms_at).
-        """
+        """The uniforms() values of the draws t ahead (_uniforms_at), without making them: an array of t's shape,
+        (1,) for one integer. Every t must be an integer >= 1; a refused t raises naming it and moves no state."""
         offsets = np.atleast_1d(t)
         if offsets.dtype.kind not in "iu":
             raise TypeError(f"t must be an integer or an integer array, got {offsets.dtype}")
@@ -70,16 +67,17 @@ class SplitMix64:
         self.state = (self.state + k * _GAMMA) & MASK64
 
     def uniforms(self, k: int) -> np.ndarray:
-        """Draws 1..k from here as k uniforms in [0, 1] (_uniforms_at), and the stream moves past them (skip).
-        k is any integer >= 0; a refused k raises and leaves the state as it was."""
+        """Draws 1..k from here as k uniforms in [0, 1] (_uniforms_at), and the stream moves past them (skip). Each
+        is its output / 2**64 rounded once, ties to even, so outputs >= 2**64 - 2**10 give exactly 1.0. k is any
+        integer >= 0; a refused k raises and leaves the state as it was."""
         start = self.state
         self.skip(k)
         return _uniforms_at(start, np.arange(1, k + 1, dtype=np.uint64))
 
 
 def _uniforms_at(state: int, z: np.ndarray) -> np.ndarray:
-    """The uniforms of draws z (uint64 offsets, overwritten) of a stream at state: the finalizer of
-    state + z * gamma in place with wrapping uint64 math, then z / 2**64 (_split_cast)."""
+    """The uniforms of draws z (uint64 offsets, overwritten) of a stream at state: the finalizer of state + z * gamma
+    in wrapping uint64 math, then z / 2**64 by astype and an exact *= 2**-64 (z * 2**-64 casts through buffers)."""
     z *= np.uint64(_GAMMA)
     z += np.uint64(state)
     z ^= z >> np.uint64(30)
@@ -87,22 +85,6 @@ def _uniforms_at(state: int, z: np.ndarray) -> np.ndarray:
     z ^= z >> np.uint64(27)
     z *= np.uint64(_MULT2)
     z ^= z >> np.uint64(31)
-    return _split_cast(z)
-
-
-def _split_cast(z: np.ndarray) -> np.ndarray:
-    """z / 2**64 in float64, bit for bit, from z's two 32-bit halves; z is overwritten.
-
-    Each half fits in 53 bits, so it casts exactly through numpy's fast int64
-    loop (not the slow uint64 one), and scaling by a power of two is exact. The
-    sum of the two exact terms is z * 2**-64 exactly, and the one rounding of
-    that sum is the rounding z.astype(float64) makes: ties go to even and words
-    >= 2**64 - 2**10 give exactly 1.0.
-    """
-    u = (z >> np.uint64(32)).view(np.int64).astype(np.float64)
-    u *= 2.0**-32
-    z &= np.uint64(0xFFFFFFFF)
-    low = z.view(np.int64).astype(np.float64)
-    low *= 2.0**-64
-    u += low
+    u = z.astype(np.float64)
+    u *= 2.0**-64
     return u

@@ -70,6 +70,49 @@ def test_out_of_range_flags_are_refused_by_name(capsys, argv, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag, kind, text",
+    [
+        (["generate", "--n", "abc", "--seed", "3"], "--n", "int", "abc"),
+        (["generate", "--n", "1_2", "--seed", "3"], "--n", "int", "1_2"),
+        (["generate", "--n", "١٢", "--seed", "3"], "--n", "int", "١٢"),
+        (["generate", "--n", "3", "--seed", "1_0"], "--seed", "int", "1_0"),
+        (["generate", "--n", "3", "--seed", "١"], "--seed", "int", "١"),
+        (["generate", "--n", "3", "--seed", "3", "--min-mi", "1_0"], "--min-mi", "float", "1_0"),
+        (["generate", "--n", "3", "--seed", "3", "--max-mi", "2_0"], "--max-mi", "float", "2_0"),
+        (["generate", "--n", "3", "--seed", "3", "--max-mi", "５００"], "--max-mi", "float", "５００"),
+        (["schedule", "--trace", "t.csv", "--algo", "ljf", "--vms", "1_0"], "--vms", "int", "1_0"),
+        (["schedule", "--trace", "t.csv", "--algo", "ljf", "--vms", "2", "--vm-mips", "١٠٠٠"],
+         "--vm-mips", "float", "١٠٠٠"),
+        (["schedule", "--trace", "t.csv", "--algo", "lca", "--vms", "2", "--seed", "1_0"], "--seed", "int", "1_0"),
+        (["bench", "--seed", "1_0"], "--seed", "int", "1_0"),
+    ],
+    ids=["n_abc", "underscored_n", "arabic_indic_n", "underscored_generate_seed", "arabic_indic_generate_seed",
+         "underscored_min_mi", "underscored_max_mi", "full_width_max_mi", "underscored_vms",
+         "arabic_indic_vm_mips", "underscored_schedule_seed", "underscored_bench_seed"],
+)
+def test_numeric_flags_refuse_numerals_no_writer_writes_as_usage_errors(tmp_path, monkeypatch, capsys,
+                                                                       argv, flag, kind, text):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] != "schedule":
+        argv = argv + ["--out", "out.csv"]
+    assert dispatch(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"error: argument {flag}: invalid {kind} value: '{text}'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_numeric_flags_take_plain_numerals(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    argv = ["generate", "--n", "12", "--seed", "3", "--min-mi", "1e2", "--max-mi", "2.5e2", "--out", str(trace)]
+    assert dispatch(argv) == 0
+    tasks = load_trace(trace.read_text())
+    assert len(tasks) == 12 and all(100.0 <= t.length_mi <= 250.0 for t in tasks)
+    argv = ["schedule", "--trace", str(trace), "--vms", "3", "--vm-mips", "1000.0", "--algo", "lca", "--seed", "7"]
+    assert dispatch(argv) == 0
+    assert capsys.readouterr().out.startswith("makespan: ")
+
+
 # ---------------------------------------------------------------- schedule
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leaguesched import SplitMix64, decode, mix64
-from leaguesched.rng import _GAMMA, _MULT1, _MULT2, MASK64, _split_cast
+from leaguesched.rng import _GAMMA, _MULT1, _MULT2, MASK64
 
 # First three SplitMix64 outputs for seed 0, as published for the reference
 # implementation (also used as seeding vectors by the xoshiro family).
@@ -153,14 +153,22 @@ EDGE_WORDS = [0, 1, 2**53 - 1, 2**53, 2**53 + 1, 2**63, 2**63 + 2**10, 2**63 + 3
               2**64 - 2**10 - 1, 2**64 - 2**10, 2**64 - 1]
 
 
-def test_split_cast_equals_the_plain_cast_on_edge_words():
-    z = np.array(EDGE_WORDS, dtype=np.uint64)
-    expected = z.astype(np.float64) / 2**64
-    got = _split_cast(z.copy())
-    assert got.dtype == np.float64
-    assert got.tobytes() == expected.tobytes()
-    assert got[-3] < 1.0 and got[-2] == got[-1] == 1.0
-    assert got[6] == 0.5 and got[7] == 0.5 + 2**-52  # the two ties, rounded to even
+def test_edge_words_read_as_their_correctly_rounded_uniforms():
+    # Each word is read alone, as the last draw of a 2,048-draw block and one draw ahead, and must read as
+    # Python's correctly rounded word / 2**64.
+    expected = np.array([word / 2**64 for word in EDGE_WORDS])
+    reads = {"alone": [], "last_of_a_block": [], "peeked": []}
+    for word in EDGE_WORDS:
+        seed = _seed_for_next_output(word)
+        assert reference_outputs(seed, 1) == [word]
+        reads["alone"].append(SplitMix64(seed).uniforms(1))
+        reads["last_of_a_block"].append(SplitMix64((seed - 2047 * _GAMMA) & MASK64).uniforms(2048)[-1:])
+        reads["peeked"].append(SplitMix64(seed).peek([1]))
+    for got in map(np.concatenate, reads.values()):
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+        assert got[-3] < 1.0 and got[-2] == got[-1] == 1.0
+        assert got[6] == 0.5 and got[7] == 0.5 + 2**-52  # the two ties, rounded to even
 
 
 @settings(max_examples=200, deadline=None)
@@ -198,6 +206,6 @@ def test_top_outputs_round_to_exactly_one_and_decoding_clamps_them():
         assert reference_outputs(seed, 1) == [output]
         assert SplitMix64(seed).uniform() == 1.0
         assert SplitMix64(seed).uniforms(1)[0] == 1.0
-        assert SplitMix64(seed).uniforms(2048)[0] == 1.0  # at any block length, the split cast rounds it up
+        assert SplitMix64(seed).uniforms(2048)[0] == 1.0  # at any block length, the one cast rounds it up
         assert decode(SplitMix64(seed).uniforms(1) * 3, 3).vm_of == (2,)
     assert SplitMix64(_seed_for_next_output(2**64 - 2**10 - 1)).uniform() < 1.0
