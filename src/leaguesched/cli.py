@@ -31,7 +31,7 @@ from .experiment import (
     run_experiment,
 )
 from .lca import LcaParams, run
-from .model import ProblemInstance, VirtualMachine, check_fields, is_finite, is_integer, makespan, parsed
+from .model import VM_LIMIT, ProblemInstance, VirtualMachine, check_fields, is_finite, is_integer, makespan, parsed
 from .workload import WorkloadSpec, dump_trace, generate_synthetic, load_trace
 
 
@@ -130,6 +130,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_schedule(args: argparse.Namespace) -> int:
     params = LcaParams(seed=args.seed)  # built for every algorithm, so a bad --seed is always refused
     check_fields(("vms", is_integer(args.vms) and args.vms >= 1, "an integer >= 1", args.vms),
+                 ("vms", args.vms <= VM_LIMIT, f"at most {VM_LIMIT}", args.vms),
                  ("vm_mips", is_finite(args.vm_mips) and args.vm_mips > 0, "a finite positive number", args.vm_mips))
     tasks = load_trace(Path(args.trace).read_text(encoding="utf-8-sig"))
     vms = tuple(VirtualMachine(id=v, speed_mips=args.vm_mips) for v in range(args.vms))

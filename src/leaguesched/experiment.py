@@ -17,8 +17,8 @@ from typing import IO, Callable, Iterable
 
 from .baselines import SchedulerKind, bef, fcfs, ljf
 from .lca import LcaParams, run
-from .model import (ProblemInstance, TraceParseError, VirtualMachine, check_fields, is_finite, is_integer,
-                    makespan, read_rows, write_rows)
+from .model import (VM_LIMIT, ProblemInstance, VirtualMachine, check_fields, is_finite, is_integer, makespan,
+                    read_rows, write_rows)
 from .rng import MASK64, mix64
 from .workload import TASK_LIMIT, WorkloadSpec, generate_synthetic
 
@@ -67,6 +67,7 @@ class ExperimentConfig:
              and len(set(c.task_counts)) == len(c.task_counts),
              f"a non-empty list of distinct integers >= 1 and <= {TASK_LIMIT}", c.task_counts),
             ("n_vms", is_integer(c.n_vms) and c.n_vms >= 1, "an integer >= 1", c.n_vms),
+            ("n_vms", not is_integer(c.n_vms) or c.n_vms <= VM_LIMIT, f"at most {VM_LIMIT}", c.n_vms),
             ("vm_speed_mips", all(is_finite(s) and s > 0 for s in speeds)
              and (not isinstance(c.vm_speed_mips, tuple) or len(speeds) == c.n_vms),
              "a finite positive speed, or a list of one per VM", c.vm_speed_mips),
@@ -200,17 +201,7 @@ def parse_csv(source: str | IO[str] | Iterable[str]) -> list[ExperimentRecord]:
     Raises ValueError naming the line and every bad field of the first bad line, and
     TraceParseError naming both lines when a (scheduler, n_tasks, rep) cell repeats.
     """
-    records: list[ExperimentRecord] = []
-    seen: dict[tuple, int] = {}  # (scheduler, n_tasks, rep) -> defining line
-    for line_no, values in read_rows(source, _CSV_COLUMNS):
-        kind, n_tasks, rep = cell = tuple(values[:3])
-        if cell in seen:
-            raise TraceParseError(
-                line_no, f"{kind.name} n_tasks {n_tasks} rep {rep} already defined on line {seen[cell]}"
-            )
-        seen[cell] = line_no
-        records.append(ExperimentRecord(*values))
-    return records
+    return [ExperimentRecord(*values) for values in read_rows(source, _CSV_COLUMNS, key=3)]
 
 
 def _element(tag: str, body: str | None = None, **attrs: object) -> str:

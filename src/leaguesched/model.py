@@ -18,6 +18,11 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+# The most VMs any entry point takes (schedule --vms, a grid's n_vms), checked before any VM is built. The budget is
+# a minute and 1.5 GiB: schedule of a 60-task trace on 10**6 VMs took 2.8 s and 306 MiB peak RSS with --algo ljf and
+# 32 s and 322 MiB with --algo lca on a 2-core Xeon (0.6 s and 2.0 s at 10**5), so 2 * 10**6 would pass the minute.
+VM_LIMIT = 10**6
+
 
 class InvalidAssignmentError(ValueError):
     """Assignment does not fit the instance (wrong length or VM index)."""
@@ -62,14 +67,17 @@ def parsed(parse: Callable[[str], object], text: str) -> object:
         return None
 
 
-def read_rows(source: str | IO[str] | Iterable[str], columns: list[tuple]) -> Iterator[tuple[int, list]]:
-    """Yield (line number, values) for each row of a comma-separated text table.
+def read_rows(source: str | IO[str] | Iterable[str], columns: list[tuple], key: int = 1,
+              repeated: Callable[[int, str], Exception] = TraceParseError) -> Iterator[list]:
+    """Yield the values of each row of a comma-separated text table.
 
     Each column is (name, write, parse, ok, want): write formats a value, parse
     reads it back (a ValueError, a `_` or non-ASCII text refuses it), ok accepts
     the parsed value, and want says what a valid one is. Lines and fields are
     stripped, blank lines skipped, and the first line may be the header of
     column names. A bad row raises TraceParseError: "line N: <field> must be <want>, got '<text>'".
+    A row's first key values name it, and a row naming an earlier one raises repeated with both
+    line numbers and its name: each key column's name and value, the value as the column writes it.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -77,6 +85,7 @@ def read_rows(source: str | IO[str] | Iterable[str], columns: list[tuple]) -> It
             for line_no, line in enumerate(map(str.strip, source), start=1) if line]
     if rows and rows[0][2] == [column[0] for column in columns]:
         del rows[0]
+    first: dict[tuple, int] = {}  # a row's name -> the line that defined it
     for line_no, line, texts in rows:
         try:
             check_fields(("row", len(texts) == len(columns), f"{len(columns)} fields long", line))
@@ -85,7 +94,10 @@ def read_rows(source: str | IO[str] | Iterable[str], columns: list[tuple]) -> It
                            for (name, _, _, ok, want), value, text in zip(columns, values, texts)])
         except ValueError as exc:
             raise TraceParseError(line_no, str(exc)) from None
-        yield line_no, values
+        if (defined := first.setdefault(tuple(values[:key]), line_no)) != line_no:
+            name = " ".join(f"{column[0]} {column[1](value)}" for column, value in zip(columns, values[:key]))
+            raise repeated(line_no, f"{name} already defined on line {defined}")
+        yield values
 
 
 def write_rows(sink: IO[str], columns: list[tuple], rows: Iterable[tuple], read: Callable) -> int:

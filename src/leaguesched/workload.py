@@ -67,16 +67,8 @@ def load_trace(source: str | IO[str] | Iterable[str]) -> list[Task]:
     Raises TraceParseError (with the line number) for malformed lines and
     DuplicateTaskIdError when a task id repeats.
     """
-    tasks: list[Task] = []
-    seen: dict[int, int] = {}  # task_id -> defining line
-    for line_no, (task_id, length) in read_rows(source, _TRACE_COLUMNS):
-        if task_id in seen:
-            raise DuplicateTaskIdError(
-                line_no, f"task_id {task_id} already defined on line {seen[task_id]}"
-            )
-        seen[task_id] = line_no
-        tasks.append(Task(id=task_id, length_mi=length, arrival_index=len(tasks)))
-    return tasks
+    rows = read_rows(source, _TRACE_COLUMNS, repeated=DuplicateTaskIdError)
+    return [Task(id=task_id, length_mi=length, arrival_index=k) for k, (task_id, length) in enumerate(rows)]
 
 
 def dump_trace(tasks: Iterable[Task], sink: IO[str]) -> int:

@@ -10,6 +10,7 @@ import pytest
 import leaguesched
 from leaguesched import LcaParams, load_trace, parse_csv
 from leaguesched.cli import dispatch
+from leaguesched.model import VM_LIMIT
 
 TINY_BENCH = {
     "task_counts": [4, 6],
@@ -210,6 +211,27 @@ def test_schedule_rejects_bad_input_without_traceback(tmp_path, capsys, rows, ex
     assert captured.err.count("\n") == 1 and len(captured.err.encode()) < 200  # one short line, however many VMs
 
 
+@pytest.mark.parametrize("vms, fragment", [
+    (VM_LIMIT, "nope.csv"),
+    (VM_LIMIT + 1, f"vms must be at most {VM_LIMIT}, got {VM_LIMIT + 1}"),
+], ids=["at_the_limit", "past_the_limit"])
+def test_schedule_checks_the_vm_count_before_reading_the_trace(tmp_path, capsys, vms, fragment):
+    # The trace is missing: a count within the limit fails on the trace, one past it on vms; no fleet is built.
+    assert dispatch(["schedule", "--trace", str(tmp_path / "nope.csv"), "--vms", str(vms), "--algo", "ljf"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err and err.count("\n") == 1
+    assert ("vms must be" in err) == (vms > VM_LIMIT)
+
+
+def test_bench_config_takes_n_vms_up_to_the_limit(tmp_path, capsys):
+    # n_vms at the limit passes; the zero repetitions beside it refuse the config before any VM is built.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_BENCH, "n_vms": VM_LIMIT, "repetitions": 0}))
+    assert dispatch(["bench", "--config", str(config), "--out", str(tmp_path / "results.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: repetitions must be an integer >= 1, got 0\n"
+
+
 # ---------------------------------------------------------------- usage
 
 
@@ -349,11 +371,13 @@ def test_bench_rejects_malformed_json(tmp_path, capsys, text, fragment):
         ({"lca_params": {"league_size": 6, "seasons": 3, "w1": 1e308, "w2": 1e308, "swap_probability": 0.0}}, "w1"),
         ({"task_counts": [10**6 + 1]}, "task_counts"),
         ({"task_counts": [10**12]}, "task_counts"),
+        ({"n_vms": VM_LIMIT + 1}, "n_vms"),
+        ({"n_vms": 10**12}, "n_vms"),
     ],
     ids=["fractional_n_vms", "string_league_size", "infinite_length", "infinite_speed",
          "scalar_schedulers", "ignored_search_seed", "repeated_task_count", "repeated_scheduler",
          "league_past_one_plan", "league_of_a_trillion", "weights_past_their_bound", "tasks_past_the_limit",
-         "a_trillion_tasks"],
+         "a_trillion_tasks", "vms_past_the_limit", "a_trillion_vms"],
 )
 def test_bench_rejects_mistyped_or_non_finite_config(tmp_path, capsys, bad, field):
     config = tmp_path / "config.json"

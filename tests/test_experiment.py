@@ -11,7 +11,6 @@ from leaguesched import (
     ExperimentRecord,
     LcaParams,
     SchedulerKind,
-    TraceParseError,
     aggregate,
     config_from_dict,
     derive_cell_seed,
@@ -22,6 +21,7 @@ from leaguesched import (
     parse_csv,
     run_experiment,
 )
+from leaguesched.model import VM_LIMIT
 
 K = SchedulerKind
 
@@ -154,6 +154,8 @@ def test_lca_histories_reported_via_callback():
         ("schedulers", dict(schedulers=(K.FCFS, K.LCA, K.FCFS))),
         ("task_counts", dict(task_counts=(4, 10**6 + 1))),
         ("task_counts", dict(task_counts=(10**12,))),
+        ("n_vms", dict(n_vms=VM_LIMIT + 1)),
+        ("n_vms", dict(n_vms=10**12)),
     ],
 )
 def test_invalid_configs_rejected(overrides):
@@ -167,6 +169,13 @@ def test_invalid_configs_rejected(overrides):
 def test_a_grid_takes_task_counts_up_to_the_limit():
     # Only the config is built: no grid is run.
     assert tiny_config(task_counts=(1, 10**6)).task_counts == (1, 10**6)
+
+
+def test_a_grid_takes_vms_up_to_the_limit():
+    # Only the config is built: no VM is.
+    assert VM_LIMIT == 10**6 and tiny_config(n_vms=VM_LIMIT).n_vms == config_from_dict({"n_vms": VM_LIMIT}).n_vms
+    with pytest.raises(ValueError, match=rf"^n_vms must be at most {VM_LIMIT}, got {VM_LIMIT + 1}$"):
+        tiny_config(n_vms=VM_LIMIT + 1)
 
 
 def test_a_search_seed_in_the_grid_config_is_refused():
@@ -328,13 +337,6 @@ def test_parse_csv_rejects_wrong_field_count():
 def test_parse_csv_rejects_bad_values_naming_line_and_field(row, field):
     text = "scheduler,n_tasks,rep,seed,makespan_s,evals,wall_ms\nFCFS,20,0,1,2.0,0,0\n" + row
     with pytest.raises(ValueError, match=rf"^line 3: {field} must be "):
-        parse_csv(text)
-
-
-def test_parse_csv_refuses_a_repeated_cell_naming_both_lines():
-    text = "scheduler,n_tasks,rep,seed,makespan_s,evals,wall_ms\nFCFS,4,0,1,2.0,0,0\nFCFS,4,1,2,2.0,0,0\n" \
-        "FCFS,4,0,1,2.0,0,0\n"
-    with pytest.raises(TraceParseError, match=r"^line 4: FCFS n_tasks 4 rep 0 already defined on line 2$"):
         parse_csv(text)
 
 

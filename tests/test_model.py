@@ -6,14 +6,20 @@ import pytest
 
 from leaguesched import (
     Assignment,
+    DuplicateTaskIdError,
     InvalidAssignmentError,
     InvalidInstanceError,
     ProblemInstance,
     SplitMix64,
     Task,
+    TraceParseError,
     VirtualMachine,
+    load_trace,
     makespan,
+    parse_csv,
 )
+
+CSV_HEADER = "scheduler,n_tasks,rep,seed,makespan_s,evals,wall_ms\n"
 
 
 def test_single_task_single_vm(make_instance):
@@ -268,3 +274,23 @@ def test_extra_unused_vm_never_changes_makespan():
             inst.vms + (VirtualMachine(len(inst.vms), 777.0),),
         )
         assert makespan(widened, assignment).makespan_s == makespan(inst, assignment).makespan_s
+
+
+# read_rows names a row by its first key values, parsed then written back, so 07 and 7 are one task id.
+@pytest.mark.parametrize(
+    "read, text, kind, line_no, message",
+    [
+        (load_trace, "7,100\n7,200\n", DuplicateTaskIdError, 2, "line 2: task_id 7 already defined on line 1"),
+        (load_trace, "07,100\n7,200\n", DuplicateTaskIdError, 2, "line 2: task_id 7 already defined on line 1"),
+        (parse_csv, CSV_HEADER + "FCFS,4,0,1,2.0,0,0\nFCFS,4,1,2,2.0,0,0\nFCFS,4,0,1,2.0,0,0\n", TraceParseError, 4,
+         "line 4: scheduler FCFS n_tasks 4 rep 0 already defined on line 2"),
+        (parse_csv, CSV_HEADER + "FCFS,04,0,1,2.0,0,0\nFCFS,4,1,2,2.0,0,0\nFCFS,4,0,1,2.0,0,0\n", TraceParseError, 4,
+         "line 4: scheduler FCFS n_tasks 4 rep 0 already defined on line 2"),
+    ],
+    ids=["trace", "trace_id_repeated_after_parsing", "csv", "csv_cell_repeated_after_parsing"],
+)
+def test_a_repeated_row_is_refused_naming_both_lines(read, text, kind, line_no, message):
+    with pytest.raises(TraceParseError, match=rf"^{re.escape(message)}$") as err:
+        read(text)
+    assert type(err.value) is kind
+    assert err.value.line_no == line_no

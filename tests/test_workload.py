@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from leaguesched import (
-    DuplicateTaskIdError,
     SplitMix64,
     Task,
     TraceParseError,
@@ -155,13 +154,6 @@ def test_load_trace_non_numeric_fields():
                         ("0,\uff12\uff10", "length_mi")]:
         with pytest.raises(TraceParseError, match=rf"^line 1: {field} must be .*, got '"):
             load_trace(text + "\n")
-
-
-def test_load_trace_duplicate_id():
-    with pytest.raises(DuplicateTaskIdError) as err:
-        load_trace("7,100\n7,200\n")
-    assert err.value.line_no == 2
-    assert "line 1" in str(err.value)
 
 
 def test_load_trace_accepts_file_object():
