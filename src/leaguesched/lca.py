@@ -125,8 +125,11 @@ def encode(assignment: Assignment) -> np.ndarray:
 
 
 def _vm_index(formation: np.ndarray, n_vms: int) -> np.ndarray:
-    """Clamp coordinates into [0, n_vms - 1], then truncate: clamped first, the int64 cast cannot overflow."""
-    return np.clip(formation, 0, n_vms - 1).astype(np.int64)
+    """Clamp coordinates into [0, n_vms - 1], then truncate: clamped first, the int64 cast cannot overflow.
+
+    np.maximum gives +0.0 for a -0.0 where np.clip kept -0.0; no formation coordinate is -0.0, and either is VM 0.
+    """
+    return np.minimum(np.maximum(formation, 0), n_vms - 1).astype(np.int64)
 
 
 def decode(formation: np.ndarray, n_vms: int) -> Assignment:
@@ -166,12 +169,14 @@ def win_probability(f_i: np.ndarray, f_j: np.ndarray, f_hat: np.ndarray | float)
     Minimization orientation: fitness is makespan, so the SMALLER fitness gets
     the larger probability. f_hat (one value, or one per pair) must be a lower
     bound on both fitnesses, unchecked: the run keeps it so. A zero denominator
-    (both sides at the ideal value) is an even match.
+    (both sides at the ideal value) is an even match. f_i and f_j are numpy
+    arrays of float64; a list is not converted.
     """
-    f_i, f_j = np.asarray(f_i, dtype=np.float64), np.asarray(f_j, dtype=np.float64)
     gap_j = f_j - f_hat
     denom = (f_i - f_hat) + gap_j
-    return np.divide(gap_j, denom, out=np.full(denom.shape, 0.5), where=denom != 0.0)
+    p = np.empty_like(denom)
+    p.fill(0.5)  # np.full costs about twice as much a call
+    return np.divide(gap_j, denom, out=p, where=denom != 0.0)
 
 
 def play_match(league: League, fitness: np.ndarray, home: np.ndarray, away: np.ndarray, draws: np.ndarray) -> None:
@@ -182,28 +187,28 @@ def play_match(league: League, fitness: np.ndarray, home: np.ndarray, away: np.n
     (and p > 0, so a hopeless side cannot win on the measure-zero draw
     u = 0). The draws are the week's match draws of its plan, in fixture order.
     """
-    p = win_probability(fitness[home], fitness[away], league.f_hat)
+    p = win_probability(fitness[home], fitness[away], league.best_fitness[league.champion])
     home_won = (p > 0.0) & (draws <= p)
     league.won[home], league.won[away] = home_won, ~home_won
 
 
 class _Week(NamedTuple):
-    """One week of a plan (_draw_plan): everything the run reads to propose, score and play it."""
+    """One week of a plan (_draw_plan): everything the run reads to propose, score and play it.
+
+    The week's steps move k coordinates in all, one column each of sides, cells and r. Where a coordinate has no
+    upcoming opponent its third cell is negative and reads the last team's row, as _BYE does; its r there is 0.
+    """
 
     draws: np.ndarray  # one match draw per fixture, in fixture order
     proposals: int  # how many teams propose: every team that has played
-    own: np.ndarray  # for each moved coordinate of a step: its team,
-    previous: np.ndarray  # that team's last opponent,
-    ahead: np.ndarray  # its upcoming opponent (_BYE for none),
-    at: np.ndarray  # its position,
-    r1: np.ndarray  # and its two step draws,
-    r2: np.ndarray  # r2 zero where the second step is dropped
-    swap_i: np.ndarray  # each swap's two positions in the flattened block
-    swap_j: np.ndarray
+    sides: np.ndarray  # (2, k): each moved coordinate's team and its upcoming opponent (_BYE for none)
+    cells: np.ndarray  # (3, k): its flat cell (team * n + position) in its team's, last and upcoming opponent's rows
+    r: np.ndarray  # (2, k): its two step draws times w1 and w2, the second zero where the second step is dropped
+    swaps: np.ndarray  # (2, s): each swap's two cells in the flattened block
     moved: tuple  # where the cells moved in the week before and in this week fall (_FitnessEvaluator.moved_cells)
 
 
-def update_formation(league: League, week: _Week, params: LcaParams, n_vms: int) -> np.ndarray:
+def update_formation(league: League, week: _Week, n_vms: int) -> np.ndarray:
     """Next week's (L, n) block from the week's record: a proposal from each team that has played, else B.
 
     Both move classes anchor at the team's best formation B. With probability
@@ -212,26 +217,26 @@ def update_formation(league: League, week: _Week, params: LcaParams, n_vms: int)
     which rebalances a schedule without disturbing anything else. Otherwise
     a step changes q distinct coordinates, q drawn from Kashan's truncated
     geometric law with rate change_probability and the coordinates uniformly
-    at random. Each takes two random steps: away from the previous opponent's
-    formation after a win, toward it after a loss (a win confirms B's
-    strengths; a loss exposes weaknesses), and likewise relative to the
-    upcoming opponent's current formation depending on that opponent's last
-    result. A team with a bye this week, or whose upcoming opponent has not
-    played yet, drops the second step. A team that has not played keeps B,
-    still its starting formation. The caller evaluates the rows and commits
-    them. Only B, the formations and the signs come from the league.
+    at random. Each takes two random steps, weighted w1 and w2: away from the
+    previous opponent's formation after a win, toward it after a loss (a win
+    confirms B's strengths; a loss exposes weaknesses), and likewise relative
+    to the upcoming opponent's current formation depending on that opponent's
+    last result. A team with a bye this week, or whose upcoming opponent has
+    not played yet, drops the second step. A team that has not played keeps
+    B, still its starting formation. The caller evaluates the rows and commits
+    them. Only B, the formations and the signs come from the league; the rest
+    is the week's record, its cells flat indices into the (L, n) blocks.
     """
     proposed = league.best.copy()
-    best = proposed[week.own, week.at]
-    step = np.where(league.won[week.own], params.w1, -params.w1) * week.r1
-    step *= best - league.current[week.previous, week.at]
-    toward_next = np.where(league.won[week.ahead], params.w2, -params.w2) * week.r2
-    toward_next *= best - league.current[week.ahead, week.at]
-    step += toward_next
-    step += best
-    proposed[week.own, week.at] = np.clip(step, 0.0, n_vms - _CLAMP_EPS)
     flat = proposed.reshape(-1)
-    flat[week.swap_i], flat[week.swap_j] = flat[week.swap_j], flat[week.swap_i]
+    best = flat[week.cells[0]]
+    terms = np.where(league.won[week.sides], week.r, -week.r)  # (-w)·r is -(w·r) exactly
+    terms *= best - league.current.reshape(-1)[week.cells[1:]]
+    step = terms[0] + terms[1]
+    step += best
+    np.maximum(step, 0.0, out=step)  # np.clip, bit for bit, as no step is -0.0: that needs a -0.0 in best
+    flat[week.cells[0]] = np.minimum(step, n_vms - _CLAMP_EPS, out=step)
+    flat[week.swaps] = flat[week.swaps[::-1]]
     return proposed
 
 
@@ -309,42 +314,45 @@ def _draw_plan(rng: SplitMix64, params: LcaParams, thresholds: np.ndarray, rows:
     weeks·pairs. So it is three vector reads whatever its size: each row's first three draws, every moved
     coordinate's position, r1 and r2 draws, and the fixtures'. A row swaps iff its decision draw is <=
     swap_probability > 0 (a probability of 1 is exact even on a draw of 1.0), at positions from its next two draws
-    (none when n < 2); else it steps, its count q (_change_count) from its second draw, r2 zero where the second
-    step is dropped. Each week's moved cells (a step's coordinates and a swap's two) are those of the week before
-    and of this week, placed by evaluate.moved_cells once for the whole plan: one slice of them in row order,
-    carried (the flat cells of the week before the plan) first.
+    (none when n < 2); else it steps, its count q (_change_count) from its second draw, r1 and r2 times w1 and w2,
+    r2 zero where the second step is dropped. Each week's moved cells (a step's coordinates and a swap's two) are
+    those of the week before and of this week, placed by evaluate.moved_cells once for the whole plan: one slice
+    of them in row order, carried (the flat cells of the week before the plan) first.
     """
     n, p, slot = thresholds.size, params.swap_probability, 2 + 3 * thresholds.size
     weeks = np.arange(starts.size - 1)
-    team, previous, ahead, second = rows
+    team, _, ahead, second = rows
     before = np.arange(starts[-1]) * slot + np.repeat(weeks, np.diff(starts)) * pairs  # draws before each row
     head = rng.peek(before[:, None] + [1, 2, 3])
     swapping = (head[:, 0] <= p) & (p > 0.0)
-    steps = np.flatnonzero(~swapping)
+    steps = (~swapping).nonzero()[0]
     q = _change_count(thresholds, head[steps, 1])
     first = np.cumsum(q) - q  # each step's first moved coordinate
-    draw = np.repeat(before[steps] + 3 - first, q) + np.arange(q.sum())  # each moved coordinate's position draw
-    gap = np.repeat(q, q)  # and its r1 draw comes gap later, its r2 draw 2 gap later
-    picks, r1, r2 = rng.peek(np.stack([draw, draw + gap, draw + 2 * gap]))
-    r2[~np.repeat(second[steps], q)] = 0.0
-    swaps = np.flatnonzero(swapping) if n >= 2 else steps[:0]
-    i, j = np.minimum((head[swaps, 1:] * [n, n - 1]).astype(np.int64), [n - 1, n - 2]).T
+    # each moved coordinate's position draw, then its r1 draw q after it and its r2 draw 2q after it
+    coordinate = rng.peek(np.repeat(before[steps] + 3 - first, q) + np.arange(q.sum())
+                          + np.repeat(q, q) * [[0], [1], [2]])
+    r = coordinate[1:]
+    r[1, ~np.repeat(second[steps], q)] = 0.0
+    r *= [[params.w1], [params.w2]]
+    sides = np.repeat(np.stack([team, ahead])[:, steps], q, axis=1)
+    cells = np.repeat(np.stack(rows[:3])[:, steps], q, axis=1) * n + _positions(coordinate[0], q, n)
+    swaps = swapping.nonzero()[0] if n >= 2 else steps[:0]
+    i, j = ij = np.minimum((head[swaps, 1:] * [n, n - 1]).astype(np.int64), [n - 1, n - 2]).T
     j += j >= i
     draws = rng.peek((starts[1:] * slot + weeks * pairs)[:, None] + np.arange(1, pairs + 1))
     rng.skip(starts[-1] * slot + weeks.size * pairs)
-    positions = _positions(picks, q, n)
-    step_cols = (*(np.repeat(x[steps], q) for x in (team, previous, ahead)), positions, r1, r2)
-    swap_cols = (team[swaps] * n + i, team[swaps] * n + j)
+    swap_cells = team[swaps] * n + ij
     moved_row = np.concatenate([np.full(carried.size, -1), np.repeat(steps, q), swaps, swaps])  # carried: row -1
     by_row = np.argsort(moved_row, kind="stable")
-    moved_cols = evaluate.moved_cells(np.concatenate([carried, step_cols[0] * n + positions, *swap_cols])[by_row])
+    cell, slot, offset, length = evaluate.moved_cells(np.concatenate([carried, cells[0], *swap_cells])[by_row])
     bounds = starts.tolist()
-    cuts = [(np.append(first, q.sum())[np.searchsorted(steps, bounds)].tolist(), step_cols),  # where each week
-            (np.searchsorted(swaps, bounds).tolist(), swap_cols)]  # starts in each group, and its moved cells
-    moved_at = [0, *np.searchsorted(moved_row[by_row], bounds).tolist()]  # from the week before
-    return [_Week(draws[w], b - a, *(x[edge[w] : edge[w + 1]] for edge, columns in cuts for x in columns),
-                  tuple(x[moved_at[w] : moved_at[w + 2]] for x in moved_cols))
-            for w, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+    step_at = np.append(first, q.sum())[np.searchsorted(steps, bounds)].tolist()  # where each week starts among
+    swap_at = np.searchsorted(swaps, bounds).tolist()  # the moved coordinates, the swaps and the moved cells from
+    moved_at = [0, *np.searchsorted(moved_row[by_row], bounds).tolist()]  # the week before on
+    return [_Week(draws[w], b - a, sides[..., s:t], cells[..., s:t], r[..., s:t], swap_cells[..., u:v],
+                  (cell[c:d], slot[c:d], offset[c:d], length[c:d]))
+            for w, (a, b, s, t, u, v, c, d) in enumerate(zip(bounds, bounds[1:], step_at, step_at[1:], swap_at,
+                                                               swap_at[1:], moved_at, moved_at[2:]))]
 
 
 def _weeks(rng: SplitMix64, evaluate: _FitnessEvaluator, params: LcaParams, n: int):
@@ -360,9 +368,9 @@ def _weeks(rng: SplitMix64, evaluate: _FitnessEvaluator, params: LcaParams, n: i
         fixtures = _fixtures(size, range(first, min(first + per_plan, weeks)))
         starts, rows, last_opponent = _plan_rows(last_opponent, fixtures)
         plan = _draw_plan(rng, params, thresholds, rows, starts, fixtures.shape[2], carried, evaluate)
-        carried = np.concatenate([plan[-1].own * n + plan[-1].at, plan[-1].swap_i, plan[-1].swap_j])
-        for home, away in fixtures:
-            yield home, away, plan.pop(0)  # popped, so a played week is not held
+        carried = np.concatenate([plan[-1].cells[0], *plan[-1].swaps])
+        yield from zip(fixtures[:, 0], fixtures[:, 1], plan)
+        del plan  # not held while the next plan is drawn
 
 
 class _FitnessEvaluator:
@@ -415,7 +423,7 @@ def init_league(params: LcaParams, instance: ProblemInstance, rng: SplitMix64,
     current = np.vstack([*map(encode, seeds), rng.uniforms((size - len(seeds)) * n).reshape(-1, n) * m])
     fitness = evaluate(current)
     return League(current=current, best=current.copy(), best_fitness=fitness, won=np.zeros(size, dtype=bool),
-                  champion=int(np.argmin(fitness)))
+                  champion=int(fitness.argmin()))
 
 
 def run(params: LcaParams, instance: ProblemInstance) -> RunResult:
@@ -434,18 +442,18 @@ def run(params: LcaParams, instance: ProblemInstance) -> RunResult:
     m, evaluations = len(instance.vms), params.league_size
     history: list[float] = []
     for home, away, week in _weeks(rng, evaluate, params, len(instance.tasks)):
-        proposed = update_formation(league, week, params, m)
+        proposed = update_formation(league, week, m)
         fitness = evaluate(proposed, week.moved)
         evaluations += week.proposals
-        first = int(np.argmin(fitness))  # the first minimum: the lowest team index wins ties
-        if fitness[first] < league.f_hat:
-            league.champion = first
-        improved = np.flatnonzero(fitness < league.best_fitness).tolist()  # a team or two a week, often none
+        f_hat, first = league.best_fitness[league.champion], fitness.argmin()  # the lowest team index wins ties
+        if fitness[first] < f_hat:
+            league.champion, f_hat = int(first), fitness[first]
+        improved = (fitness < league.best_fitness).nonzero()[0].tolist()  # a team or two a week, often none
         league.current = proposed
         for team in improved:
             league.best[team], league.best_fitness[team] = proposed[team], fitness[team]
         play_match(league, fitness, home, away, week.draws)
-        history.append(league.f_hat)
+        history.append(float(f_hat))
         del week  # views of the plan's columns: not held while the next plan is drawn
     best_assignment = decode(league.best[league.champion], m)
     return RunResult(

@@ -246,7 +246,7 @@ def _propose(league, rng, params, n_vms, upcoming=_BYE):
     (week,) = _draw_plan(rng, params, thresholds, rows, np.array([0, 1]), 0, _NO_CARRY,
                          _cells(len(thresholds), n_vms))
     assert week.draws.size == 0 and week.proposals == 1
-    return update_formation(league, week, params, n_vms)[0]
+    return update_formation(league, week, n_vms)[0]
 
 # ---------------------------------------------------------------- encoding
 
@@ -388,6 +388,28 @@ def test_every_match_of_a_run_is_played_above_the_ideal_value(size, swap):
         result = run(params, _instance(n=20, m=4))
     assert len(gaps) == len(result.history) and result.history[-1] < result.history[0]  # f̂ moved mid-run
     assert all((gap >= 0.0).all() for gap in gaps)
+
+
+@pytest.mark.parametrize("swap, weight", [(1.0, 1.0), (0.0, 1.0), (0.5, 1.0), (0.0, lca._WEIGHT_LIMIT),
+                                          (0.5, lca._WEIGHT_LIMIT)])
+def test_no_coordinate_of_a_run_is_negative_zero(swap, weight):
+    # The step clamp and _vm_index clamp with np.maximum, which turns a -0.0 into +0.0 where np.clip kept it: the
+    # same bits only while no coordinate is -0.0. A starting coordinate is u·m >= +0.0 or k + 0.5, and a step sums
+    # to -0.0 only from a -0.0 best, so every week of a run, by swaps, steps or steps at the weight limit, holds
+    # none in current or best; at the weight limit the clamp puts coordinates at 0.0 itself.
+    negative, zero = [], []
+
+    def match(league, fitness, home, away, draws):
+        negative.append(np.signbit(league.current).any() or np.signbit(league.best).any())
+        zero.append((league.current == 0.0).any())
+        return play_match(league, fitness, home, away, draws)
+
+    params = LcaParams(league_size=6, seasons=3, swap_probability=swap, w1=weight, w2=weight, seed=11,
+                       seed_with_baselines=False)
+    with mock.patch.object(lca, "play_match", side_effect=match):
+        result = run(params, _instance(n=20, m=4))
+    assert len(negative) == len(result.history) and not any(negative)
+    assert any(zero) or weight < lca._WEIGHT_LIMIT
 
 
 def _triples(seed, k):
@@ -594,7 +616,7 @@ def test_update_requires_match_history():
         assert rows[0][starts[w] : starts[w + 1]].tolist() == sorted(set(fixtures[:w].ravel().tolist()))
     (week,) = _draw_plan(SplitMix64(1), _params(league_size=5), _change_thresholds(0.3, 3), rows,
                          np.array([0, 0]), 2, _NO_CARRY, _cells(3, 2))
-    columns = (week.own, week.previous, week.ahead, week.at, week.r1, week.r2, week.swap_i, week.swap_j, *week.moved)
+    columns = (week.sides, week.cells, week.r, week.swaps, *week.moved)
     assert week.proposals == 0 and all(column.size == 0 for column in columns) and week.draws.size == 2
 
 
@@ -674,7 +696,7 @@ def test_batched_week_equals_the_per_team_reference(size, n, m, first, weeks, sw
         expected = [reference_update_formation(reference, rng, last_opponent, t, upcoming[t], params, m)
                     for t in teams]
         assert week.proposals == teams.size
-        proposed = update_formation(batched, week, params, m)
+        proposed = update_formation(batched, week, m)
         assert proposed[teams].tobytes() == np.array(expected).reshape(teams.size, n).tobytes()
         assert np.delete(proposed, teams, axis=0).tobytes() == np.delete(batched.best, teams, axis=0).tobytes()
         batched.current[teams] = reference.current[teams] = proposed[teams]
@@ -684,6 +706,25 @@ def test_batched_week_equals_the_per_team_reference(size, n, m, first, weeks, sw
         assert batched.won.tolist() == reference.won.tolist()
     assert after.tolist() == last_opponent.tolist()
     assert stream.state == rng.state
+
+
+def test_update_formation_writes_only_its_own_block():
+    # The week's gathers and scatters go through flat views: each returned block is a fresh array, and the
+    # league's best and current formations keep their bytes, over a plan with steps and swaps both.
+    size, n, m = 6, 40, 4
+    params = LcaParams(league_size=size, swap_probability=0.5, w1=1.5, w2=0.75)
+    league, _, stream, before = _random_league(size, n, m, 3)
+    fixtures = _fixtures(size, range(5, 9))
+    starts, rows, _ = _plan_rows(before, fixtures)
+    plan = _draw_plan(stream, params, _change_thresholds(0.3, n), rows, starts, fixtures.shape[2], _NO_CARRY,
+                      _cells(n, m))
+    best, current = league.best.tobytes(), league.current.tobytes()
+    for week in plan:
+        block = update_formation(league, week, m)
+        assert league.best.tobytes() == best and league.current.tobytes() == current
+        assert not np.shares_memory(block, league.best) and not np.shares_memory(block, league.current)
+        assert block.tobytes() != best
+    assert sum(week.cells.shape[1] for week in plan) > 0 and sum(week.swaps.shape[1] for week in plan) > 0
 
 
 def test_a_large_week_is_drawn_as_one_span():
@@ -702,14 +743,14 @@ def test_a_large_week_is_drawn_as_one_span():
             mock.patch.object(SplitMix64, "uniforms", autospec=True, side_effect=SplitMix64.uniforms) as blocks:
         (week,) = _draw_plan(stream, params, _change_thresholds(0.001, n), rows, starts, 3, _NO_CARRY, cells)
     assert blocks.call_count == 0
-    assert [call.args[1].shape for call in reads.call_args_list] == [(size, 3), (3, week.at.size), (1, 3)]
+    assert [call.args[1].shape for call in reads.call_args_list] == [(size, 3), (3, week.cells.shape[1]), (1, 3)]
     assert stream.state == _advanced(SplitMix64(start), size * _slot(n) + 3)
-    proposed = update_formation(batched, week, params, m)
+    proposed = update_formation(batched, week, m)
     upcoming = np.array([5, 4, 3, 2, 1, 0])
     expected = [reference_update_formation(reference, rng, last_opponent, t, upcoming[t], params, m)
                 for t in range(size)]
     assert proposed.tobytes() == np.array(expected).tobytes()
-    assert week.at.size > size * 100
+    assert week.cells.shape[1] > size * 100
     play_match(batched, fitness, home, away, week.draws)
     assert np.where(batched.won[home], home, away).tolist() == [
         reference_play_match(reference, fitness, rng, last_opponent, i, j)[0] for i, j in zip(home, away)]
@@ -743,7 +784,7 @@ def test_no_row_reads_outside_its_slot(size, n, first, weeks, swap, change, seed
     assert rng.state == _advanced(SplitMix64(start), owner.size)
     (_, head), (_, coordinates), (_, matches) = (call.args for call in reads.call_args_list)
     assert (owner[head - 1] == np.arange(starts[-1])[:, None]).all()
-    step_rows = [starts[w] + np.searchsorted(rows[0][starts[w] : starts[w + 1]], week.own)
+    step_rows = [starts[w] + np.searchsorted(rows[0][starts[w] : starts[w + 1]], week.sides[0])
                  for w, week in enumerate(plan)]
     assert (owner[coordinates - 1] == np.concatenate(step_rows)).all()
     assert (owner[matches - 1] == -1 - np.arange(len(fixtures))[:, None]).all()
@@ -1021,8 +1062,8 @@ def test_a_team_that_has_not_played_fields_its_unchanged_best(size):
     # plays its first match at its best fitness.
     played, waiting = set(), []
 
-    def propose(league, week, params, n_vms):
-        block = update_formation(league, week, params, n_vms)
+    def propose(league, week, n_vms):
+        block = update_formation(league, week, n_vms)
         for t in sorted(set(range(size)) - played):
             assert league.current[t].tobytes() == league.best[t].tobytes() == block[t].tobytes()
             waiting.append(t)
