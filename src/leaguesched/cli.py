@@ -31,7 +31,7 @@ from .experiment import (
     run_experiment,
 )
 from .lca import LcaParams, run
-from .model import VM_LIMIT, ProblemInstance, VirtualMachine, check_fields, is_finite, is_integer, makespan, parsed
+from .model import POSITIVE, SEED, VMS, ProblemInstance, VirtualMachine, check_fields, makespan, parsed
 from .workload import WorkloadSpec, dump_trace, generate_synthetic, load_trace
 
 
@@ -128,16 +128,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    params = LcaParams(seed=args.seed)  # built for every algorithm, so a bad --seed is always refused
-    check_fields(("vms", is_integer(args.vms) and args.vms >= 1, "an integer >= 1", args.vms),
-                 ("vms", args.vms <= VM_LIMIT, f"at most {VM_LIMIT}", args.vms),
-                 ("vm_mips", is_finite(args.vm_mips) and args.vm_mips > 0, "a finite positive number", args.vm_mips))
+    check_fields(SEED.row("seed", args.seed), VMS.row("vms", args.vms), POSITIVE.row("vm_mips", args.vm_mips))
     tasks = load_trace(Path(args.trace).read_text(encoding="utf-8-sig"))
     vms = tuple(VirtualMachine(id=v, speed_mips=args.vm_mips) for v in range(args.vms))
     instance = ProblemInstance(tuple(tasks), vms)
     kind = SchedulerKind[args.algo.upper()]
     if kind is SchedulerKind.LCA:
-        assignment = run(params, instance).best_assignment
+        assignment = run(LcaParams(seed=args.seed), instance).best_assignment
     else:  # a greedy baseline by code, looked up per call so a rebound module global is seen
         assignment = (fcfs, ljf, bef)[kind](instance)
     result = makespan(instance, assignment)

@@ -13,28 +13,30 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import astuple, dataclass, field, replace
-from typing import IO, Callable, Iterable
+from typing import IO, AbstractSet, Callable, Iterable, Mapping
 
 from .baselines import SchedulerKind, bef, fcfs, ljf
 from .lca import LcaParams, run
-from .model import (VM_LIMIT, ProblemInstance, VirtualMachine, check_fields, is_finite, is_integer, makespan,
-                    read_rows, write_rows)
-from .rng import MASK64, mix64
-from .workload import TASK_LIMIT, WorkloadSpec, generate_synthetic
+from .model import (INDEX, POSITIVE, SEED, TASK_LIMIT, TASKS, VMS, Kind, ProblemInstance, VirtualMachine, check_fields,
+                    count, is_finite, makespan, read_rows, write_rows)
+from .rng import mix64
+from .workload import WorkloadSpec, generate_synthetic
 
-# The read_rows columns of the CSV, (name, write, parse, ok, want), in ExperimentRecord field order.
+# The read_rows columns of the CSV, (name, write, parse, kind), in ExperimentRecord field order.
 _CSV_COLUMNS = [
-    ("scheduler", lambda k: k.name, SchedulerKind.__members__.get, lambda k: True,
-     "one of " + ", ".join(SchedulerKind.__members__)),
-    ("n_tasks", str, int, lambda v: 1 <= v <= TASK_LIMIT, f"an integer >= 1 and <= {TASK_LIMIT}"),
-    ("rep", str, int, lambda v: v >= 0, "an integer >= 0"),
-    ("seed", str, int, lambda v: 0 <= v <= MASK64, "a 64-bit unsigned integer"),
-    ("makespan_s", "{:.6f}".format, float, lambda v: is_finite(v) and v > 0, "a finite positive number"),
-    ("evals", str, int, lambda v: v >= 0, "an integer >= 0"),
-    ("wall_ms", str, int, lambda v: v >= 0, "an integer >= 0"),
+    ("scheduler", lambda k: k.name, SchedulerKind.__members__.get,
+     Kind("one of " + ", ".join(SchedulerKind.__members__), lambda k: k is not None)),
+    ("n_tasks", str, int, TASKS),
+    ("rep", str, int, INDEX),
+    ("seed", str, int, SEED),
+    ("makespan_s", "{:.6f}".format, float, POSITIVE),
+    ("evals", str, int, INDEX),
+    ("wall_ms", str, int, INDEX),
 ]
 
 _CHART_COLORS = ("#c44e52", "#55a868", "#dd8452", "#4c72b0")  # indexed by SchedulerKind code
+
+_NOT_A_LIST = (str, bytes, bytearray, memoryview, Mapping, AbstractSet)  # text, bytes, or unordered: refused by name
 
 
 @dataclass(frozen=True)
@@ -53,29 +55,25 @@ class ExperimentConfig:
     master_seed: int = 42
 
     def __post_init__(self) -> None:
-        # Sequences become tuples; anything else is left for its check to name.
+        # Lists become tuples; anything else, _NOT_A_LIST included, is left for its check to name.
         for name in ("task_counts", "schedulers", "length_range_mi", "vm_speed_mips"):
             value = getattr(self, name)
-            if isinstance(value, Iterable) and not isinstance(value, str):
+            if isinstance(value, Iterable) and not isinstance(value, _NOT_A_LIST):
                 object.__setattr__(self, name, tuple(value))
         c = self
-        speeds = c.vm_speed_mips if isinstance(c.vm_speed_mips, tuple) else (c.vm_speed_mips,)
         lo_hi = c.length_range_mi
         check_fields(
-            ("task_counts", isinstance(c.task_counts, tuple) and c.task_counts
-             and all(is_integer(n) and 1 <= n <= TASK_LIMIT for n in c.task_counts)
+            ("task_counts", isinstance(c.task_counts, tuple) and c.task_counts and all(map(TASKS.ok, c.task_counts))
              and len(set(c.task_counts)) == len(c.task_counts),
              f"a non-empty list of distinct integers >= 1 and <= {TASK_LIMIT}", c.task_counts),
-            ("n_vms", is_integer(c.n_vms) and c.n_vms >= 1, "an integer >= 1", c.n_vms),
-            ("n_vms", not is_integer(c.n_vms) or c.n_vms <= VM_LIMIT, f"at most {VM_LIMIT}", c.n_vms),
-            ("vm_speed_mips", all(is_finite(s) and s > 0 for s in speeds)
-             and (not isinstance(c.vm_speed_mips, tuple) or len(speeds) == c.n_vms),
+            VMS.row("n_vms", c.n_vms),
+            ("vm_speed_mips", all(map(POSITIVE.ok, c.vm_speed_mips)) and len(c.vm_speed_mips) == c.n_vms
+             if isinstance(c.vm_speed_mips, tuple) else POSITIVE.ok(c.vm_speed_mips),
              "a finite positive speed, or a list of one per VM", c.vm_speed_mips),
             ("length_range_mi", isinstance(lo_hi, tuple) and len(lo_hi) == 2
              and all(map(is_finite, lo_hi)) and 0 < lo_hi[0] <= lo_hi[1],
              "[min, max] with 0 < min <= max, both finite", lo_hi),
-            ("repetitions", is_integer(c.repetitions) and c.repetitions >= 1, "an integer >= 1",
-             c.repetitions),
+            count(1).row("repetitions", c.repetitions),
             ("schedulers", isinstance(c.schedulers, tuple) and c.schedulers
              and all(isinstance(k, SchedulerKind) for k in c.schedulers)
              and len(set(c.schedulers)) == len(c.schedulers),
@@ -83,8 +81,7 @@ class ExperimentConfig:
             ("lca_params", isinstance(c.lca_params, LcaParams), "an LcaParams", c.lca_params),
             ("lca_params.seed", not isinstance(c.lca_params, LcaParams) or c.lca_params.seed == 0,
              "0: search seeds derive from master_seed", getattr(c.lca_params, "seed", None)),
-            ("master_seed", is_integer(c.master_seed) and 0 <= c.master_seed < 2**64,
-             "a 64-bit unsigned integer", c.master_seed),
+            SEED.row("master_seed", c.master_seed),
         )
 
 

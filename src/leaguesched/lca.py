@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .baselines import bef, fcfs, ljf
-from .model import Assignment, ProblemInstance, check_fields, is_finite, is_integer, makespan
+from .model import SEED, Assignment, ProblemInstance, check_fields, count, is_finite, makespan
 from .rng import SplitMix64
 
 # A step's proposed coordinates are clamped to [0, m - _CLAMP_EPS]. A random starting coordinate reaches m on a
@@ -80,16 +80,15 @@ class LcaParams:
     def __post_init__(self) -> None:
         p = self
         check_fields(
-            ("league_size", is_integer(p.league_size) and 4 <= p.league_size <= _PLAN_ROWS,
-             f"an integer >= 4 and <= {_PLAN_ROWS}", p.league_size),
-            ("seasons", is_integer(p.seasons) and p.seasons >= 1, "an integer >= 1", p.seasons),
+            count(4, _PLAN_ROWS).row("league_size", p.league_size),
+            count(1).row("seasons", p.seasons),
             ("change_probability", is_finite(p.change_probability) and 0.0 < p.change_probability <= 1.0,
              "a number in (0, 1]", p.change_probability),
             ("swap_probability", is_finite(p.swap_probability) and 0.0 <= p.swap_probability <= 1.0,
              "a number in [0, 1]", p.swap_probability),
             ("w1", is_finite(p.w1) and 0 < p.w1 <= _WEIGHT_LIMIT, f"a positive number <= {_WEIGHT_LIMIT:g}", p.w1),
             ("w2", is_finite(p.w2) and 0 < p.w2 <= _WEIGHT_LIMIT, f"a positive number <= {_WEIGHT_LIMIT:g}", p.w2),
-            ("seed", is_integer(p.seed) and 0 <= p.seed < 2**64, "a 64-bit unsigned integer", p.seed),
+            SEED.row("seed", p.seed),
             ("seed_with_baselines", isinstance(p.seed_with_baselines, bool), "true or false",
              p.seed_with_baselines),
         )
@@ -104,11 +103,6 @@ class League:
     best_fitness: np.ndarray  # (L,)
     won: np.ndarray  # (L,) bool, outcome of each team's last match
     champion: int  # first team to reach the best fitness found so far
-
-    @property
-    def f_hat(self) -> float:
-        """Best fitness found so far (the ideal value); every team best is >= it."""
-        return float(self.best_fitness[self.champion])
 
 
 @dataclass
@@ -144,7 +138,7 @@ def decode(formation: np.ndarray, n_vms: int) -> Assignment:
         x = np.empty((0, 0))
     check_fields(("formation", x.ndim == 1 and bool(np.isfinite(x).all()), "a vector of finite coordinates",
                   formation),
-                 ("n_vms", is_integer(n_vms) and 1 <= n_vms <= 2**53, "an integer >= 1 and <= 2**53", n_vms))
+                 ("n_vms", count(1, 2**53).ok(n_vms), "an integer >= 1 and <= 2**53", n_vms))
     return Assignment(tuple(_vm_index(x, n_vms).tolist()))
 
 

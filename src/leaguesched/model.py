@@ -13,14 +13,18 @@ from __future__ import annotations
 import io
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-# The most VMs any entry point takes (schedule --vms, a grid's n_vms), checked before any VM is built. The budget is
-# a minute and 1.5 GiB: schedule of a 60-task trace on 10**6 VMs took 2.8 s and 306 MiB peak RSS with --algo ljf and
-# 32 s and 322 MiB with --algo lca on a 2-core Xeon (0.6 s and 2.0 s at 10**5), so 2 * 10**6 would pass the minute.
+# The most tasks and VMs any entry point takes, checked before anything is built, each from a budget of a minute and
+# 1.5 GiB on a 2-core Xeon. Tasks (a spec, a grid's task counts, a CSV row): generate then schedule --algo ljf of
+# 10**6 tasks in one process took 33 s and 1,176 MiB peak RSS, and both grow linearly (3.5 s and 144 MiB at 10**5).
+TASK_LIMIT = 10**6
+# VMs (schedule --vms, a grid's n_vms): schedule of a 60-task trace on 10**6 VMs took 2.8 s and 306 MiB peak RSS with
+# --algo ljf and 32 s and 322 MiB with --algo lca (0.6 s and 2.0 s at 10**5), so 2 * 10**6 would pass the minute.
 VM_LIMIT = 10**6
 
 
@@ -40,14 +44,32 @@ class TraceParseError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
-def is_integer(value: object) -> bool:
-    """True for an integer; a bool is a flag, not a count."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def is_finite(value: object) -> bool:
-    """True for a finite real number; a bool is a flag, not a quantity."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    """True for a real number within the float range; a bool is a flag, not a quantity."""
+    real = type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and abs(value) <= sys.float_info.max  # refuses nan and inf, and an integer no float holds
+
+
+class Kind(NamedTuple):
+    """A field kind: ok takes any value, None included, and accepts a valid one, which want describes."""
+
+    want: str
+    ok: Callable[[object], bool]
+
+    def row(self, name: str, value: object) -> tuple[str, bool, str, object]:  # a check_fields row
+        return name, self.ok(value), self.want, value
+
+
+def count(low: int, limit: float = math.inf) -> Kind:
+    """The kind of an integer >= low, and <= limit where one is given; a bool is a flag, not a count."""
+    want = f"an integer >= {low}" + (f" and <= {limit}" if limit < math.inf else "")
+    return Kind(want, lambda v: (type(v) is int or isinstance(v, numbers.Integral) and not isinstance(v, bool))
+                and low <= v <= limit)
+
+
+SEED = Kind("a 64-bit unsigned integer", count(0, 2**64 - 1).ok)
+POSITIVE = Kind("a finite positive number", lambda v: is_finite(v) and v > 0)
+INDEX, TASKS, VMS = count(0), count(1, TASK_LIMIT), count(1, VM_LIMIT)
 
 
 def check_fields(*rows: tuple[str, bool, str, object]) -> None:
@@ -71,13 +93,12 @@ def read_rows(source: str | IO[str] | Iterable[str], columns: list[tuple], key: 
               repeated: Callable[[int, str], Exception] = TraceParseError) -> Iterator[list]:
     """Yield the values of each row of a comma-separated text table.
 
-    Each column is (name, write, parse, ok, want): write formats a value, parse
-    reads it back (a ValueError, a `_` or non-ASCII text refuses it), ok accepts
-    the parsed value, and want says what a valid one is. Lines and fields are
-    stripped, blank lines skipped, and the first line may be the header of
-    column names. A bad row raises TraceParseError: "line N: <field> must be <want>, got '<text>'".
-    A row's first key values name it, and a row naming an earlier one raises repeated with both
-    line numbers and its name: each key column's name and value, the value as the column writes it.
+    Each column is (name, write, parse, kind): write formats a value, parse reads it back (None where it raises
+    ValueError or the text is not ASCII or holds `_`), and the Kind checks what parse read. Lines and fields are
+    stripped, blank lines skipped, and the first line may be the header of column names. A bad row raises
+    TraceParseError: "line N: <field> must be <want>, got '<text>'". A row's first key values name it, and a row
+    naming an earlier one raises repeated with both line numbers and its name: each key column's name and value,
+    the value as the column writes it.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -90,8 +111,8 @@ def read_rows(source: str | IO[str] | Iterable[str], columns: list[tuple], key: 
         try:
             check_fields(("row", len(texts) == len(columns), f"{len(columns)} fields long", line))
             values = [parsed(column[2], text) for column, text in zip(columns, texts)]
-            check_fields(*[(name, value is not None and ok(value), want, text)
-                           for (name, _, _, ok, want), value, text in zip(columns, values, texts)])
+            check_fields(*[(name, ok(value), want, text)
+                           for (name, _, _, (want, ok)), value, text in zip(columns, values, texts)])
         except ValueError as exc:
             raise TraceParseError(line_no, str(exc)) from None
         if (defined := first.setdefault(tuple(values[:key]), line_no)) != line_no:
@@ -153,22 +174,22 @@ class ProblemInstance:
             problems.append("empty VM list")
         seen_ids: set[int] = set()
         for t in tasks:
-            if not is_integer(t.id) or t.id < 0:
-                problems.append(f"task {t.id!r}: id must be a nonnegative integer")
+            if not INDEX.ok(t.id):
+                problems.append(f"task {t.id!r}: id must be {INDEX.want}, got {t.id!r}")
             elif t.id in seen_ids:
                 problems.append(f"task {t.id}: duplicate id")
             else:
                 seen_ids.add(t.id)
-            if not (is_finite(t.length_mi) and t.length_mi > 0):
-                problems.append(f"task {t.id!r}: length must be finite and positive, got {t.length_mi!r}")
+            if not POSITIVE.ok(t.length_mi):
+                problems.append(f"task {t.id!r}: length must be {POSITIVE.want}, got {t.length_mi!r}")
         arrivals = [t.arrival_index for t in tasks]
-        if not all(map(is_integer, arrivals)) or sorted(arrivals) != list(range(len(tasks))):
+        if not all(map(INDEX.ok, arrivals)) or sorted(arrivals) != list(range(len(tasks))):
             problems.append("arrival_index values do not form 0..n-1")
         for pos, vm in enumerate(vms):
             if vm.id != pos:
                 problems.append(f"VM at position {pos} has id {vm.id!r}")
-            if not (is_finite(vm.speed_mips) and vm.speed_mips > 0):
-                problems.append(f"VM {vm.id!r}: speed must be finite and positive, got {vm.speed_mips!r}")
+            if not POSITIVE.ok(vm.speed_mips):
+                problems.append(f"VM {vm.id!r}: speed must be {POSITIVE.want}, got {vm.speed_mips!r}")
         if problems:
             raise InvalidInstanceError("; ".join(problems))
         arrival = np.array(sorted(range(len(tasks)), key=arrivals.__getitem__), dtype=np.int64)
@@ -239,7 +260,7 @@ class Assignment:
             kind = type(self.vm_of).__name__
             raise InvalidAssignmentError(f"vm_of must be a sequence of VM indices, got {kind}") from None
         for k, v in enumerate(vm_of):
-            if not (is_integer(v) and v >= 0):
+            if not INDEX.ok(v):
                 raise InvalidAssignmentError(f"position {k}: {v!r} is not a nonnegative integer VM index")
         object.__setattr__(self, "vm_of", tuple(map(int, vm_of)))
 
@@ -251,20 +272,13 @@ class ScheduleResult:
     makespan_s: float
 
 
-def _checked_index(instance: ProblemInstance, assignment: Assignment) -> np.ndarray:
-    """The assignment as a VM-index vector, checked against the instance."""
+def makespan(instance: ProblemInstance, assignment: Assignment) -> ScheduleResult:
+    """Evaluate an assignment, checked against the instance; the makespan is the largest completion time."""
     n, m = len(instance.tasks), len(instance.vms)
-    vm_of = assignment.vm_of
-    if len(vm_of) != n:
-        raise InvalidAssignmentError(f"assignment length {len(vm_of)} does not match task count {n}")
-    for k, v in enumerate(vm_of):
+    if len(assignment.vm_of) != n:
+        raise InvalidAssignmentError(f"assignment length {len(assignment.vm_of)} does not match task count {n}")
+    for k, v in enumerate(assignment.vm_of):
         if not 0 <= v < m:
             raise InvalidAssignmentError(f"task {instance.tasks[k].id}: VM index {v} outside [0, {m})")
-    return np.array(vm_of, dtype=np.int64)
-
-
-def makespan(instance: ProblemInstance, assignment: Assignment) -> ScheduleResult:
-    """Evaluate an assignment; the makespan is the largest completion time."""
-    vm_index = _checked_index(instance, assignment)
-    loads = instance.loads(vm_index)
+    loads = instance.loads(np.array(assignment.vm_of, dtype=np.int64))
     return ScheduleResult(assignment=assignment, vm_load_s=tuple(loads.tolist()), makespan_s=float(loads.max()))

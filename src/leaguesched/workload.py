@@ -10,18 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .model import Task, TraceParseError, check_fields, is_finite, is_integer, read_rows, write_rows
+from .model import (INDEX, POSITIVE, SEED, TASK_LIMIT, TASKS, Task, TraceParseError,  # TASK_LIMIT: re-exported
+                    check_fields, is_finite, read_rows, write_rows)
 from .rng import SplitMix64
 
-# The most tasks any entry point takes (a spec, a grid's task counts, a CSV row), checked before anything is built.
-# The budget is a minute and 1.5 GiB: generate then schedule --algo ljf of 10**6 tasks in one process took 33 s and
-# 1,176 MiB peak RSS on a 2-core Xeon, and both grow linearly (3.5 s and 144 MiB at 10**5).
-TASK_LIMIT = 10**6
-
-_TRACE_COLUMNS = [  # read_rows columns: (name, write, parse, ok, want)
-    ("task_id", str, int, lambda v: v >= 0, "a nonnegative integer"),
-    ("length_mi", lambda v: repr(float(v)), float, lambda v: is_finite(v) and v > 0, "a finite positive number"),
-]
+_TRACE_COLUMNS = [("task_id", str, int, INDEX), ("length_mi", lambda v: repr(float(v)), float, POSITIVE)]
 
 
 class DuplicateTaskIdError(TraceParseError):
@@ -40,13 +33,11 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         lo, hi = self.length_min_mi, self.length_max_mi
         check_fields(
-            ("n_tasks", is_integer(self.n_tasks) and 1 <= self.n_tasks <= TASK_LIMIT,
-             f"an integer >= 1 and <= {TASK_LIMIT}", self.n_tasks),
-            ("length_min_mi", is_finite(lo) and lo > 0, "finite and positive", lo),
+            TASKS.row("n_tasks", self.n_tasks),
+            POSITIVE.row("length_min_mi", lo),
             ("length_max_mi", is_finite(hi) and not (is_finite(lo) and hi < lo),
              "finite and >= length_min_mi", hi),
-            ("seed", is_integer(self.seed) and 0 <= self.seed < 2**64,
-             "a 64-bit unsigned integer", self.seed),
+            SEED.row("seed", self.seed),
         )
 
 

@@ -186,14 +186,14 @@ def test_schedule_malformed_trace(tmp_path, capsys):
         ([(0, 200), (1, 300)], ["--vm-mips", "-5"], "vm_mips must be a finite positive number, got -5.0"),
         ([(0, 200), (1, 300)], ["--vm-mips", "nan"], "vm_mips must be a finite positive number, got nan"),
         ([], [], "empty task list"),
-        ([(0, 200)], ["--vms", "0"], "vms must be an integer >= 1, got 0"),
+        ([(0, 200)], ["--vms", "0"], "vms must be an integer >= 1 and <= 1000000, got 0"),
         ([(0, 200)], ["--seed", "-1"], "seed must be a 64-bit unsigned integer, got -1"),
         ([(0, 1e308), (1, 1e308)], ["--vms", "1", "--vm-mips", "0.5"], "loads overflow"),
         ([(0, 1e308), (1, 1e308)], ["--vms", "1", "--vm-mips", "0.5", "--algo", "lca"], "loads overflow"),
         ([(0, 1e-300), (1, 1e-300)], ["--vm-mips", "1e300"], "durations underflow"),
-        ([(0, 200)], ["--vms", "-3"], "vms must be an integer >= 1, got -3"),
+        ([(0, 200)], ["--vms", "-3"], "vms must be an integer >= 1 and <= 1000000, got -3"),
         ([(0, 200)], ["--vms", "20000", "--vm-mips", "nan"], "vm_mips must be a finite positive number, got nan"),
-        ([("1_0", 200)], [], "line 2: task_id must be a nonnegative integer, got '1_0'"),
+        ([("1_0", 200)], [], "line 2: task_id must be an integer >= 0, got '1_0'"),
     ],
     ids=["inf_trace", "negative_mips", "nan_mips", "empty_trace", "no_vms", "negative_seed",
          "overflowing_loads", "overflowing_loads_lca", "underflowing_durations", "negative_vms", "nan_mips_many_vms",
@@ -213,7 +213,7 @@ def test_schedule_rejects_bad_input_without_traceback(tmp_path, capsys, rows, ex
 
 @pytest.mark.parametrize("vms, fragment", [
     (VM_LIMIT, "nope.csv"),
-    (VM_LIMIT + 1, f"vms must be at most {VM_LIMIT}, got {VM_LIMIT + 1}"),
+    (VM_LIMIT + 1, f"vms must be an integer >= 1 and <= {VM_LIMIT}, got {VM_LIMIT + 1}"),
 ], ids=["at_the_limit", "past_the_limit"])
 def test_schedule_checks_the_vm_count_before_reading_the_trace(tmp_path, capsys, vms, fragment):
     # The trace is missing: a count within the limit fails on the trace, one past it on vms; no fleet is built.

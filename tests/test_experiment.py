@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -21,7 +22,7 @@ from leaguesched import (
     parse_csv,
     run_experiment,
 )
-from leaguesched.model import VM_LIMIT
+from leaguesched.model import TASK_LIMIT, VM_LIMIT
 
 K = SchedulerKind
 
@@ -166,6 +167,30 @@ def test_invalid_configs_rejected(overrides):
         tiny_config(**kwargs)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("task_counts", b"\x14("),
+    ("task_counts", bytearray(b"\x14(")),
+    ("task_counts", memoryview(b"\x14(")),
+    ("task_counts", {40: 1, 20: 2}),
+    ("task_counts", {20, 40}),
+    ("length_range_mi", b"\x01\x02"),
+    ("length_range_mi", frozenset({200.0, 500.0})),
+    ("vm_speed_mips", {1000.0: "x"}),
+    ("schedulers", {K.FCFS: 1}),
+    ("schedulers", {K.FCFS, K.LJF}),
+])
+def test_a_config_refuses_bytes_mappings_and_sets_for_a_list_by_name(name, value):
+    # Each would iterate into a tuple: bytes as small integers, a mapping as its keys, a set in an arbitrary order.
+    want = {
+        "task_counts": f"a non-empty list of distinct integers >= 1 and <= {TASK_LIMIT}",
+        "length_range_mi": "[min, max] with 0 < min <= max, both finite",
+        "vm_speed_mips": "a finite positive speed, or a list of one per VM",
+        "schedulers": "a non-empty list of distinct schedulers",
+    }[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {want}, got {value!r}')}$"):
+        tiny_config(**{name: value})
+
+
 def test_a_grid_takes_task_counts_up_to_the_limit():
     # Only the config is built: no grid is run.
     assert tiny_config(task_counts=(1, 10**6)).task_counts == (1, 10**6)
@@ -174,7 +199,7 @@ def test_a_grid_takes_task_counts_up_to_the_limit():
 def test_a_grid_takes_vms_up_to_the_limit():
     # Only the config is built: no VM is.
     assert VM_LIMIT == 10**6 and tiny_config(n_vms=VM_LIMIT).n_vms == config_from_dict({"n_vms": VM_LIMIT}).n_vms
-    with pytest.raises(ValueError, match=rf"^n_vms must be at most {VM_LIMIT}, got {VM_LIMIT + 1}$"):
+    with pytest.raises(ValueError, match=rf"^n_vms must be an integer >= 1 and <= {VM_LIMIT}, got {VM_LIMIT + 1}$"):
         tiny_config(n_vms=VM_LIMIT + 1)
 
 

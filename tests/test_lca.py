@@ -93,7 +93,7 @@ def reference_win_probability(f_i, f_j, f_hat):
 
 
 def reference_play_match(league, fitness, rng, last_opponent, i, j):
-    p_i = reference_win_probability(fitness[i], fitness[j], league.f_hat)
+    p_i = reference_win_probability(fitness[i], fitness[j], league.best_fitness[league.champion])
     u = rng.uniform()
     winner, loser = (i, j) if p_i > 0.0 and u <= p_i else (j, i)
     last_opponent[i], last_opponent[j] = j, i
@@ -168,14 +168,14 @@ def reference_run(params, instance):
                 evaluations += len(teams)
                 for t, x in zip(teams, proposed):
                     f = makespan(instance, decode(x, m)).makespan_s
-                    if f < league.f_hat:
+                    if f < league.best_fitness[league.champion]:
                         league.champion = t
                     league.current[t], fitness[t] = x, f
                     if f < league.best_fitness[t]:
                         league.best[t], league.best_fitness[t] = x, f
             for i, j in pairs:
                 reference_play_match(league, fitness, rng, last_opponent, i, j)
-            history.append(league.f_hat)
+            history.append(float(league.best_fitness[league.champion]))
     return history, decode(league.best[league.champion], m), evaluations
 
 
@@ -376,11 +376,11 @@ def test_win_probability_spot_values():
 @pytest.mark.parametrize("size", [5, 6])
 def test_every_match_of_a_run_is_played_above_the_ideal_value(size, swap):
     # win_probability takes f̂ as a lower bound on both sides unchecked: every week of a run, odd league or even,
-    # by steps, swaps or both, both sides of every fixture are at or above league.f_hat.
+    # by steps, swaps or both, both sides of every fixture are at or above the champion's fitness.
     gaps = []
 
     def match(league, fitness, home, away, draws):
-        gaps.append(np.concatenate([fitness[home], fitness[away]]) - league.f_hat)
+        gaps.append(np.concatenate([fitness[home], fitness[away]]) - league.best_fitness[league.champion])
         return play_match(league, fitness, home, away, draws)
 
     params = LcaParams(league_size=size, seasons=3, swap_probability=swap, seed=11, seed_with_baselines=False)
@@ -907,7 +907,7 @@ def test_init_league_global_best_is_min_fitness():
     evaluate = mock.Mock(wraps=_FitnessEvaluator(inst))
     league = _init(LcaParams(league_size=6, seed=1), inst, evaluate)
     assert league.best_fitness.tobytes() == _FitnessEvaluator(inst)(league.current).tobytes()
-    assert league.f_hat == league.best_fitness.min()
+    assert league.best_fitness[league.champion] == league.best_fitness.min()
     assert league.champion == int(np.argmin(league.best_fitness))
     assert np.array_equal(league.best, league.current)
     ((block,), _), = evaluate.call_args_list  # the 6 starting formations, scored as one block

@@ -97,7 +97,7 @@ def test_validate_well_formed(make_instance):
 
 
 def test_validate_reports_nonpositive_length():
-    with pytest.raises(InvalidInstanceError, match="task 0: length must be finite and positive, got 0.0"):
+    with pytest.raises(InvalidInstanceError, match="task 0: length must be a finite positive number, got 0.0"):
         ProblemInstance((Task(0, 0.0, 0),), (VirtualMachine(0, 100.0),))
 
 
@@ -108,7 +108,8 @@ def test_validate_reports_empty_vm_list():
 
 @pytest.mark.parametrize("bad_id", [-1, 1.5])
 def test_validate_refuses_a_task_id_that_is_not_a_nonnegative_integer(bad_id):
-    with pytest.raises(InvalidInstanceError, match=re.escape(f"task {bad_id!r}: id must be a nonnegative integer")):
+    message = f"task {bad_id!r}: id must be an integer >= 0, got {bad_id!r}"
+    with pytest.raises(InvalidInstanceError, match=f"^{re.escape(message)}$"):
         ProblemInstance((Task(bad_id, 100.0, 0),), (VirtualMachine(0, 100.0),))
 
 
